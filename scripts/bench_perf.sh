@@ -18,11 +18,14 @@
 #   4. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
 #      against the conventional MPI/IB stack, with the same three-way
 #      backend diff on bench_coll_allreduce.
+#   5. End-to-end host cost of every full-simulator bench: wall, user and
+#      kernel time, minor page faults and peak RSS per bench (median-wall
+#      run of three, interleaved across benches).
 #
-# Everything lands in BENCH_sim_core.json and BENCH_coll.json at the
-# repository root. Collector outputs (reports, JSON fragments) live under
-# $BUILD/bench_out inside the repo — require_in_repo refuses any path that
-# escapes the repository root, loudly.
+# Everything lands in BENCH_sim_core.json, BENCH_coll.json and
+# BENCH_e2e.json at the repository root. Collector outputs (reports, JSON
+# fragments) live under $BUILD/bench_out inside the repo — require_in_repo
+# refuses any path that escapes the repository root, loudly.
 set -u
 cd "$(dirname "$0")/.."
 REPO_ROOT=$(pwd)
@@ -31,6 +34,15 @@ BUILD=build-perf
 OUT="$BUILD/bench_out"
 JSON=BENCH_sim_core.json
 COLL_JSON=BENCH_coll.json
+E2E_JSON=BENCH_e2e.json
+# Every bench that runs the full simulator: figures, tables, extensions,
+# ablation, related work and collectives (steps 1-2 are microbenches).
+E2E_BENCHES="bench_fig7_dma_local bench_fig8_dma_single bench_fig9_dma_chain
+  bench_fig10_pio_latency bench_fig12_remote_dma bench_table1_system_spec
+  bench_table2_test_env bench_peak_efficiency bench_ext_channels
+  bench_ext_reliability bench_ext_small_dma bench_ablation_dmac
+  bench_related_ntb bench_ring_scaling bench_tca_vs_ib bench_coll_allreduce
+  bench_coll_halo"
 
 # Every path a collector writes must resolve inside the repository root.
 # A collector quietly dropping files in /tmp (or anywhere else outside the
@@ -50,10 +62,9 @@ require_in_repo() {
 }
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
-cmake --build "$BUILD" -j --target \
-  bench_sim_core bench_sharded_scaling bench_fig9_dma_chain \
-  bench_ring_scaling bench_coll_allreduce bench_coll_halo > /dev/null \
-  || exit 1
+# E2E_BENCHES is a word list: left unquoted on purpose here and below.
+cmake --build "$BUILD" -j --target bench_sim_core bench_sharded_scaling \
+  $E2E_BENCHES > /dev/null || exit 1
 mkdir -p "$OUT"
 
 echo "== bench_sim_core (events/sec: indexed + sharded vs. baseline) =="
@@ -176,4 +187,71 @@ fi
 } > "$COLL_JSON"
 echo
 echo "wrote $COLL_JSON"
+
+echo
+echo "== end-to-end host cost of every full-simulator bench =="
+for bench in $E2E_BENCHES; do
+  require_in_repo "$OUT/$bench.e2e.txt"
+done
+# Each run's own wall, user and kernel time, minor faults and peak RSS come
+# from os.wait4 on that child (/usr/bin/time is not assumed installed).
+# getrusage(RUSAGE_CHILDREN) would also count whatever the interpreter's
+# launcher ran before exec (a pyenv shim, say), and its max RSS is a
+# maximum over all of those. Repetitions are interleaved across benches, as
+# in step 3, so a slow phase of the box is spread over every bench.
+python3 - "$BUILD/bench" "$OUT" "$E2E_JSON" $E2E_BENCHES <<'EOF' || status=1
+import json, os, sys, time
+bin_dir, out_dir, json_path, *benches = sys.argv[1:]
+REPS = 3
+runs = {name: [] for name in benches}
+for _ in range(REPS):
+    for name in benches:
+        binary = os.path.join(bin_dir, name)
+        with open(os.path.join(out_dir, name + ".e2e.txt"), "w") as out:
+            start = time.monotonic()
+            pid = os.posix_spawn(binary, [binary], os.environ, file_actions=[
+                (os.POSIX_SPAWN_DUP2, out.fileno(), 1),
+                (os.POSIX_SPAWN_DUP2, out.fileno(), 2)])
+            _, status, ru = os.wait4(pid, 0)
+            wall = time.monotonic() - start
+        runs[name].append({
+            "exit": os.waitstatus_to_exitcode(status), "wall_s": wall,
+            "user_s": ru.ru_utime, "sys_s": ru.ru_stime,
+            "minor_faults": ru.ru_minflt, "max_rss_mb": ru.ru_maxrss / 1024})
+cpu = "unknown"
+with open("/proc/cpuinfo") as f:
+    for line in f:
+        if line.startswith("model name"):
+            cpu = line.split(":", 1)[1].strip()
+            break
+doc = {"host": {"cpu": cpu, "cpus": os.cpu_count()},
+       "pick": f"median-wall run of {REPS}, all its fields from that one run",
+       "benches": {}}
+failed = [name for name, reps in runs.items()
+          if any(r["exit"] != 0 for r in reps)]
+print(f"{'bench':26} {'wall s':>7} {'user s':>7} {'sys s':>7} {'sys %':>6}"
+      f" {'minflt':>9} {'RSS MB':>7}")
+for name, reps in runs.items():
+    r = sorted(reps, key=lambda r: r["wall_s"])[len(reps) // 2]
+    cpu_s = r["user_s"] + r["sys_s"]
+    share = r["sys_s"] / cpu_s if cpu_s > 0 else 0.0
+    doc["benches"][name] = {
+        "wall_s": round(r["wall_s"], 3), "user_s": round(r["user_s"], 3),
+        "sys_s": round(r["sys_s"], 3), "sys_share": round(share, 3),
+        "minor_faults": r["minor_faults"],
+        "max_rss_mb": round(r["max_rss_mb"], 1),
+        "wall_s_runs": sorted(round(x["wall_s"], 3) for x in reps)}
+    print(f"{name:26} {r['wall_s']:7.3f} {r['user_s']:7.3f} {r['sys_s']:7.3f}"
+          f" {100 * share:5.1f}% {r['minor_faults']:9d}"
+          f" {r['max_rss_mb']:7.1f}")
+doc["all_exit_zero"] = not failed
+with open(json_path, "w") as f:
+    json.dump(doc, f, indent=2)
+    f.write("\n")
+if failed:
+    print("FAILED (nonzero exit): " + " ".join(failed))
+    sys.exit(1)
+EOF
+echo
+echo "wrote $E2E_JSON"
 exit $status

@@ -3,9 +3,9 @@
 # whole tree (coroutine-lifetime / determinism / register-map invariants),
 # a clang-tidy baseline diff (skipped when clang-tidy is not installed),
 # full test suite (soak label excluded — run `ctest -L soak` for the long
-# fault campaigns), a sanitizer pass over the fault and collective suites,
-# a TSan pass over the sharded-scheduler suite (epoch-mode worker threads;
-# skipped when the toolchain or kernel can't run TSan binaries),
+# fault campaigns), a sanitizer pass over the fault, collective and memory
+# suites, a TSan pass over the sharded-scheduler suite (epoch-mode worker
+# threads; skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
 # determinism and backend-equivalence checks), collective bench smoke runs,
 # a chaos smoke (seeded campaigns with same-seed replay check + committed
@@ -36,10 +36,13 @@ scripts/clang_tidy.sh "$BUILD"
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
 
-echo "== fault suites under ASan/UBSan =="
+echo "== fault, collective and memory suites under ASan/UBSan =="
+# memory_test runs instrumented so the Dram mapping's ownership code and
+# its bounds-check death tests are covered: the mapping has no redzones.
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
-cmake --build --preset asan -j --target fault_test fault_recovery_test coll_test
+cmake --build --preset asan -j --target fault_test fault_recovery_test \
+  coll_test memory_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== sharded scheduler suite under TSan (skips when unsupported) =="

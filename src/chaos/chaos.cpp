@@ -322,8 +322,11 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     sim::Scheduler sched;
     api::TcaConfig cfg;
     cfg.spec = spec.topology;
-    // Keep the eagerly-backed DRAM model small: 64-node campaigns would
-    // otherwise allocate gigabytes. 3 MiB clears the driver-layout floor.
+    // These sizes are part of every campaign's simulated result:
+    // DriverHostLayout::for_dram_size places the driver's DMA buffer and
+    // descriptor table by host DRAM size, so resizing moves simulated
+    // addresses and the committed corpus no longer replays as recorded.
+    // 3 MiB clears the layout's 2 MiB floor.
     cfg.node_config.gpu_count = 2;
     cfg.node_config.host_backing_bytes = 3ull << 20;
     cfg.node_config.gpu_backing_bytes = 256ull << 10;
