@@ -4,13 +4,14 @@
 //
 // Reproduced shape:
 //   * Small vectors: the conventional stack amortizes its two cudaMemcpy
-//     sweeps poorly, but the TCA ring pays per-segment doorbells and
-//     staging, so the stacks are close (the paper's PIO path is for
-//     latency, not reductions).
+//     sweeps poorly, but the TCA ring pays a put and a flag round trip per
+//     step, so the stacks are close (the paper's PIO path is for latency,
+//     not reductions). Each put is one immediate-register descriptor with
+//     polled completion — no table fetch, no interrupt.
 //   * Bulk vectors: the communicator's host-carried relay sends every ring
 //     step after the first from the previous step's fold at wire rate,
 //     while the dual-rail IB baseline still pays the full-vector D2H/H2D
-//     bracket — tca::coll wins from ~256 KB up and must win at >= 1 MB on
+//     bracket — tca::coll wins from ~64 KB up and must win at >= 1 MB on
 //     the 8-node ring.
 //   * Both stacks apply the identical ring fold order, so every sweep point
 //     is verified bitwise identical before its timing counts.

@@ -247,15 +247,29 @@ sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
       std::move(chain));
 }
 
+namespace {
+
+/// The driver retry policy `options` describe: no watchdog when they ask
+/// for the legacy wait-forever single attempt.
+driver::RetryPolicy retry_policy(const SyncOptions& options) {
+  driver::RetryPolicy policy{
+      .max_attempts = std::max<std::uint32_t>(1, options.max_attempts),
+      .timeout_ps = options.deadline_ps,
+      .backoff_base_ps = options.backoff_base_ps,
+  };
+  if (policy.timeout_ps <= 0) {
+    policy.timeout_ps = policy.max_attempts > 1 ? calib::kChainWatchdogPs : 0;
+  }
+  return policy;
+}
+
+}  // namespace
+
 sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
                                              std::vector<CopyOp> ops,
                                              SyncOptions options,
                                              std::uint32_t* retries_out) {
   *retries_out = 0;
-  if (options.deadline_ps <= 0 && options.max_attempts <= 1) {
-    // Legacy path: wait forever, one attempt.
-    co_return co_await memcpy_peer_batch(driving_node, std::move(ops));
-  }
   if (ops.empty()) co_return Status::ok();
   std::vector<DmaDescriptor> chain;
   if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
@@ -274,12 +288,7 @@ sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
       dst_nodes.push_back(op.dst.node);
     }
   }
-  driver::Peach2Driver::RetryPolicy policy{
-      .max_attempts = std::max<std::uint32_t>(1, options.max_attempts),
-      .timeout_ps = options.deadline_ps > 0 ? options.deadline_ps
-                                            : calib::kChainWatchdogPs,
-      .backoff_base_ps = options.backoff_base_ps,
-  };
+  driver::RetryPolicy policy = retry_policy(options);
   policy.abort_check = [this, driving_node,
                         dst_nodes = std::move(dst_nodes)]() -> Status {
     for (const std::uint32_t dst : dst_nodes) {
@@ -289,9 +298,9 @@ sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
     }
     return Status::ok();
   };
-  const driver::Peach2Driver::ChainResult result =
+  const driver::ChainResult result =
       co_await cluster_->driver(driving_node).run_chain_reliable(
-          std::move(chain), policy);
+          std::move(chain), std::move(policy));
   *retries_out = result.attempts > 0 ? result.attempts - 1 : 0;
   co_return result.status;
 }
@@ -532,22 +541,28 @@ sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,
 sim::Task<Status> Runtime::memcpy_peer_reliable(
     Buffer dst, std::uint64_t dst_off, Buffer src, std::uint64_t src_off,
     std::uint64_t bytes, SyncOptions options, std::uint32_t* retries_out) {
-  std::uint32_t retries = 0;
-  Status st = Status::ok();
-  if (bytes > 0) {
-    ++metrics_.memcpy_ops;
-    metrics_.memcpy_bytes += bytes;
-    ++metrics_.dma_ops;
-    std::vector<CopyOp> ops{CopyOp{.dst = dst,
-                                   .dst_off = dst_off,
-                                   .src = src,
-                                   .src_off = src_off,
-                                   .bytes = bytes}};
-    st = co_await batch_with_policy(src.node, std::move(ops), options,
-                                    &retries);
-  }
-  if (retries_out != nullptr) *retries_out = retries;
-  co_return st;
+  if (retries_out != nullptr) *retries_out = 0;
+  if (bytes == 0) co_return Status::ok();
+  ++metrics_.memcpy_ops;
+  metrics_.memcpy_bytes += bytes;
+  ++metrics_.dma_ops;
+  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
+  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
+  const std::uint32_t from = src.node;
+  const std::uint32_t to = dst.node;
+  if (Status st = check_reachable(from, to); !st.is_ok()) co_return st;
+
+  driver::RetryPolicy policy = retry_policy(options);
+  policy.abort_check = [this, from, to] { return check_reachable(from, to); };
+  const driver::ChainResult result =
+      co_await cluster_->driver(from).run_immediate_reliable(
+          DmaDescriptor{.src = global_addr(src, src_off),
+                        .dst = global_addr(dst, dst_off),
+                        .length = static_cast<std::uint32_t>(bytes),
+                        .direction = DmaDirection::kPipelined},
+          std::move(policy));
+  if (retries_out != nullptr) *retries_out = result.attempts - 1;
+  co_return result.status;
 }
 
 }  // namespace tca::api

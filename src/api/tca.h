@@ -212,10 +212,16 @@ class Runtime {
   sim::Task<Status> memcpy_pio(Buffer dst, std::uint64_t dst_off, Buffer src,
                                std::uint64_t src_off, std::uint64_t bytes);
 
-  /// Single peer copy under a recovery policy: one pipelined descriptor
-  /// run with `options`' per-attempt deadline and bounded retry (see
-  /// Stream::synchronize). `retries_out`, when non-null, receives the
-  /// number of doorbell re-rings the copy needed.
+  /// Single peer copy under a recovery policy, on the short DMA path: one
+  /// pipelined descriptor programmed into an acquired channel's immediate
+  /// registers, completed by the DMAC's status writeback that the CPU
+  /// polls. No descriptor table is written or fetched and no interrupt is
+  /// taken, which is why coll::Communicator's ring puts use it. `options`
+  /// gives the per-attempt deadline and bounded retry (see
+  /// Stream::synchronize); the default waits forever on one attempt.
+  /// `retries_out`, when non-null, receives the number of re-kicks the
+  /// copy needed. memcpy_peer keeps the table + interrupt path the paper
+  /// measured.
   sim::Task<Status> memcpy_peer_reliable(Buffer dst, std::uint64_t dst_off,
                                          Buffer src, std::uint64_t src_off,
                                          std::uint64_t bytes,

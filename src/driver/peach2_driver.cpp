@@ -11,6 +11,14 @@ namespace tca::driver {
 using peach2::DmaDescriptor;
 namespace regs = peach2::regs;
 
+namespace {
+// Completion writeback word: zeroed before each polled submission; the DMAC
+// overwrites it with its (never zero) completed-chain count, and a watchdog
+// that finds the engine idle overwrites it with kWordReleased instead.
+constexpr std::uint32_t kWordIdle = 0;
+constexpr std::uint32_t kWordReleased = ~0u;
+}  // namespace
+
 Result<std::uint64_t> P2pDriver::pin(int gpu_index, gpu::DevPtr ptr,
                                      std::uint64_t len) {
   if (gpu_index < 0 || gpu_index >= node_.gpu_count()) {
@@ -101,6 +109,11 @@ std::uint64_t Peach2Driver::table_offset(int channel) const {
          static_cast<std::uint64_t>(channel) * table_slice_bytes();
 }
 
+std::uint64_t Peach2Driver::writeback_offset(int channel) const {
+  // The last word of the channel's table slice (write_table stops short).
+  return table_offset(channel) + table_slice_bytes() - 8;
+}
+
 sim::Task<> Peach2Driver::write_table(
     std::span<const peach2::DmaDescriptor> chain, int channel) {
   const auto image = peach2::serialize_table(chain);
@@ -136,106 +149,66 @@ sim::Task<> Peach2Driver::error_isr(std::uint64_t bits) {
 
 sim::Task<TimePs> Peach2Driver::run_chain(
     std::vector<peach2::DmaDescriptor> chain, int channel, TimePs timeout_ps) {
-  const auto ch = static_cast<std::size_t>(channel);
-  TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
-  TCA_ASSERT(!chain.empty());
-  TCA_ASSERT(chain.size() <= calib::kMaxDescriptors);
-  dma_in_flight_[ch] = true;
+  co_return co_await submit(std::move(chain), channel, Source::kTable,
+                            Completion::kInterrupt, timeout_ps);
+}
 
-  co_await write_table(chain, channel);
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankTableAddr),
-                          node::layout::kHostBase + table_offset(channel));
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankCount),
-                          chain.size());
+sim::Task<TimePs> Peach2Driver::run_chain_polled(
+    std::vector<peach2::DmaDescriptor> chain, int channel) {
+  co_return co_await submit(std::move(chain), channel, Source::kTable,
+                            Completion::kWriteback, 0);
+}
 
-  dma_done_[ch]->reset();
-  // "the clock counter is checked just before DMA start" (Section IV-A).
-  const TimePs t0 = node_.cpu().scheduler().now();
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankDoorbell), 1);
+sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
+                                              int channel) {
+  std::vector<peach2::DmaDescriptor> chain{desc};
+  co_return co_await submit(std::move(chain), channel, Source::kImmediate,
+                            Completion::kInterrupt, 0);
+}
 
-  // Chain watchdog. Three cases when it fires: engine busy — abort it, the
-  // teardown still raises the completion interrupt, so the wait below
-  // finishes; engine done — the interrupt is already in flight, nothing to
-  // do; engine idle (doorbell swallowed by a wedged engine) — nothing will
-  // ever interrupt, so the watchdog itself releases the wait.
-  bool timed_out = false;
-  sim::Scheduler::EventId watchdog = sim::Scheduler::kInvalidEvent;
-  if (timeout_ps > 0) {
-    watchdog = node_.cpu().scheduler().schedule_after(
-        timeout_ps, [this, channel, ch, &timed_out] {
-          peach2::DmaController& engine = chip_.dmac(channel);
-          if ((engine.status() & regs::kDmaStatusDone) != 0) return;
-          ++timeouts_;
-          timed_out = true;
-          Log::write(LogLevel::kWarn, "driver", "chain watchdog expired");
-          if (engine.busy()) {
-            engine.abort(ErrorCode::kTimedOut);
-          } else {
-            dma_done_[ch]->fire();
-          }
-        });
-  }
-
-  co_await dma_done_[ch]->wait();
-  // "... checked again in the interrupt handler generated by the completion
-  // from the DMAC in the PEACH2 driver."
-  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
-  if (watchdog != sim::Scheduler::kInvalidEvent) node_.cpu().scheduler().cancel(watchdog);
-
-  if (timed_out) {
-    last_status_[ch] = Status{ErrorCode::kTimedOut, "chain watchdog expired"};
-  } else if ((chip_.dmac(channel).status() & regs::kDmaStatusError) != 0) {
-    const std::uint64_t info = chip_.dmac(channel).error_info();
-    const auto code = static_cast<ErrorCode>(info >> 32);
-    last_status_[ch] =
-        Status{code == ErrorCode::kOk ? ErrorCode::kInternal : code,
-               "DMA chain error at descriptor " +
-                   std::to_string(info & 0xffffffff)};
-  } else {
-    last_status_[ch] = Status::ok();
-  }
-
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankIntAck), 1);
-  dma_in_flight_[ch] = false;
-  ++chains_run_;
-  if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
-  if (Trace::instance().enabled()) {
-    Trace::instance().duration(
-        "driver/node" + std::to_string(chip_.node_id()),
-        "run_chain[" + std::to_string(chain.size()) + "]@ch" +
-            std::to_string(channel),
-        t0, t0 + elapsed);
-  }
-  co_return elapsed;
+sim::Task<TimePs> Peach2Driver::run_immediate_polled(
+    peach2::DmaDescriptor desc, int channel) {
+  std::vector<peach2::DmaDescriptor> chain{desc};
+  co_return co_await submit(std::move(chain), channel, Source::kImmediate,
+                            Completion::kWriteback, 0);
 }
 
 sim::Task<TimePs> Peach2Driver::run_chain_auto(
     std::vector<peach2::DmaDescriptor> chain) {
-  co_await channel_sem_.acquire();
-  TCA_ASSERT(!free_channels_.empty());
-  const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
-  free_channels_.pop_back();
-  const TimePs elapsed = co_await run_chain(std::move(chain), channel);
-  free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
-  channel_sem_.release();
-  co_return elapsed;
+  const ChainResult result =
+      co_await submit_reliable(std::move(chain), Source::kTable,
+                               Completion::kInterrupt,
+                               RetryPolicy{.max_attempts = 1, .timeout_ps = 0});
+  co_return result.elapsed;
 }
 
 sim::Task<Status> Peach2Driver::run_chain_checked(
     std::vector<peach2::DmaDescriptor> chain) {
-  co_await channel_sem_.acquire();
-  TCA_ASSERT(!free_channels_.empty());
-  const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
-  free_channels_.pop_back();
-  co_await run_chain(std::move(chain), channel);
-  const Status status = chain_status(channel);
-  free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
-  channel_sem_.release();
-  co_return status;
+  const ChainResult result =
+      co_await submit_reliable(std::move(chain), Source::kTable,
+                               Completion::kInterrupt,
+                               RetryPolicy{.max_attempts = 1, .timeout_ps = 0});
+  co_return result.status;
 }
 
 sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
     std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy) {
+  co_return co_await submit_reliable(std::move(chain), Source::kTable,
+                                     Completion::kInterrupt,
+                                     std::move(policy));
+}
+
+sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_immediate_reliable(
+    peach2::DmaDescriptor desc, RetryPolicy policy) {
+  std::vector<peach2::DmaDescriptor> chain{desc};
+  co_return co_await submit_reliable(std::move(chain), Source::kImmediate,
+                                     Completion::kWriteback,
+                                     std::move(policy));
+}
+
+sim::Task<Peach2Driver::ChainResult> Peach2Driver::submit_reliable(
+    std::vector<peach2::DmaDescriptor> chain, Source source,
+    Completion completion, RetryPolicy policy) {
   TCA_ASSERT(policy.max_attempts > 0);
   co_await channel_sem_.acquire();
   TCA_ASSERT(!free_channels_.empty());
@@ -246,7 +219,8 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
   TimePs backoff = policy.backoff_base_ps;
   for (std::uint32_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
     result.attempts = attempt;
-    result.elapsed = co_await run_chain(chain, channel, policy.timeout_ps);
+    result.elapsed = co_await submit(chain, channel, source, completion,
+                                     policy.timeout_ps);
     result.status = chain_status(channel);
     if (result.status.is_ok()) break;
     if (attempt == policy.max_attempts) break;
@@ -271,33 +245,99 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
   co_return result;
 }
 
-sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
-                                              int channel) {
+sim::Task<TimePs> Peach2Driver::submit(
+    std::vector<peach2::DmaDescriptor> chain, int channel, Source source,
+    Completion completion, TimePs timeout_ps) {
   const auto ch = static_cast<std::size_t>(channel);
   TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
+  TCA_ASSERT(!chain.empty());
+  TCA_ASSERT(chain.size() <= calib::kMaxDescriptors);
+  TCA_ASSERT(source == Source::kTable || chain.size() == 1);
   dma_in_flight_[ch] = true;
 
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmSrc),
-                          desc.src);
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmDst),
-                          desc.dst);
-  co_await write_register(
-      regs::dma_bank(channel, regs::kDmaBankImmLen),
-      static_cast<std::uint64_t>(desc.length) |
-          (static_cast<std::uint64_t>(desc.direction) << 32));
+  std::uint64_t kick = regs::kDmaBankDoorbell;
+  if (source == Source::kTable) {
+    co_await write_table(chain, channel);
+    co_await write_register(regs::dma_bank(channel, regs::kDmaBankTableAddr),
+                            node::layout::kHostBase + table_offset(channel));
+    co_await write_register(regs::dma_bank(channel, regs::kDmaBankCount),
+                            chain.size());
+  } else {
+    const peach2::DmaDescriptor desc = chain.front();
+    co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmSrc),
+                            desc.src);
+    co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmDst),
+                            desc.dst);
+    co_await write_register(
+        regs::dma_bank(channel, regs::kDmaBankImmLen),
+        static_cast<std::uint64_t>(desc.length) |
+            (static_cast<std::uint64_t>(desc.direction) << 32));
+    kick = regs::kDmaBankImmKick;
+  }
+
+  const bool polled = completion == Completion::kWriteback;
+  const std::uint64_t word = writeback_offset(channel);
+  const std::uint64_t writeback = polled ? node::layout::kHostBase + word : 0;
+  if (writeback_reg_[ch] != writeback) {
+    writeback_reg_[ch] = writeback;
+    co_await write_register(regs::dma_bank(channel, regs::kDmaBankWriteback),
+                            writeback);
+  }
+  if (polled) {
+    node_.cpu().write_host(word, std::as_bytes(std::span(&kWordIdle, 1)));
+  }
 
   dma_done_[ch]->reset();
+  // "the clock counter is checked just before DMA start" (Section IV-A).
   const TimePs t0 = node_.cpu().scheduler().now();
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankImmKick), 1);
-  co_await dma_done_[ch]->wait();
-  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
+  co_await write_register(regs::dma_bank(channel, kick), 1);
 
-  if ((chip_.dmac(channel).status() & regs::kDmaStatusError) != 0) {
+  // Chain watchdog. Three cases when it fires: engine busy — abort it, the
+  // teardown still raises the completion signal, so the wait below
+  // finishes; engine done — the signal is already in flight, nothing to
+  // do; engine idle (doorbell swallowed by a wedged engine) — nothing will
+  // ever signal, so the watchdog itself releases the wait. The done bit is
+  // acked after every completion, so it never describes an earlier chain.
+  bool timed_out = false;
+  sim::Scheduler::EventId watchdog = sim::Scheduler::kInvalidEvent;
+  if (timeout_ps > 0) {
+    watchdog = node_.cpu().scheduler().schedule_after(
+        timeout_ps, [this, channel, ch, polled, word, &timed_out] {
+          peach2::DmaController& engine = chip_.dmac(channel);
+          if ((engine.status() & regs::kDmaStatusDone) != 0) return;
+          ++timeouts_;
+          timed_out = true;
+          Log::write(LogLevel::kWarn, "driver", "chain watchdog expired");
+          if (engine.busy()) {
+            engine.abort(ErrorCode::kTimedOut);
+          } else if (polled) {
+            node_.cpu().write_host(
+                word, std::as_bytes(std::span(&kWordReleased, 1)));
+          } else {
+            dma_done_[ch]->fire();
+          }
+        });
+  }
+
+  if (polled) {
+    co_await node_.cpu().poll_host_until_change(word, kWordIdle);
+  } else {
+    co_await dma_done_[ch]->wait();
+  }
+  // "... checked again in the interrupt handler generated by the completion
+  // from the DMAC in the PEACH2 driver."
+  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
+  if (watchdog != sim::Scheduler::kInvalidEvent) node_.cpu().scheduler().cancel(watchdog);
+
+  if (timed_out) {
+    last_status_[ch] = Status{ErrorCode::kTimedOut, "chain watchdog expired"};
+  } else if ((chip_.dmac(channel).status() & regs::kDmaStatusError) != 0) {
     const std::uint64_t info = chip_.dmac(channel).error_info();
     const auto code = static_cast<ErrorCode>(info >> 32);
     last_status_[ch] =
         Status{code == ErrorCode::kOk ? ErrorCode::kInternal : code,
-               "immediate DMA error"};
+               "DMA chain error at descriptor " +
+                   std::to_string(info & 0xffffffff)};
   } else {
     last_status_[ch] = Status::ok();
   }
@@ -306,41 +346,16 @@ sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
   dma_in_flight_[ch] = false;
   ++chains_run_;
   if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
-  co_return elapsed;
-}
-
-sim::Task<TimePs> Peach2Driver::run_chain_polled(
-    std::vector<peach2::DmaDescriptor> chain, int channel) {
-  const auto ch = static_cast<std::size_t>(channel);
-  TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
-  TCA_ASSERT(!chain.empty() && chain.size() <= calib::kMaxDescriptors);
-  dma_in_flight_[ch] = true;
-
-  // The completion word lives just past this channel's table slice.
-  const std::uint64_t word_offset =
-      table_offset(channel) + table_slice_bytes() - 8;
-  std::uint64_t zero = 0;
-  node_.host_dram().write(word_offset, std::as_bytes(std::span(&zero, 1)));
-
-  co_await write_table(chain, channel);
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankWriteback),
-                          node::layout::kHostBase + word_offset);
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankTableAddr),
-                          node::layout::kHostBase + table_offset(channel));
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankCount),
-                          chain.size());
-
-  const TimePs t0 = node_.cpu().scheduler().now();
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankDoorbell), 1);
-  co_await node_.cpu().poll_host_until_change(word_offset, 0);
-  const TimePs elapsed = node_.cpu().scheduler().now() - t0;
-
-  // Restore interrupt mode for subsequent run_chain callers.
-  co_await write_register(regs::dma_bank(channel, regs::kDmaBankWriteback),
-                          0);
-  dma_in_flight_[ch] = false;
-  ++chains_run_;
-  if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
+  if (Trace::instance().enabled()) {
+    const std::string what =
+        source == Source::kTable
+            ? "run_chain[" + std::to_string(chain.size()) + "]"
+            : std::string("run_immediate");
+    Trace::instance().duration(
+        "driver/node" + std::to_string(chip_.node_id()),
+        what + (polled ? "+poll" : "") + "@ch" + std::to_string(channel), t0,
+        t0 + elapsed);
+  }
   co_return elapsed;
 }
 

@@ -62,12 +62,12 @@ struct DriverHostLayout {
   static DriverHostLayout for_dram_size(std::uint64_t dram_bytes);
 };
 
-/// Bounded-retry policy for Peach2Driver::run_chain_reliable: exponential
+/// Bounded-retry policy for Peach2Driver's reliable entry points: exponential
 /// backoff between attempts, each attempt guarded by the chain watchdog.
 /// (Namespace scope so it can serve as an in-class default argument.)
 struct RetryPolicy {
   std::uint32_t max_attempts = 3;
-  TimePs timeout_ps = calib::kChainWatchdogPs;
+  TimePs timeout_ps = calib::kChainWatchdogPs;  ///< per attempt; 0: none
   TimePs backoff_base_ps = calib::kRetryBackoffBasePs;
   std::uint32_t backoff_multiplier = 2;
   /// Optional preflight consulted after a failed attempt, before the next
@@ -78,7 +78,7 @@ struct RetryPolicy {
   std::function<Status()> abort_check;
 };
 
-/// Outcome of run_chain_reliable.
+/// Outcome of run_chain_reliable / run_immediate_reliable.
 struct ChainResult {
   Status status;
   TimePs elapsed = 0;  ///< elapsed time of the final attempt
@@ -102,19 +102,28 @@ class Peach2Driver {
   sim::Task<std::uint64_t> read_register(std::uint64_t offset);
 
   // --- DMA -------------------------------------------------------------------
+  // Two ways to load the engine and two ways to learn it finished. Loading:
+  // a descriptor table serialized into host DRAM and fetched by the DMAC
+  // after the doorbell (any chain length, ~0.9 us fetch), or one descriptor
+  // latched in the channel's immediate registers (no table, no fetch).
+  // Completion: an interrupt (~0.95 us to the handler), or a status word
+  // the DMAC writes back into host memory while the CPU spins on it. The
+  // driver keeps a shadow of each channel's writeback register and programs
+  // it only when a submission wants the other completion mode.
+
   /// Serializes the chain into the descriptor table in host memory, rings
   /// the doorbell over MMIO, and waits for the completion interrupt.
   /// Returns the TSC-measured elapsed time from just-before-doorbell to the
   /// interrupt handler's clock read (the paper's measurement method).
   /// `channel` selects one of the kDmaChannels independent engines.
-  /// `timeout_ps` > 0 arms a chain watchdog: if the completion interrupt
-  /// has not arrived by then, the driver aborts the engine and the chain
+  /// `timeout_ps` > 0 arms a chain watchdog: if the completion signal has
+  /// not arrived by then, the driver aborts the engine and the chain
   /// finishes with chain_status() == kTimedOut instead of hanging forever.
   sim::Task<TimePs> run_chain(std::vector<peach2::DmaDescriptor> chain,
                               int channel = 0, TimePs timeout_ps = 0);
 
-  /// Outcome of the most recent run_chain/run_immediate on `channel`:
-  /// kOk, kTimedOut (watchdog fired), or the per-descriptor DMAC error.
+  /// Outcome of the most recent submission on `channel`: kOk, kTimedOut
+  /// (watchdog fired), or the per-descriptor DMAC error.
   [[nodiscard]] const Status& chain_status(int channel = 0) const {
     return last_status_[static_cast<std::size_t>(channel)];
   }
@@ -129,12 +138,19 @@ class Peach2Driver {
   sim::Task<ChainResult> run_chain_reliable(
       std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy = {});
 
+  /// Reliable single-descriptor submission on the short path: the
+  /// descriptor goes into the acquired channel's immediate registers and
+  /// completion is the status writeback, so neither the table fetch nor
+  /// the interrupt sits on the critical path. Same watchdog, retry,
+  /// backoff and abort_check guarantees as run_chain_reliable.
+  sim::Task<ChainResult> run_immediate_reliable(peach2::DmaDescriptor desc,
+                                                RetryPolicy policy = {});
+
   /// Acquires a free DMA channel (suspending if all are busy), runs the
-  /// chain on it, releases it. The concurrent-friendly entry point the API
-  /// layer uses.
+  /// chain on it, releases it. No watchdog, one attempt.
   sim::Task<TimePs> run_chain_auto(std::vector<peach2::DmaDescriptor> chain);
 
-  /// run_chain_auto plus an error check of the channel that actually ran
+  /// run_chain_auto returning the status of the channel that actually ran
   /// the chain (the DMAC's error bit is per-channel and sticky).
   sim::Task<Status> run_chain_checked(
       std::vector<peach2::DmaDescriptor> chain);
@@ -152,6 +168,11 @@ class Peach2Driver {
   /// interrupt-delivery latency off every chain.
   sim::Task<TimePs> run_chain_polled(
       std::vector<peach2::DmaDescriptor> chain, int channel = 0);
+
+  /// run_immediate completed by status writeback: no table, no table
+  /// fetch, no interrupt. One attempt of run_immediate_reliable.
+  sim::Task<TimePs> run_immediate_polled(peach2::DmaDescriptor desc,
+                                         int channel = 0);
 
   /// True while a chain is in flight on `channel`.
   [[nodiscard]] bool dma_busy(int channel = 0) const {
@@ -184,14 +205,14 @@ class Peach2Driver {
   [[nodiscard]] std::uint64_t chains_run() const { return chains_run_; }
   [[nodiscard]] std::uint64_t pio_stores() const { return pio_stores_; }
   [[nodiscard]] std::uint64_t pio_bytes() const { return pio_bytes_; }
-  /// Doorbell-to-interrupt latency samples (the paper's TSC measurement);
+  /// Doorbell-to-completion latency samples (the paper's TSC measurement);
   /// recorded only while obs::sampling_enabled().
   [[nodiscard]] const SampleSeries& chain_latency_ps() const {
     return chain_latency_;
   }
   /// Chain watchdog expirations (each one aborted an engine).
   [[nodiscard]] std::uint64_t watchdog_timeouts() const { return timeouts_; }
-  /// Doorbell re-rings performed by run_chain_reliable.
+  /// Doorbell re-rings performed by the reliable entry points.
   [[nodiscard]] std::uint64_t chain_retries() const { return retries_; }
   /// Error interrupts serviced (AER-flavored kErrStatus raises).
   [[nodiscard]] std::uint64_t error_irqs() const { return error_irqs_; }
@@ -205,9 +226,25 @@ class Peach2Driver {
   /// writeback word sits at the slice's tail.
   [[nodiscard]] std::uint64_t table_offset(int channel) const;
   [[nodiscard]] std::uint64_t table_slice_bytes() const;
+  /// Host-DRAM offset of `channel`'s completion writeback word.
+  [[nodiscard]] std::uint64_t writeback_offset(int channel) const;
   sim::Task<> write_table(std::span<const peach2::DmaDescriptor> chain,
                           int channel);
   sim::Task<> error_isr(std::uint64_t bits);
+
+  enum class Source : std::uint8_t { kTable, kImmediate };
+  enum class Completion : std::uint8_t { kInterrupt, kWriteback };
+
+  /// One submission on `channel`, every public run_* variant's body: loads
+  /// the engine from `source`, selects `completion`, rings, waits under the
+  /// optional watchdog, records chain_status() and acks the done bit.
+  sim::Task<TimePs> submit(std::vector<peach2::DmaDescriptor> chain,
+                           int channel, Source source, Completion completion,
+                           TimePs timeout_ps);
+  /// The one channel-acquiring entry point: submit() under bounded retry.
+  sim::Task<ChainResult> submit_reliable(
+      std::vector<peach2::DmaDescriptor> chain, Source source,
+      Completion completion, RetryPolicy policy);
 
   node::ComputeNode& node_;
   peach2::Peach2Chip& chip_;
@@ -220,6 +257,8 @@ class Peach2Driver {
   std::vector<int> free_channels_;
 
   std::array<Status, 4> last_status_{};
+  /// Shadow of each channel's kDmaBankWriteback (0: interrupt mode).
+  std::array<std::uint64_t, 4> writeback_reg_{};
 
   std::uint64_t chains_run_ = 0;
   std::uint64_t pio_stores_ = 0;

@@ -218,13 +218,14 @@ sim::Task<> DmaController::complete_chain() {
 
   if (writeback_addr_ != 0) {
     // Polled completion: one 8-byte posted write to host memory (cheaper
-    // than the interrupt path; the driver spins on the word).
+    // than the interrupt path; the driver spins on the word). Never given
+    // up on abort: like the interrupt, it is the driver's only completion
+    // edge, and the host port drains regardless of the fabric.
     std::uint64_t value = chains_done_;
     std::vector<std::byte> bytes(8);
     std::memcpy(bytes.data(), &value, 8);
     co_await chip_.inject(
-        pcie::Tlp::mem_write(writeback_addr_, bytes, chip_.device_id()),
-        &aborted_);
+        pcie::Tlp::mem_write(writeback_addr_, bytes, chip_.device_id()));
   } else {
     ++interrupts_;
     chip_.raise_interrupt(channel_);

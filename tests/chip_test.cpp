@@ -29,7 +29,8 @@ class PortProbe : public pcie::TlpSink {
 
 /// A chip with every physical port on a probe link.
 struct ChipRig {
-  explicit ChipRig(sim::Scheduler& sched, std::uint32_t node_id = 0)
+  explicit ChipRig(sim::Scheduler& sched, std::uint32_t node_id = 0,
+                   std::uint64_t egress_queue_bytes = 1024)
       : layout(TcaLayout::create(1ull << 40, 1ull << 39, 4).value()) {
     Peach2Config cfg{
         .device_id = 42,
@@ -39,6 +40,7 @@ struct ChipRig {
         .local_gpu0_base = 0x20'0000'0000ull,
         .local_gpu1_base = 0x22'0000'0000ull,
         .local_host_base = 0x0,
+        .egress_queue_bytes = egress_queue_bytes,
     };
     chip = std::make_unique<Peach2Chip>(sched, cfg);
     for (std::size_t p = 0; p < kPortCount; ++p) {
@@ -248,6 +250,36 @@ TEST(Chip, ForwardingPreservesOrderWithinAPort) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(rig.probe(PortId::kNorth).received[i].address, i * 0x100ull);
   }
+}
+
+// The status writeback is a polled-mode driver's only completion edge, so
+// an abort must not drop it with the chain's data: here the host port's
+// FIFO holds one full TLP, and the 8-byte status write waits behind it.
+TEST(Chip, AbortedChainStillWritesBackItsStatus) {
+  sim::Scheduler sched;
+  ChipRig rig(sched, /*node_id=*/0, /*egress_queue_bytes=*/280);
+  DmaController& dmac = rig.chip->dmac(0);
+  constexpr std::uint64_t kStatusWord = 0x1000;
+  dmac.set_writeback_addr(kStatusWord);
+  const std::uint64_t internal =
+      rig.chip->internal_block_base() + Peach2Chip::kInternalRamOffset;
+  ASSERT_TRUE(dmac.start({DmaDescriptor{
+                             .src = internal,
+                             .dst = rig.layout.encode(0, TcaTarget::kHost,
+                                                      0x10000),
+                             .length = 64 << 10,
+                             .direction = DmaDirection::kWrite}})
+                  .is_ok());
+  sched.run_for(us(3));
+  ASSERT_TRUE(dmac.busy());
+  dmac.abort(ErrorCode::kTimedOut);
+  sched.run();
+
+  EXPECT_FALSE(dmac.busy());
+  const auto& north = rig.probe(PortId::kNorth).received;
+  ASSERT_FALSE(north.empty());
+  EXPECT_EQ(north.back().address, kStatusWord);
+  EXPECT_EQ(north.back().payload.size(), 8u);
 }
 
 TEST(Chip, NiosSeesAttachAndTransitions) {

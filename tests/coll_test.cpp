@@ -271,6 +271,43 @@ TEST(Coll, AllreduceLargeGpuStagesOnceThenCarries) {
   }
 }
 
+TEST(Coll, RingAllreducePutsSkipTheTableFetchAndTheInterrupt) {
+  // Every ring put is a single descriptor on the immediate registers,
+  // completed by status writeback: no rank's PEACH2 fetches a descriptor
+  // table or raises a completion interrupt.
+  constexpr std::uint32_t kRanks = 8;
+  constexpr std::uint64_t kCount = 1024;  // 8 KiB per rank, GPU-resident
+  const auto in = make_inputs(0x7ab1e, kRanks, kCount);
+
+  sim::Scheduler sched;
+  api::Runtime rt(sched, cluster_of(kRanks));
+  auto comm = Communicator::create(rt);
+  ASSERT_TRUE(comm.is_ok());
+  auto bufs = load_inputs(rt, in, /*host=*/false);
+
+  const auto st = run_allreduce(sched, comm.value(), bufs, kCount);
+  for (const Status& s : st) ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(comm.value().metrics().ring_ops, kRanks);
+
+  std::uint64_t chains = 0;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    chains += rt.cluster().driver(r).chains_run();
+    for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
+      const peach2::DmaController& d = rt.cluster().chip(r).dmac(ch);
+      EXPECT_EQ(d.table_fetches(), 0u) << "rank " << r << " channel " << ch;
+      EXPECT_EQ(d.interrupts(), 0u) << "rank " << r << " channel " << ch;
+    }
+  }
+  EXPECT_EQ(chains, kRanks * 2 * (kRanks - 1));  // one put per ring step
+
+  const auto expected = baseline_allreduce(kRanks, in);
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    EXPECT_TRUE(bitwise_equal(read_doubles(rt, bufs[r], 0, kCount),
+                              expected[r]))
+        << "rank " << r;
+  }
+}
+
 // --- Reduce-scatter / allgather against the fold reference -------------------
 
 TEST(Coll, ReduceScatterOwnsChunkWithRingFoldOrder) {

@@ -1,6 +1,7 @@
 // Driver-level tests: the MMIO register path end-to-end, descriptor-table
 // contents in host memory, immediate (descriptor-less) DMA, polled
-// completion, PIO semantics, and internal-RAM diagnostics reads.
+// completion and its watchdog, PIO semantics, and internal-RAM diagnostics
+// reads.
 #include <gtest/gtest.h>
 
 #include "fabric/sub_cluster.h"
@@ -119,6 +120,110 @@ TEST(Driver, PolledChainCompletesAndRestoresInterruptMode) {
   rig.sched.run();
   ASSERT_TRUE(normal.done());
   EXPECT_LT(polled.result(), normal.result());  // no interrupt latency
+}
+
+// Every completion path must ack the done bit: a stale one reads to the
+// next chain's watchdog as "signal already in flight", so a doorbell that
+// a stuck engine swallowed would never be released.
+TEST(Driver, PolledChainAcksTheDoneBitSoAStuckEngineTimesOut) {
+  Rig rig;
+  Peach2Driver& drv = rig.cluster.driver(0);
+  rig.cluster.chip(0).internal_ram().write(0, pattern(256, 8));
+  const DmaDescriptor desc{.src = drv.internal_global(0),
+                           .dst = rig.cluster.global_host(1, 0x1000),
+                           .length = 256,
+                           .direction = DmaDirection::kWrite};
+
+  auto polled = drv.run_chain_polled({desc});
+  rig.sched.run();
+  ASSERT_TRUE(polled.done());
+  EXPECT_EQ(rig.cluster.chip(0).dmac(0).status() & regs::kDmaStatusDone, 0u);
+
+  rig.cluster.chip(0).dmac(0).set_stuck(true);
+  auto stuck = drv.run_chain({desc}, 0, us(20));
+  rig.sched.run();
+  ASSERT_TRUE(stuck.done());
+  EXPECT_EQ(drv.chain_status(0).code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(drv.watchdog_timeouts(), 1u);
+}
+
+TEST(Driver, PolledChainReportsItsOwnStatus) {
+  Rig rig;
+  Peach2Driver& drv = rig.cluster.driver(0);
+  const DmaDescriptor good{.src = drv.internal_global(0),
+                           .dst = rig.cluster.global_host(1, 0x1000),
+                           .length = 256,
+                           .direction = DmaDirection::kWrite};
+  DmaDescriptor bad = good;
+  bad.src = rig.cluster.global_host(0, 0);  // writes must source internal RAM
+
+  auto failed = drv.run_chain({bad});
+  rig.sched.run();
+  EXPECT_EQ(drv.chain_status(0).code(), ErrorCode::kInvalidArgument);
+
+  auto polled = drv.run_chain_polled({good});
+  rig.sched.run();
+  ASSERT_TRUE(polled.done());
+  EXPECT_TRUE(drv.chain_status(0).is_ok()) << drv.chain_status(0).to_string();
+}
+
+TEST(Driver, ImmediatePolledSkipsTheTableFetchAndTheInterrupt) {
+  Rig rig;
+  Peach2Driver& drv = rig.cluster.driver(0);
+  auto data = pattern(1024, 9);
+  rig.cluster.chip(0).internal_ram().write(0, data);
+  const DmaDescriptor desc{.src = drv.internal_global(0),
+                           .dst = rig.cluster.global_host(1, 0x2000),
+                           .length = 1024,
+                           .direction = DmaDirection::kWrite};
+  const peach2::DmaController& engine = rig.cluster.chip(0).dmac(0);
+
+  auto fast = drv.run_immediate_polled(desc);
+  rig.sched.run();
+  ASSERT_TRUE(fast.done());
+  EXPECT_TRUE(drv.chain_status(0).is_ok());
+  EXPECT_EQ(engine.table_fetches(), 0u);
+  EXPECT_EQ(engine.interrupts(), 0u);
+  std::vector<std::byte> out(1024);
+  rig.cluster.node(1).cpu().read_host(0x2000, out);
+  EXPECT_EQ(out, data);
+
+  // Each mechanism alone leaves the other's cost on the path.
+  auto imm = drv.run_immediate(desc);
+  rig.sched.run();
+  auto polled = drv.run_chain_polled({desc});
+  rig.sched.run();
+  EXPECT_LT(fast.result(), imm.result() - ns(500));
+  EXPECT_LT(fast.result(), polled.result() - ns(500));
+}
+
+TEST(Driver, ImmediateReliableTimesOutOnAStuckEngineWithoutWedging) {
+  Rig rig;
+  Peach2Driver& drv = rig.cluster.driver(0);
+  const DmaDescriptor desc{.src = drv.internal_global(0),
+                           .dst = rig.cluster.global_host(1, 0x1000),
+                           .length = 256,
+                           .direction = DmaDirection::kWrite};
+  // A completed writeback first, so a stale done bit or completion word
+  // would be there to misread.
+  auto warm = drv.run_immediate_polled(desc);
+  rig.sched.run();
+  ASSERT_TRUE(warm.done());
+
+  for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
+    rig.cluster.chip(0).dmac(ch).set_stuck(true);
+  }
+  auto t = drv.run_immediate_reliable(
+      desc, RetryPolicy{.max_attempts = 3,
+                        .timeout_ps = us(20),
+                        .backoff_base_ps = us(1)});
+  // Bounded run: a wedged wait spins in poll iterations forever.
+  rig.sched.run_for(units::ms(1));
+  ASSERT_TRUE(t.done());
+  EXPECT_EQ(t.result().status.code(), ErrorCode::kTimedOut);
+  EXPECT_EQ(t.result().attempts, 3u);
+  EXPECT_EQ(drv.watchdog_timeouts(), 3u);
+  EXPECT_EQ(drv.chain_retries(), 2u);
 }
 
 TEST(Driver, PioStoreSplitsLargeSpansIntoMaxPayloadTlps) {

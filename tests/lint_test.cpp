@@ -74,6 +74,17 @@ TEST(LintCoroutine, ByValueParamsPass) {
   EXPECT_TRUE(lint_file("coro_ref_param_good.cpp").empty());
 }
 
+TEST(LintCoroutine, AwaitInConditionalFlagged) {
+  const auto fs = lint_file("coro_await_in_conditional_bad.cpp");
+  // Both arms of one conditional, one arm of a nested one.
+  EXPECT_EQ(count_rule(fs, "coro-await-in-conditional"), 3u);
+  EXPECT_TRUE(only_rules(fs, {"coro-await-in-conditional"}));
+}
+
+TEST(LintCoroutine, IfElsePathChoicePasses) {
+  EXPECT_TRUE(lint_file("coro_await_in_conditional_good.cpp").empty());
+}
+
 TEST(LintDeterminism, WallClockFlagged) {
   const auto fs = lint_file("det_wall_clock_bad.cpp");
   EXPECT_EQ(count_rule(fs, "det-wall-clock"), 1u);
@@ -228,7 +239,7 @@ TEST(LintCatalogue, RuleIdsAreUnique) {
   const auto ids = tca::lint::rule_ids();
   const std::set<std::string> unique(ids.begin(), ids.end());
   EXPECT_EQ(ids.size(), unique.size());
-  EXPECT_EQ(ids.size(), 22u);
+  EXPECT_EQ(ids.size(), 23u);
 }
 
 // --- CFG builder unit tests -------------------------------------------------

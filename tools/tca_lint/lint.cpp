@@ -296,6 +296,7 @@ std::vector<std::string> rule_ids() {
   return {
       "coro-temporary-closure",
       "coro-ref-param",
+      "coro-await-in-conditional",
       "coro-borrow-across-suspend",
       "det-wall-clock",
       "det-raw-rand",

@@ -2,7 +2,7 @@
 //
 // Four rule families over a light token stream (see lexer.h):
 //
-//  coroutine lifetime
+//  coroutine lifetime (plus one compiler workaround)
 //    coro-temporary-closure  capturing lambda coroutine invoked as a
 //                            temporary: the closure dies at the end of the
 //                            full-expression while the coroutine frame
@@ -11,6 +11,9 @@
 //                            a const-lvalue- or rvalue-reference parameter:
 //                            both bind temporaries that die at the first
 //                            suspension point. Take parameters by value.
+//    coro-await-in-conditional  co_await in a ?: operand: GCC 12
+//                            destroys the conditional's result twice.
+//                            Branch with if/else.
 //
 //  determinism
 //    det-wall-clock          wall-clock reads (system_clock, steady_clock,

@@ -8,7 +8,14 @@
 // parameters that can bind temporaries (const T&, T&&) dangle once the
 // caller's full-expression ends. Parameters passed *by value* are moved
 // into the frame and are always safe.
+//
+// The third rule is a compiler workaround, not a lifetime rule: GCC 12
+// miscompiles a conditional operator whose arms suspend —
+// `const Status st = c ? co_await a() : co_await b();` destroys the
+// result's temporaries twice (ASan: double free, or a free of an address
+// that was never malloc()-ed, from ~Status). Branch with if/else instead.
 #include <cstddef>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -218,12 +225,59 @@ void check_task_functions(const std::string& path,
   }
 }
 
+/// Flags every `co_await` in the second or third operand of a `?:`. The
+/// operands end at the first `;` or `,` outside brackets, at an unmatched
+/// closer, or at a `:` that belongs to an enclosing conditional. Brace
+/// blocks are skipped whole: a lambda body in an operand suspends its own
+/// frame, not the conditional's.
+void check_await_in_conditional(const std::string& path,
+                                const std::vector<Tok>& toks,
+                                std::vector<Finding>& out) {
+  std::set<std::size_t> reported;  // nested conditionals share co_awaits
+  for (std::size_t q = 0; q < toks.size(); ++q) {
+    if (toks[q].kind != TokKind::kPunct || toks[q].text != "?") continue;
+    int depth = 0;
+    int colons_owed = 1;  // this conditional's `:` plus any nested ones'
+    for (std::size_t i = q + 1; i < toks.size(); ++i) {
+      const Tok& t = toks[i];
+      if (t.kind == TokKind::kIdent && t.text == "co_await") {
+        if (reported.insert(i).second) {
+          out.push_back(
+              {path, t.line, "coro-await-in-conditional",
+               "co_await inside a ?: operand: GCC 12 destroys the "
+               "conditional's result temporaries twice (ASan: double or "
+               "invalid free from the result's destructor) — choose the "
+               "branch with if/else and co_await in each arm"});
+        }
+        continue;
+      }
+      if (t.kind != TokKind::kPunct) continue;
+      if (t.text == "{") {
+        i = match_forward(toks, i);
+        continue;
+      }
+      if (t.text == "(" || t.text == "[") {
+        ++depth;
+      } else if (t.text == ")" || t.text == "]" || t.text == "}") {
+        if (depth-- == 0) break;
+      } else if (depth == 0 && (t.text == ";" || t.text == ",")) {
+        break;
+      } else if (depth == 0 && t.text == "?") {
+        ++colons_owed;
+      } else if (depth == 0 && t.text == ":") {
+        if (colons_owed-- == 0) break;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void check_coroutines(const std::string& path, const LexedFile& f,
                       std::vector<Finding>& out) {
   walk_region(path, f.toks, 0, f.toks.size(), out);
   check_task_functions(path, f.toks, out);
+  check_await_in_conditional(path, f.toks, out);
 }
 
 }  // namespace tca::lint::rules
