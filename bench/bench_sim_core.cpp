@@ -326,7 +326,7 @@ int run(bool smoke, const std::string& json_path) {
   check.expect(timer.speedup() >= 0.8, buf);
   std::snprintf(buf, sizeof buf,
                 "timer_fire_small speedup %.2fx >= 1.0x over seed queue "
-                "(near-now calendar tier closes the small-capture gap)",
+                "(calendar ring, grain adapted to the dense timers)",
                 timer_small.speedup());
   check.expect(timer_small.speedup() >= 1.0, buf);
   std::snprintf(buf, sizeof buf,

@@ -3,8 +3,8 @@
 # whole tree (coroutine-lifetime / determinism / register-map invariants),
 # a clang-tidy baseline diff (skipped when clang-tidy is not installed),
 # full test suite (soak label excluded — run `ctest -L soak` for the long
-# fault campaigns), a sanitizer pass over the fault, collective and memory
-# suites, a TSan pass over the sharded-scheduler suite (epoch-mode worker
+# fault campaigns), a sanitizer pass over the fault, collective, memory and
+# event-queue suites, a TSan pass over the sharded-scheduler suite (epoch-mode worker
 # threads; skipped when the toolchain or kernel can't run TSan binaries),
 # a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
 # determinism and backend-equivalence checks), collective bench smoke runs,
@@ -36,13 +36,15 @@ scripts/clang_tidy.sh "$BUILD"
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
 
-echo "== fault, collective and memory suites under ASan/UBSan =="
+echo "== fault, collective, memory and event-queue suites under ASan/UBSan =="
 # memory_test runs instrumented so the Dram mapping's ownership code and
 # its bounds-check death tests are covered: the mapping has no redzones.
+# indexed_queue_test runs instrumented because a broken list link in the
+# calendar ring reads a recycled slot long before a fire order goes wrong.
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
-  coll_test memory_test
+  coll_test memory_test indexed_queue_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== sharded scheduler suite under TSan (skips when unsupported) =="

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/units.h"
+
 namespace tca::api {
 
 using peach2::DmaDescriptor;
@@ -79,7 +81,7 @@ Result<Buffer> Runtime::alloc_host(std::uint32_t node, std::uint64_t bytes) {
   auto& cursor = host_alloc_cursor_[node];
   const std::uint64_t base = (cursor + 255) & ~255ull;
   const auto& region = cluster_->driver(node).host_layout();
-  if (base + bytes > region.dma_buffer_bytes) {
+  if (!units::range_fits(base, bytes, region.dma_buffer_bytes)) {
     return Status{ErrorCode::kResourceExhausted, "host DMA region exhausted"};
   }
   cursor = base + bytes;
@@ -119,7 +121,21 @@ Status Runtime::validate(const Buffer& buf, std::uint64_t offset,
   if (buf.node >= node_count()) {
     return {ErrorCode::kInvalidArgument, "buffer on unknown node"};
   }
-  if (offset + bytes > buf.size) {
+  if (!units::range_fits(offset, bytes, buf.size)) {
+    return {ErrorCode::kOutOfRange, "access outside buffer"};
+  }
+  return Status::ok();
+}
+
+Status Runtime::validate_blocks(const Buffer& buf, std::uint64_t offset,
+                                std::uint64_t stride,
+                                std::uint64_t block_bytes,
+                                std::uint32_t count) const {
+  if (Status st = validate(buf, offset, block_bytes); !st.is_ok()) return st;
+  // Overflow-safe form of offset + (count - 1) * stride + block_bytes <=
+  // size: the last block may start at most `room` past the first.
+  const std::uint64_t room = buf.size - offset - block_bytes;
+  if (count > 1 && stride > room / (count - 1)) {
     return {ErrorCode::kOutOfRange, "access outside buffer"};
   }
   return Status::ok();
@@ -314,12 +330,14 @@ sim::Task<Status> Runtime::memcpy_block_stride(
     co_return Status{ErrorCode::kInvalidArgument,
                      "block count exceeds descriptor-chain capacity"};
   }
-  const std::uint64_t src_extent =
-      src_off + (count - 1) * src_stride + block_bytes;
-  const std::uint64_t dst_extent =
-      dst_off + (count - 1) * dst_stride + block_bytes;
-  if (Status st = validate(src, 0, src_extent); !st.is_ok()) co_return st;
-  if (Status st = validate(dst, 0, dst_extent); !st.is_ok()) co_return st;
+  if (Status st = validate_blocks(src, src_off, src_stride, block_bytes, count);
+      !st.is_ok()) {
+    co_return st;
+  }
+  if (Status st = validate_blocks(dst, dst_off, dst_stride, block_bytes, count);
+      !st.is_ok()) {
+    co_return st;
+  }
 
   std::vector<DmaDescriptor> chain;
   chain.reserve(count);
@@ -372,12 +390,16 @@ Status Stream::enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
                                     std::uint64_t block_bytes,
                                     std::uint32_t count) {
   if (count == 0 || block_bytes == 0) return Status::ok();
-  const std::uint64_t src_extent =
-      src_off + (count - 1) * src_stride + block_bytes;
-  const std::uint64_t dst_extent =
-      dst_off + (count - 1) * dst_stride + block_bytes;
-  if (Status st = rt_.validate(src, 0, src_extent); !st.is_ok()) return st;
-  if (Status st = rt_.validate(dst, 0, dst_extent); !st.is_ok()) return st;
+  if (Status st =
+          rt_.validate_blocks(src, src_off, src_stride, block_bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
+  if (Status st =
+          rt_.validate_blocks(dst, dst_off, dst_stride, block_bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
 
   for (std::uint32_t i = 0; i < count; ++i) {
     ops_.push_back(Runtime::CopyOp{.dst = dst,

@@ -242,6 +242,11 @@ class Runtime {
                                           std::uint64_t offset) const;
   Status validate(const Buffer& buf, std::uint64_t offset,
                   std::uint64_t bytes) const;
+  /// validate() for `count` (>= 1) blocks of `block_bytes`, `stride` apart
+  /// from `offset`: the block-stride extent, computed without wrapping.
+  Status validate_blocks(const Buffer& buf, std::uint64_t offset,
+                         std::uint64_t stride, std::uint64_t block_bytes,
+                         std::uint32_t count) const;
   /// kUnreachable when the fabric manager reports `to` partitioned away
   /// from `from` (see fabric::SubCluster::reachable). Checked before every
   /// transfer submission and between retry attempts, so a genuine

@@ -7,6 +7,7 @@
 
 #include "calib/calibration.h"
 #include "common/trace.h"
+#include "common/units.h"
 
 namespace tca::coll {
 
@@ -144,7 +145,7 @@ Status Communicator::validate_buffer(std::uint32_t rank,
     return {ErrorCode::kInvalidArgument,
             "rank r collective arguments must live on node r"};
   }
-  if (offset + bytes > buf.size) {
+  if (!units::range_fits(offset, bytes, buf.size)) {
     return {ErrorCode::kOutOfRange, "collective region outside buffer"};
   }
   return Status::ok();

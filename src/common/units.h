@@ -41,6 +41,14 @@ constexpr std::uint64_t kib(std::uint64_t v) { return v * kKiB; }
 constexpr std::uint64_t mib(std::uint64_t v) { return v * kMiB; }
 constexpr std::uint64_t gib(std::uint64_t v) { return v * kGiB; }
 
+/// True when [offset, offset + len) lies inside a region of `size` bytes.
+/// The overflow-safe form of offset + len <= size: the plain sum wraps for
+/// offsets or lengths near 2^64 and lets a wild range pass.
+constexpr bool range_fits(std::uint64_t offset, std::uint64_t len,
+                          std::uint64_t size) {
+  return offset <= size && len <= size - offset;
+}
+
 /// Bandwidth in bytes/second given a byte count and elapsed simulated time.
 /// Returns 0 for a non-positive duration (caller decides how to report it).
 constexpr double bytes_per_second(std::uint64_t bytes, TimePs elapsed) {

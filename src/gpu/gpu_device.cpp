@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/log.h"
+#include "common/units.h"
 
 namespace tca::gpu {
 
@@ -33,7 +34,7 @@ Result<DevPtr> GpuDevice::mem_alloc(std::uint64_t bytes) {
   if (bytes == 0) return Status{ErrorCode::kInvalidArgument, "zero-size alloc"};
   // 256 B alignment like cuMemAlloc.
   const std::uint64_t base = (alloc_cursor_ + 255) & ~255ull;
-  if (base + bytes > gddr_.size()) {
+  if (!units::range_fits(base, bytes, gddr_.size())) {
     return Status{ErrorCode::kResourceExhausted, "GDDR exhausted"};
   }
   alloc_cursor_ = base + bytes;
@@ -55,7 +56,7 @@ Result<std::uint64_t> GpuDevice::pin_pages(const P2pToken& token, DevPtr ptr,
       (token.p2p_token >> 56) != 0x7c) {
     return Status{ErrorCode::kPermissionDenied, "invalid P2P token"};
   }
-  if (len == 0 || ptr + len > gddr_.size()) {
+  if (len == 0 || !units::range_fits(ptr, len, gddr_.size())) {
     return Status{ErrorCode::kOutOfRange, "pin range outside device memory"};
   }
   const std::uint64_t first = ptr / kGpuPinPageBytes;
@@ -65,7 +66,7 @@ Result<std::uint64_t> GpuDevice::pin_pages(const P2pToken& token, DevPtr ptr,
 }
 
 Status GpuDevice::unpin_pages(DevPtr ptr, std::uint64_t len) {
-  if (len == 0 || ptr + len > gddr_.size()) {
+  if (len == 0 || !units::range_fits(ptr, len, gddr_.size())) {
     return {ErrorCode::kOutOfRange, "unpin range outside device memory"};
   }
   const std::uint64_t first = ptr / kGpuPinPageBytes;
@@ -75,7 +76,7 @@ Status GpuDevice::unpin_pages(DevPtr ptr, std::uint64_t len) {
 }
 
 bool GpuDevice::is_pinned(DevPtr ptr, std::uint64_t len) const {
-  if (len == 0 || ptr + len > gddr_.size()) return false;
+  if (len == 0 || !units::range_fits(ptr, len, gddr_.size())) return false;
   const std::uint64_t first = ptr / kGpuPinPageBytes;
   const std::uint64_t last = (ptr + len - 1) / kGpuPinPageBytes;
   for (std::uint64_t p = first; p <= last; ++p) {
@@ -88,7 +89,7 @@ std::optional<DevPtr> GpuDevice::translate(std::uint64_t bus_addr,
                                            std::uint32_t len) const {
   if (bus_addr < cfg_.bar1_base) return std::nullopt;
   const std::uint64_t offset = bus_addr - cfg_.bar1_base;
-  if (offset + len > gddr_.size()) return std::nullopt;
+  if (!units::range_fits(offset, len, gddr_.size())) return std::nullopt;
   if (!is_pinned(offset, len)) return std::nullopt;
   return offset;
 }

@@ -25,6 +25,7 @@
 #include <span>
 
 #include "common/error.h"
+#include "common/units.h"
 
 namespace tca::mem {
 
@@ -77,9 +78,8 @@ class Dram {
     return static_cast<std::byte*>(p);
   }
 
-  // Overflow-safe form of offset + len <= size().
   [[nodiscard]] bool fits(std::uint64_t offset, std::uint64_t len) const {
-    return offset <= size() && len <= size() - offset;
+    return units::range_fits(offset, len, size());
   }
 
   std::unique_ptr<std::byte, Unmap> data_;

@@ -1,43 +1,46 @@
-// Three-tier indexed event queue: the storage engine behind sim::Scheduler's
-// kIndexed backend and each shard of the kSharded backend.
+// Indexed event queue: the storage engine behind sim::Scheduler's kIndexed
+// backend and each shard of the kSharded backend.
 //
-// Callables live in a slot pool as allocation-free sim::EventFn; small
-// 24-byte (time, seq, slot, gen) entries order them. Slots carry a
-// generation counter with odd = pending, even = free: cancel() checks the
-// id's generation, destroys the capture and releases the slot immediately —
-// O(1) — and the stale ordering entry is dropped lazily when it surfaces.
+// Every pending event owns one slot of a pool: its allocation-free
+// sim::EventFn, its (time, seq) key, list links, and a generation counter
+// with odd = pending, even = free. Every release (fire or cancel) bumps the
+// generation, so a stale id — fired, cancelled, or aimed at a recycled slot
+// — is refused by a single compare, in O(1).
 //
-// Ordering entries land in one of three tiers:
+// Events are ordered in one of two places:
 //
-//  * Fine calendar: a ring of 2^B buckets, each spanning 2^G ps. An event
-//    within the ring's horizon (2^(B+G) ps from `now`) is appended to
-//    bucket (t >> G) & (2^B - 1) — a tiny 4-ary heap, almost always a
-//    single entry at the default 1 ps grain. Push and pop are O(1) in
-//    practice: the simulator's hottest events (poll iterations, timer
-//    pacing, engine steps) all live here, and a two-level occupancy bitmap
-//    (one bit per bucket, one summary bit per 64-bucket word) jumps the
-//    ring scan straight to the next non-empty bucket even when the ring is
-//    nearly empty. This tier is what closes the small-event gap against a
-//    plain binary heap: no sift through unrelated far-future timers, no
-//    comparator-driven cache misses.
-//  * Coarse calendar: the same ring structure at 128x the grain over a
-//    quarter of the buckets, covering 32x the horizon in a quarter of the
-//    cache footprint. It catches the mid-range delays the fine ring can't
-//    hold — link serializations, DMA-step spacing, cancel-heavy retry
-//    timers — where one global heap pays a full sift per reschedule. At
-//    the default geometry the coarse grain still spreads those classes at
-//    around one entry per bucket, so its bucket mini-heaps degenerate to
-//    single appends too.
-//  * Far heap: the 4-ary hole-sift min-heap for everything beyond both
-//    horizons (completion timeouts, watchdogs, fault windows). Stale
-//    entries are compacted away when they outnumber live ones.
+//  * Calendar ring: 2^B buckets of 2^G ps each (default 4096 x 1.024 ns, a
+//    ~4.2 us horizon). An event whose bucket lies within one horizon of
+//    `now` joins that bucket's list, doubly linked through the slots
+//    themselves and kept in (time, seq) order. Nearly all of the
+//    simulator's traffic lands here: zero-delay wakes, poll iterations,
+//    and the 25-131 ns cable, link and DMA steps that make up most events.
+//    That traffic also files in near-FIFO order, so the sorted insert is
+//    an append at the tail, a pop unlinks the head, and a cancel unlinks in
+//    place: the ring never holds a stale entry and never sifts. A cursor
+//    remembers the earliest possibly-occupied bucket, and one occupancy bit
+//    per bucket lets the scan skip empty stretches 64 buckets at a time.
+//  * Far heap: a 4-ary hole-sift min-heap of 24-byte (time, seq, slot, gen)
+//    entries. It takes everything past the horizon (completion timeouts,
+//    watchdogs, fault windows) and any insert that would land more than
+//    kWalk entries before its bucket's tail, which keeps a crowded bucket
+//    from turning filing quadratic. Cancelled heap entries are dropped when
+//    they surface, or compacted away when they outnumber live ones.
 //
-// The tiers preserve one total (time, seq) order: a pop compares the two
-// calendar heads with the heap head. Ring-distance equals time order for
-// live calendar entries (an event is only filed in a ring when its bucket
-// lies within one horizon of `now`, and `now` never passes a live entry),
-// so the first live entry in ring order from now's bucket IS that ring's
-// minimum.
+// The grain adapts, as in a classic calendar queue. When events crowd
+// within one bucket, so that sorted inserts keep walking, the ring halves
+// its grain, down to 1 ps. When its shrunken horizon keeps turning away
+// events that the configured grain would hold, it returns to that grain.
+// The simulator's own traffic stays at or one step below the configured
+// grain; dense sub-ns clusters (many timers within a few hundred ps) are
+// what make it shrink further.
+//
+// Which place holds an event never changes fire order: a pop takes the
+// earlier of the ring's first entry and the heap front. Ring order from the
+// cursor is time order, because an event enters the ring only while its
+// bucket lies within one horizon of the latest `now` the queue has seen,
+// and `now` never passes a live event. So each ring bucket holds the events
+// of exactly one absolute bucket.
 //
 // The queue is clock-less: callers pass `now` in (the Scheduler owns global
 // time; a shard of the parallel backend owns its local time) and supply the
@@ -45,6 +48,7 @@
 // reproduces the exact global FIFO order of the single-queue backend.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -57,8 +61,8 @@ namespace tca::sim {
 
 namespace detail {
 
-/// Ordering entry shared by all tiers. 24 bytes so sifts move no callable
-/// state; the EventFn stays in its slot until fire/cancel.
+/// Far-heap ordering entry. 24 bytes so sifts move no callable state; the
+/// EventFn stays in its slot until fire/cancel.
 struct QEntry {
   TimePs time;
   std::uint64_t seq;
@@ -66,7 +70,9 @@ struct QEntry {
   std::uint32_t gen;
 };
 
-inline bool earlier(const QEntry& a, const QEntry& b) {
+/// (time, seq) order of anything carrying both: heap entries and slots.
+template <typename A, typename B>
+bool earlier(const A& a, const B& b) {
   return a.time < b.time || (a.time == b.time && a.seq < b.seq);
 }
 
@@ -142,48 +148,40 @@ class IndexedQueue {
     std::uint64_t seq;
   };
 
-  /// Coarse ring geometry relative to the fine ring: 2^7 = 128x the bucket
-  /// span over a quarter the buckets, so the horizon grows 32x while the
-  /// ring's cache footprint shrinks to a quarter. Chosen so the default
-  /// coarse horizon (~131 ns) covers the simulator's mid-range delay band —
-  /// wire times, DMA steps, retry backoff — measured to be where a single
-  /// fine-grained ring hands the far heap its worst cancel-heavy churn,
-  /// while the small footprint keeps sparse serial streams (one live TLP
-  /// per link) from evicting the simulation's own working set.
-  static constexpr unsigned kCoarseGranShift = 7;
-  static constexpr unsigned kCoarseBucketsShift = 2;
+  /// Filings per grain-adaptation window. A window whose inserts walked
+  /// more than 1/16 step each on average halves the grain; one that sent
+  /// more than 1/16 of its events to the heap for want of horizon restores
+  /// the configured grain.
+  static constexpr std::uint32_t kAdaptWindow = 4096;
 
-  /// `gran_log2`: log2 of the fine calendar bucket's span in ps.
-  /// `buckets_log2`: log2 of the fine ring's size. Fine horizon =
-  /// 2^(gran+buckets) ps; the coarse ring spans 32x that. The defaults
-  /// (1 ps x 4096 buckets ~ 4 ns, backed by 128 ps x 1024 ~ 131 ns) are
-  /// deliberately fine: the simulator's densest event class —
-  /// sub-200-ps poll iterations, timer pacing, engine steps — lands at ~1
-  /// entry per fine bucket, so push is a plain append and pop never sifts;
-  /// a coarser fine grain piles that class into a few buckets whose
-  /// mini-heaps cost as much as one global heap. The mid-range band rides
-  /// the coarse ring, still far under one entry per bucket. Everything
-  /// past both horizons (timeouts, watchdogs) takes the far heap, where
-  /// cancel stays O(1). Per-shard queues use a coarser, smaller ring (see
-  /// ShardedEngine).
-  explicit IndexedQueue(unsigned gran_log2 = 0, unsigned buckets_log2 = 12)
-      : fine_(gran_log2, buckets_log2),
-        coarse_(gran_log2 + kCoarseGranShift,
-                buckets_log2 > 6 + kCoarseBucketsShift
-                    ? buckets_log2 - kCoarseBucketsShift
-                    : 6) {}
+  /// `gran_log2`: log2 of a ring bucket's span in ps, and the coarsest
+  /// grain the ring adapts back up to. `buckets_log2`: log2 of the ring's
+  /// size (>= 6: the occupancy bitmap uses whole words). Horizon =
+  /// 2^(gran + buckets) ps. The defaults (1.024 ns x 4096 ~ 4.2 us) hold
+  /// every delay class the simulator files except its 34-67 us timeouts,
+  /// and put the dominant 16-131 ns steps dozens of buckets apart.
+  /// Per-shard queues use a smaller ring (see ShardedEngine).
+  explicit IndexedQueue(unsigned gran_log2 = 10, unsigned buckets_log2 = 12)
+      : max_gran_log2_(gran_log2),
+        mask_((std::uint64_t{1} << buckets_log2) - 1),
+        gran_log2_(gran_log2),
+        buckets_(std::size_t{1} << buckets_log2),
+        bitmap_((std::size_t{1} << buckets_log2) / 64, 0) {
+    TCA_ASSERT(buckets_log2 >= 6);
+  }
 
   IndexedQueue(const IndexedQueue&) = delete;
   IndexedQueue& operator=(const IndexedQueue&) = delete;
 
-  /// Files `fn` at (t, seq). `now` only selects the tier; it must be the
-  /// caller's current clock (<= t). Captures up to EventFn::kInlineBytes are
-  /// constructed directly in their slot, no allocation.
+  /// Files `fn` at (t, seq). `now` must be the caller's current clock
+  /// (<= t); it anchors the ring's horizon. Captures up to
+  /// EventFn::kInlineBytes are constructed directly in their slot, no
+  /// allocation.
   template <typename F>
   Ref schedule(TimePs t, TimePs now, std::uint64_t seq, F&& fn) {
     const std::uint32_t index = take_slot();
     slots_[index].fn.emplace(std::forward<F>(fn));
-    return file_entry(t, now, seq, index);
+    return file(index, t, now, seq);
   }
 
   /// Same, for an already-type-erased callable (the sharded backend's
@@ -191,12 +189,13 @@ class IndexedQueue {
   Ref schedule_fn(TimePs t, TimePs now, std::uint64_t seq, EventFn&& fn) {
     const std::uint32_t index = take_slot();
     slots_[index].fn = std::move(fn);
-    return file_entry(t, now, seq, index);
+    return file(index, t, now, seq);
   }
 
   /// Cancels a pending event. Returns false if it already ran, was already
-  /// cancelled, or the ref is unknown. O(1); the stale ordering entry is
-  /// dropped lazily (or compacted when stale entries outnumber live ones).
+  /// cancelled, or the ref is unknown. O(1): a ring event is unlinked on
+  /// the spot; a heap entry goes stale and is dropped lazily (or compacted
+  /// when stale entries outnumber live ones).
   bool cancel(Ref ref) {
     if (ref.index >= slots_.size()) return false;
     Slot& s = slots_[ref.index];
@@ -204,56 +203,45 @@ class IndexedQueue {
     // generation; fired/cancelled ids went stale when the slot was released.
     if (s.gen != ref.gen) return false;
     s.fn = EventFn();  // free captured resources eagerly
-    const std::uint8_t tier = s.tier;
+    // Cancelling any other event leaves the cached minimum the earliest.
+    if (cache_valid_ && cached_.slot == ref.index) cache_valid_ = false;
+    const bool in_heap = s.in_heap;
+    if (!in_heap) unlink(s);
     release_slot(ref.index);
     --live_;
-    cache_valid_ = false;
-    if (tier == kTierHeap) {
+    if (in_heap) {
       --heap_live_;
       if (heap_.size() > 2 * heap_live_ && heap_.size() >= kCompactMin) {
         compact_heap();
       }
-    } else {
-      Calendar& c = tier == kTierFine ? fine_ : coarse_;
-      // Cancelling any entry other than the ring minimum leaves that
-      // minimum the earliest live entry; only its own cancel invalidates.
-      if (c.min_valid && ref.index == c.min.slot) c.min_valid = false;
-      --c.live;
-      ++c.stale;
-      if (c.stale > 64 && c.stale > 2 * c.live) compact_calendar(c);
     }
     return true;
   }
 
-  /// Earliest live (time, seq), pruning stale heads on the way. Returns
-  /// false when the queue is empty. The found position is cached so an
-  /// immediately following pop_min does no second search.
+  /// Earliest live (time, seq), pruning stale heap heads on the way.
+  /// Returns false when the queue is empty. The found position is cached
+  /// so an immediately following pop_min does no second search.
   bool peek(TimePs now, Key* out) {
-    if (!cache_valid_ && !find_min(now)) return false;
-    if (live_ == 0) return false;
+    observe(now);
+    if (!cache_valid_ && !find_min()) return false;
     *out = Key{cached_.time, cached_.seq};
     return true;
   }
 
   /// Pops the earliest live event. peek() must have returned true with no
-  /// intervening schedule/cancel. Returns its key; moves the callable out.
+  /// schedule or cancel since that could have changed the answer. Returns
+  /// its key; moves the callable out.
   Key pop_min(EventFn* fn) {
     TCA_ASSERT(cache_valid_ && live_ > 0);
     const detail::QEntry e = cached_;
-    if (cached_tier_ != kTierHeap) {
-      Calendar& c = cached_tier_ == kTierFine ? fine_ : coarse_;
-      std::vector<detail::QEntry>& b = c.buckets[cached_bucket_];
-      TCA_ASSERT(!b.empty() && b.front().slot == e.slot);
-      detail::heap_pop(b);
-      if (b.empty()) c.clear_bit(cached_bucket_);
-      --c.live;
-      c.min_valid = false;  // popped this ring's minimum
-    } else {
-      TCA_ASSERT(!heap_.empty() && heap_.front().slot == e.slot);
+    Slot& s = slots_[e.slot];
+    if (s.in_heap) {
+      TCA_ASSERT(heap_.front().slot == e.slot);
       detail::heap_pop(heap_);
       --heap_live_;
+    } else {
+      unlink(s);
     }
-    Slot& s = slots_[e.slot];
     *fn = std::move(s.fn);
     release_slot(e.slot);
     --live_;
@@ -264,125 +252,53 @@ class IndexedQueue {
   [[nodiscard]] std::uint64_t live() const { return live_; }
   [[nodiscard]] bool empty() const { return live_ == 0; }
 
-  /// Tier occupancy, for tests and diagnostics.
-  [[nodiscard]] std::uint64_t calendar_live() const {
-    return fine_.live + coarse_.live;
+  /// Where the live events are and the current grain, for tests and
+  /// diagnostics.
+  [[nodiscard]] std::uint64_t ring_live() const {
+    return live_ - heap_live_;
   }
   [[nodiscard]] std::uint64_t heap_live() const { return heap_live_; }
+  [[nodiscard]] unsigned grain_log2() const { return gran_log2_; }
 
  private:
+  /// How many entries a sorted insert may step back past from its bucket's
+  /// tail before the event spills to the far heap instead.
+  static constexpr unsigned kWalk = 4;
   /// Heap size below which cancel() never bothers compacting.
   static constexpr std::size_t kCompactMin = 64;
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  static constexpr std::uint8_t kTierFine = 0;
-  static constexpr std::uint8_t kTierCoarse = 1;
-  static constexpr std::uint8_t kTierHeap = 2;
-
-  /// `gen` parity tracks state: odd = pending, even = free. Every release
-  /// (fire or cancel) bumps it, so stale refs and stale ordering entries are
-  /// recognized by a single compare. `tier` records where the ordering entry
-  /// lives so cancel can keep per-tier live counts without searching.
+  /// `gen` parity tracks state: odd = pending, even = free. A ring event
+  /// sits in its bucket's list through `prev`/`next`; a free slot reuses
+  /// `next` as the free-list link.
   struct Slot {
-    EventFn fn;
+    TimePs time = 0;
+    std::uint64_t seq = 0;
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNilSlot;
-    std::uint8_t tier = 0;
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kNil;
+    bool in_heap = false;
+    EventFn fn;
   };
 
-  /// One calendar ring: bucket vectors (each a tiny 4-ary heap), two-level
-  /// occupancy bitmap, live/stale counts, and a memoized minimum.
-  struct Calendar {
-    Calendar(unsigned gran, unsigned buckets_log2)
-        : gran_log2(gran),
-          nbuckets(std::size_t{1} << buckets_log2),
-          bmask(nbuckets - 1),
-          buckets(nbuckets),
-          bitmap(nbuckets / 64, 0),
-          summary((nbuckets / 64 + 63) / 64, 0) {
-      // The two-level bitmap assumes whole 64-bucket words.
-      TCA_ASSERT(buckets_log2 >= 6);
-    }
-
-    [[nodiscard]] std::uint64_t bucket_abs(TimePs t) const {
-      return static_cast<std::uint64_t>(t) >> gran_log2;
-    }
-
-    /// True when `t` falls inside this ring's horizon as seen from `now`
-    /// (unsigned wrap sends t < now to the far heap, same as out-of-range).
-    [[nodiscard]] bool in_horizon(TimePs t, TimePs now) const {
-      return bucket_abs(t) - bucket_abs(now) < nbuckets;
-    }
-
-    void set_bit(std::size_t b) {
-      bitmap[b >> 6] |= std::uint64_t{1} << (b & 63);
-      summary[b >> 12] |= std::uint64_t{1} << ((b >> 6) & 63);
-    }
-    void clear_bit(std::size_t b) {
-      std::uint64_t& w = bitmap[b >> 6];
-      w &= ~(std::uint64_t{1} << (b & 63));
-      if (w == 0) summary[b >> 12] &= ~(std::uint64_t{1} << ((b >> 6) & 63));
-    }
-
-    static constexpr std::size_t kNoBucket = ~std::size_t{0};
-
-    /// First occupied bucket scanning the ring from `from` (inclusive),
-    /// wrapping once; kNoBucket when every bucket is empty. The summary
-    /// bitmap jumps over empty 64-bucket words, so a sparse ring costs a
-    /// handful of word reads instead of a word-by-word walk.
-    [[nodiscard]] std::size_t next_occupied(std::size_t from) const {
-      const std::uint64_t head =
-          bitmap[from >> 6] & (~std::uint64_t{0} << (from & 63));
-      if (head != 0) {
-        return ((from >> 6) << 6) +
-               static_cast<std::size_t>(std::countr_zero(head));
-      }
-      // Summary scan, ring order, starting strictly after `from`'s word.
-      // The final pass revisits that word in full: its remaining set bits
-      // all lie below `from` (the masked head above was zero), i.e. one
-      // wrap away.
-      const std::size_t swords = summary.size();
-      std::size_t sw = from >> 12;
-      const unsigned used = static_cast<unsigned>((from >> 6) & 63) + 1;
-      std::uint64_t s =
-          used == 64 ? 0 : summary[sw] & (~std::uint64_t{0} << used);
-      for (std::size_t pass = 0; pass <= swords; ++pass) {
-        if (s != 0) {
-          const std::size_t w =
-              (sw << 6) + static_cast<std::size_t>(std::countr_zero(s));
-          return (w << 6) +
-                 static_cast<std::size_t>(std::countr_zero(bitmap[w]));
-        }
-        sw = sw + 1 == swords ? 0 : sw + 1;
-        s = summary[sw];
-      }
-      return kNoBucket;
-    }
-
-    const unsigned gran_log2;
-    const std::size_t nbuckets;
-    const std::size_t bmask;
-
-    // Two-level occupancy: one bitmap bit per bucket, one summary bit per
-    // 64-bucket bitmap word.
-    std::vector<std::vector<detail::QEntry>> buckets;
-    std::vector<std::uint64_t> bitmap;
-    std::vector<std::uint64_t> summary;
-    std::uint64_t live = 0;
-    std::uint64_t stale = 0;
-
-    // Memoized ring minimum (live entry). Valid until that entry is popped
-    // or cancelled; pushes of earlier entries update it in place.
-    bool min_valid = false;
-    std::size_t min_bucket = 0;
-    detail::QEntry min{};
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
+
+  [[nodiscard]] std::uint64_t bucket_abs(TimePs t) const {
+    return static_cast<std::uint64_t>(t) >> gran_log2_;
+  }
+
+  /// Raises the horizon anchor to `now`'s bucket. A caller passing an older
+  /// clock (a shard polled at its stale local time) never lowers it.
+  void observe(TimePs now) { floor_ = std::max(floor_, bucket_abs(now)); }
 
   std::uint32_t take_slot() {
     std::uint32_t index;
-    if (free_head_ != kNilSlot) {
+    if (free_head_ != kNil) {
       index = free_head_;
-      free_head_ = slots_[index].next_free;
+      free_head_ = slots_[index].next;
     } else {
       index = static_cast<std::uint32_t>(slots_.size());
       slots_.emplace_back();
@@ -394,112 +310,155 @@ class IndexedQueue {
   void release_slot(std::uint32_t index) {
     Slot& s = slots_[index];
     ++s.gen;  // odd (pending) -> even (free)
-    s.next_free = free_head_;
+    s.next = free_head_;
     free_head_ = index;
   }
 
-  Ref file_entry(TimePs t, TimePs now, std::uint64_t seq,
-                 std::uint32_t index) {
+  Ref file(std::uint32_t index, TimePs t, TimePs now, std::uint64_t seq) {
+    observe(now);
     Slot& s = slots_[index];
-    const detail::QEntry e{t, seq, index, s.gen};
-    if (fine_.in_horizon(t, now)) {
-      file_calendar(fine_, e);
-      s.tier = kTierFine;
-    } else if (coarse_.in_horizon(t, now)) {
-      file_calendar(coarse_, e);
-      s.tier = kTierCoarse;
-    } else {
-      detail::heap_push(heap_, e);
-      ++heap_live_;
-      s.tier = kTierHeap;
-    }
+    s.time = t;
+    s.seq = seq;
+    place(index, s);
     ++live_;
-    // A new earliest event would make the cached minimum wrong; recompute
-    // lazily unless the new entry provably sorts after it.
-    if (cache_valid_ && detail::earlier(e, cached_)) cache_valid_ = false;
+    // A new earliest event would make the cached minimum wrong.
+    if (cache_valid_ && detail::earlier(s, cached_)) cache_valid_ = false;
+    if (++window_ == kAdaptWindow) [[unlikely]] adapt();
     return Ref{index, s.gen};
   }
 
-  void file_calendar(Calendar& c, const detail::QEntry& e) {
-    const std::size_t b =
-        static_cast<std::size_t>(c.bucket_abs(e.time)) & c.bmask;
-    detail::heap_push(c.buckets[b], e);
-    c.set_bit(b);
-    ++c.live;
-    // Track the ring minimum incrementally: a new earliest entry replaces
-    // it in O(1), anything later leaves it untouched.
-    if (c.min_valid && detail::earlier(e, c.min)) {
-      c.min = e;
-      c.min_bucket = b;
+  /// Files a slot's (time, seq) in the ring, or in the far heap when it
+  /// lies past the horizon or too deep in a crowded bucket.
+  void place(std::uint32_t index, Slot& s) {
+    // Unsigned distance: an event before the floor counts as far too.
+    const std::uint64_t b = bucket_abs(s.time);
+    const bool near = b - floor_ <= mask_;
+    s.in_heap = !near || !link(index, s, b);
+    if (s.in_heap) {
+      detail::heap_push(heap_, detail::QEntry{s.time, s.seq, index, s.gen});
+      ++heap_live_;
+      // A miss: past the horizon, yet within the configured grain's.
+      const unsigned up = max_gran_log2_ - gran_log2_;
+      if (!near && (b >> up) - (floor_ >> up) <= mask_) ++misses_;
     }
   }
 
-  /// Recomputes `c.min`: the first live entry in ring order from now's
-  /// bucket (see file comment for why ring order is time order). During the
-  /// scan only buckets whose bit is set are visited; a bucket that turns
-  /// out to be all-stale is emptied and its bit cleared, so the resume from
-  /// b+1 cannot revisit it.
-  void rescan_calendar(Calendar& c, TimePs now) {
-    std::size_t b = static_cast<std::size_t>(c.bucket_abs(now)) & c.bmask;
-    for (;;) {
-      b = c.next_occupied(b);
-      if (b == Calendar::kNoBucket) return;
-      std::vector<detail::QEntry>& bucket = c.buckets[b];
-      while (!bucket.empty()) {
-        const detail::QEntry& top = bucket.front();
-        if (slots_[top.slot].gen == top.gen) {
-          c.min = top;
-          c.min_bucket = b;
-          c.min_valid = true;
-          return;
-        }
-        detail::heap_pop(bucket);
-        --c.stale;
+  /// Sorted insert into absolute bucket `b`, walking back from the tail.
+  /// False (nothing linked) when more than kWalk entries sort after `s`.
+  bool link(std::uint32_t index, Slot& s, std::uint64_t b) {
+    const std::size_t r = static_cast<std::size_t>(b & mask_);
+    Bucket& bucket = buckets_[r];
+    std::uint32_t after = bucket.tail;
+    unsigned steps = 0;
+    for (; after != kNil && detail::earlier(s, slots_[after]); ++steps) {
+      if (steps == kWalk) {
+        walked_ += kWalk;
+        return false;
       }
-      c.clear_bit(b);
-      b = (b + 1) & c.bmask;
+      after = slots_[after].prev;
+    }
+    walked_ += steps;
+    s.prev = after;
+    std::uint32_t& pred_next = after == kNil ? bucket.head : slots_[after].next;
+    s.next = pred_next;
+    pred_next = index;
+    (s.next == kNil ? bucket.tail : slots_[s.next].prev) = index;
+    bitmap_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    cursor_ = std::min(cursor_, b);
+    return true;
+  }
+
+  /// Removes a ring event from its bucket's list.
+  void unlink(const Slot& s) {
+    const std::size_t r = static_cast<std::size_t>(bucket_abs(s.time) & mask_);
+    Bucket& bucket = buckets_[r];
+    (s.prev == kNil ? bucket.head : slots_[s.prev].next) = s.next;
+    (s.next == kNil ? bucket.tail : slots_[s.next].prev) = s.prev;
+    if (bucket.head == kNil) {
+      bitmap_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
     }
   }
 
-  /// Locates the earliest live entry across all tiers, pruning stale heads
-  /// as it goes, and fills the pop cache. False when nothing is live.
-  bool find_min(TimePs now) {
-    // Calendars first: each ring's minimum is memoized across calls —
-    // pushes track it incrementally and only popping or cancelling the
-    // minimum itself forces a rescan — so a pop served by one tier touches
-    // no bucket of the others.
+  /// Closes an adaptation window (see kAdaptWindow). Kept out of line so
+  /// the rare path adds no code to file()'s hot one.
+  [[gnu::noinline]] void adapt() {
+    if (walked_ > kAdaptWindow / 16 && gran_log2_ > 0) {
+      regrain(gran_log2_ - 1);
+    } else if (misses_ > kAdaptWindow / 16 && gran_log2_ < max_gran_log2_) {
+      regrain(max_gran_log2_);
+    }
+    window_ = walked_ = misses_ = 0;
+  }
+
+  /// Refiles every ring event at grain 2^g. The ring is drained in fire
+  /// order into one chain, so each refile appends at its new bucket's tail
+  /// (or, past a shrunken horizon, goes to the heap).
+  void regrain(unsigned g) {
+    std::uint32_t first = kNil;
+    std::uint32_t last = kNil;
+    std::uint64_t left = live_ - heap_live_;
+    for (std::uint64_t b = std::max(cursor_, floor_); left > 0; ++b) {
+      b = next_occupied(b);
+      Bucket& bucket = buckets_[b & mask_];
+      (last == kNil ? first : slots_[last].next) = bucket.head;
+      for (std::uint32_t i = bucket.head; i != kNil; i = slots_[i].next) {
+        --left;
+      }
+      last = bucket.tail;
+      bucket = Bucket{};
+    }
+    std::fill(bitmap_.begin(), bitmap_.end(), 0);
+    // A finer grain can leave the floor a bucket early: still below every
+    // event, so the ring just holds one bucket less horizon.
+    floor_ = g < gran_log2_ ? floor_ << (gran_log2_ - g)
+                            : floor_ >> (g - gran_log2_);
+    gran_log2_ = g;
+    cursor_ = 0;
+    for (std::uint32_t i = first; i != kNil;) {
+      const std::uint32_t next = slots_[i].next;
+      place(i, slots_[i]);
+      i = next;
+    }
+    cache_valid_ = false;
+  }
+
+  /// First occupied absolute bucket at or after `from`, which must be no
+  /// later than any ring event (the ring must not be empty). Scans the
+  /// occupancy words in ring order; the last step revisits `from`'s word
+  /// in full, whose bits below `from` lie one wrap ahead.
+  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t from) const {
+    std::size_t w = static_cast<std::size_t>((from & mask_) >> 6);
+    const unsigned bit = static_cast<unsigned>(from & 63);
+    std::uint64_t base = from - bit;
+    std::uint64_t bits = bitmap_[w] & (~std::uint64_t{0} << bit);
+    while (bits == 0) {
+      base += 64;
+      w = w + 1 == bitmap_.size() ? 0 : w + 1;
+      bits = bitmap_[w];
+    }
+    return base + static_cast<std::uint64_t>(std::countr_zero(bits));
+  }
+
+  /// Locates the earliest live event, pruning stale heap heads that block
+  /// the decision, and fills the pop cache. False when nothing is live.
+  bool find_min() {
     bool have = false;
-    if (fine_.live > 0) {
-      if (!fine_.min_valid) rescan_calendar(fine_, now);
-      if (fine_.min_valid) {
-        cached_ = fine_.min;
-        cached_tier_ = kTierFine;
-        cached_bucket_ = fine_.min_bucket;
-        have = true;
-      }
+    if (live_ > heap_live_) {
+      cursor_ = next_occupied(std::max(cursor_, floor_));
+      const std::uint32_t head = buckets_[cursor_ & mask_].head;
+      const Slot& s = slots_[head];
+      cached_ = detail::QEntry{s.time, s.seq, head, s.gen};
+      have = true;
     }
-    if (coarse_.live > 0) {
-      if (!coarse_.min_valid) rescan_calendar(coarse_, now);
-      if (coarse_.min_valid &&
-          (!have || detail::earlier(coarse_.min, cached_))) {
-        cached_ = coarse_.min;
-        cached_tier_ = kTierCoarse;
-        cached_bucket_ = coarse_.min_bucket;
-        have = true;
-      }
-    }
-    // Far tier: the heap front — live or stale — is a lower bound on every
-    // heap entry, so once a calendar minimum sorts before it nothing in
-    // the heap can matter and stale heads stay put for the amortized bulk
-    // compaction in cancel(). Pruning them here one sift at a time is what
-    // made cancel-heavy loads pay per-pop instead (a stale front is only
-    // popped when it actually blocks the decision).
+    // The heap front — live or stale — is a lower bound on every heap
+    // entry, so once the ring's minimum sorts before it nothing in the heap
+    // can matter, and stale heads stay put for the bulk compaction in
+    // cancel() instead of costing a sift each.
     while (!heap_.empty()) {
       const detail::QEntry& top = heap_.front();
       if (have && !detail::earlier(top, cached_)) break;
       if (slots_[top.slot].gen == top.gen) {
         cached_ = top;
-        cached_tier_ = kTierHeap;
         have = true;
         break;
       }
@@ -511,7 +470,7 @@ class IndexedQueue {
 
   /// Drops stale far-heap entries and rebuilds the heap in place. Fire order
   /// is untouched: pops follow the (time, seq) total order, not the array
-  /// layout.
+  /// layout, and a cached heap minimum stays at the front.
   void compact_heap() {
     std::size_t out = 0;
     for (const detail::QEntry& e : heap_) {
@@ -521,34 +480,26 @@ class IndexedQueue {
     detail::heapify(heap_);
   }
 
-  /// Sweeps cancelled entries out of every bucket of one ring. Rare: only
-  /// when stale entries outnumber live ones (cancel storms aimed inside the
-  /// horizon), so the cost amortizes like the far-heap compaction. The
-  /// memoized minimum survives: it is a live entry, and heapify keeps each
-  /// bucket's earliest live entry at the front.
-  void compact_calendar(Calendar& c) {
-    for (std::size_t b = 0; b < c.nbuckets; ++b) {
-      std::vector<detail::QEntry>& bucket = c.buckets[b];
-      if (bucket.empty()) continue;
-      std::size_t out = 0;
-      for (const detail::QEntry& e : bucket) {
-        if (slots_[e.slot].gen == e.gen) bucket[out++] = e;
-      }
-      bucket.resize(out);
-      detail::heapify(bucket);
-      if (bucket.empty()) c.clear_bit(b);
-    }
-    c.stale = 0;
-  }
+  const unsigned max_gran_log2_;
+  const std::uint64_t mask_;
+  unsigned gran_log2_;
 
   std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNilSlot;
+  std::uint32_t free_head_ = kNil;
   std::uint64_t live_ = 0;
 
-  // Near-now calendar rings: fine for the hot sub-horizon classes, coarse
-  // for the mid-range delay band.
-  Calendar fine_;
-  Calendar coarse_;
+  // Calendar ring. `floor_` is the bucket of the latest `now` seen (or one
+  // early, after a halving); the ring covers the 2^B buckets from it on. No
+  // ring event lies before `cursor_`.
+  std::vector<Bucket> buckets_;
+  std::vector<std::uint64_t> bitmap_;
+  std::uint64_t floor_ = 0;
+  std::uint64_t cursor_ = 0;
+
+  // Grain adaptation: filings, walk steps and horizon misses this window.
+  std::uint32_t window_ = 0;
+  std::uint32_t walked_ = 0;
+  std::uint32_t misses_ = 0;
 
   // Far heap.
   std::vector<detail::QEntry> heap_;
@@ -556,8 +507,6 @@ class IndexedQueue {
 
   // Pop cache filled by find_min.
   bool cache_valid_ = false;
-  std::uint8_t cached_tier_ = kTierHeap;
-  std::size_t cached_bucket_ = 0;
   detail::QEntry cached_{};
 };
 

@@ -8,9 +8,10 @@
 //
 // Three queue backends share the public API and the ordering contract:
 //
-//  * kIndexed (default): the two-tier IndexedQueue — a near-now calendar
-//    ring fronting a 4-ary min-heap — over a slot pool of allocation-free
-//    sim::EventFn (see indexed_queue.h for the full design). Event fires
+//  * kIndexed (default): the IndexedQueue — one calendar ring of
+//    (time, seq)-sorted bucket lists threaded through a slot pool of
+//    allocation-free sim::EventFn, fronting a 4-ary far heap (see
+//    indexed_queue.h for the full design). Event fires
 //    run under the scheduler's FrameArena, so coroutine frames spawned
 //    inside events recycle through pooled memory instead of the global
 //    heap (see arena.h).

@@ -39,6 +39,22 @@ TEST(Runtime, AllocHostRespectsCapacity) {
   EXPECT_FALSE(rt.alloc_host(0, 1ull << 40).is_ok());
 }
 
+TEST(Runtime, AllocHostRejectsSizesThatWrapTheRegion) {
+  // cursor + bytes wraps past 2^64 back under the region size.
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  ASSERT_TRUE(rt.alloc_host(0, 1).is_ok());
+  EXPECT_EQ(rt.alloc_host(0, ~0ull).status().code(),
+            ErrorCode::kResourceExhausted);
+}
+
+TEST(Runtime, AllocGpuRejectsSizesThatWrapDeviceMemory) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  ASSERT_TRUE(rt.alloc_gpu(0, 0, 4096).is_ok());
+  EXPECT_FALSE(rt.alloc_gpu(0, 0, ~0ull - 100).is_ok());
+}
+
 TEST(Runtime, AllocGpuPinsPages) {
   sim::Scheduler sched;
   Runtime rt(sched, small_config());
@@ -143,6 +159,18 @@ TEST(Runtime, MemcpyPeerRejectsOutOfRange) {
   EXPECT_FALSE(t.result().is_ok());
 }
 
+TEST(Runtime, MemcpyPeerRejectsOffsetsThatWrap) {
+  // dst_off + bytes wraps to 1: the copy must fail validation, not reach
+  // the address encoder.
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto a = rt.alloc_host(0, 4096).value();
+  auto b = rt.alloc_host(1, 4096).value();
+  auto t = rt.memcpy_peer(b, ~0ull, a, 0, 2);
+  sched.run();
+  EXPECT_EQ(t.result().code(), ErrorCode::kOutOfRange);
+}
+
 TEST(Runtime, ShortHostCopiesUsePioLongOnesUseDma) {
   sim::Scheduler sched;
   Runtime rt(sched, small_config());
@@ -227,6 +255,18 @@ TEST(Runtime, BlockStrideRejectsOverflowAndTooMany) {
   auto t2 = rt.memcpy_block_stride(dst, 0, 0, src, 0, 0, 16, 300);
   sched.run();
   EXPECT_FALSE(t2.result().is_ok());  // > kMaxDescriptors
+}
+
+TEST(Runtime, BlockStrideRejectsExtentsThatWrap) {
+  // (count - 1) * stride = 2 * 2^63 wraps to 0, so the naive extent is one
+  // block and "fits".
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto src = rt.alloc_host(0, 8192).value();
+  auto dst = rt.alloc_host(1, 8192).value();
+  auto t = rt.memcpy_block_stride(dst, 0, 1ull << 63, src, 0, 512, 512, 3);
+  sched.run();
+  EXPECT_EQ(t.result().code(), ErrorCode::kOutOfRange);
 }
 
 TEST(Runtime, BatchRunsManyCopiesInOneChain) {
@@ -343,6 +383,19 @@ TEST(Stream, EnqueueValidatesEagerly) {
   EXPECT_EQ(stream.pending(), 0u);
   // Zero-byte copies are accepted and dropped.
   EXPECT_TRUE(stream.enqueue_copy(buf, 0, buf, 0, 0).is_ok());
+  EXPECT_EQ(stream.pending(), 0u);
+}
+
+TEST(Stream, EnqueueBlockStrideRejectsExtentsThatWrap) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto buf = rt.alloc_host(0, 8192).value();
+  Stream stream(rt);
+  EXPECT_EQ(stream
+                .enqueue_block_stride(buf, 0, 1ull << 63, buf, 4096, 512, 512,
+                                      3)
+                .code(),
+            ErrorCode::kOutOfRange);
   EXPECT_EQ(stream.pending(), 0u);
 }
 

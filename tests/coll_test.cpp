@@ -564,6 +564,10 @@ TEST(Coll, ValidatesCollectiveArguments) {
   sched.run();
   EXPECT_EQ(overflow.result().code(), ErrorCode::kOutOfRange);
 
+  auto wrap = c.broadcast(0, 0, mine, ~0ull, 2);  // offset + bytes wraps
+  sched.run();
+  EXPECT_EQ(wrap.result().code(), ErrorCode::kOutOfRange);
+
   auto bad_count = c.allreduce_sum(0, mine, 0, 6);  // not a multiple of 4
   sched.run();
   EXPECT_EQ(bad_count.result().code(), ErrorCode::kInvalidArgument);

@@ -50,6 +50,17 @@ TEST(GpuDevice, MemAllocExhaustion) {
   EXPECT_FALSE(gpu.mem_alloc(5 << 20).is_ok());  // over capacity now
 }
 
+TEST(GpuDevice, MemAllocRejectsSizesThatWrapMemory) {
+  // cursor + bytes wraps past 2^64 back under the memory size.
+  sim::Scheduler sched;
+  GpuDevice gpu(sched, 1, test_config());
+  ASSERT_TRUE(gpu.mem_alloc(4096).is_ok());
+  EXPECT_FALSE(gpu.mem_alloc(~0ull - 100).is_ok());
+  auto next = gpu.mem_alloc(4096);  // the failed call left the cursor alone
+  ASSERT_TRUE(next.is_ok());
+  EXPECT_EQ(next.value(), 4096u);
+}
+
 TEST(GpuDevice, TokenPinUnpinFlow) {
   sim::Scheduler sched;
   GpuDevice gpu(sched, 3, test_config());
@@ -73,6 +84,16 @@ TEST(GpuDevice, PinRejectsForgedToken) {
   GpuDevice gpu(sched, 3, test_config());
   P2pToken forged{.p2p_token = 0x1234, .va_space_token = 99};
   EXPECT_FALSE(gpu.pin_pages(forged, 0, 4096).is_ok());
+}
+
+TEST(GpuDevice, PinAndUnpinRejectRangesThatWrap) {
+  sim::Scheduler sched;
+  GpuDevice gpu(sched, 3, test_config());
+  auto token = gpu.get_p2p_token(4096);
+  ASSERT_TRUE(token.is_ok());
+  EXPECT_FALSE(gpu.pin_pages(token.value(), 4096, ~0ull - 100).is_ok());
+  EXPECT_FALSE(gpu.unpin_pages(4096, ~0ull - 100).is_ok());
+  EXPECT_FALSE(gpu.is_pinned(4096, ~0ull - 100));
 }
 
 TEST(GpuDevice, PinGranularityIsPageWise) {
