@@ -1,8 +1,8 @@
-// Sim-core throughput: events/sec of the indexed and sharded schedulers
-// against the seed (priority_queue + tombstone-set + std::function) baseline
-// backend on synthetic churn, plus the guarantees the rewrites must
-// preserve: determinism (identical fire order/results on all three
-// backends) and allocation-free steady-state events.
+// Sim-core throughput: events/sec of sim::Scheduler against the seed
+// (priority_queue + tombstone-set + std::function) queue in
+// bench/seed_scheduler.h on synthetic churn, plus the guarantees the rewrite
+// must preserve: determinism (identical fire order/results on both queues)
+// and allocation-free steady-state events.
 //
 // Workloads ("events/sec" counts every scheduler touch: schedule + cancel +
 // fire):
@@ -15,10 +15,9 @@
 //                    queue — the timeout-arm/disarm pattern.
 //   reschedule       a timeout pushed out 8 times before firing.
 //
-// --json PATH writes the measurements for scripts/bench_perf.sh, which
-// merges in wall-clock A/B runs of bench_fig9_dma_chain/bench_ring_scaling
-// and emits BENCH_sim_core.json. --smoke shrinks the workloads to a <1 s
-// regression tripwire for scripts/check.sh.
+// --json PATH writes BENCH_sim_core.json for scripts/bench_perf.sh.
+// --smoke shrinks the workloads to a <1 s regression tripwire for
+// scripts/check.sh.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/seed_scheduler.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/event_fn.h"
@@ -38,7 +38,6 @@ namespace {
 using sim::EventFn;
 using sim::Scheduler;
 using Clock = std::chrono::steady_clock;
-using QueueImpl = Scheduler::QueueImpl;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -54,13 +53,15 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 
 // --- timer_fire: self-rescheduling periodic timers -------------------------
 
+template <typename Sched>
 struct TimerState {
-  Scheduler* sched;
+  Sched* sched;
   std::uint64_t* remaining;
   TimePs period;
 };
 
-void arm_timer(TimerState t) {
+template <typename Sched>
+void arm_timer(TimerState<Sched> t) {
   if (*t.remaining == 0) return;
   --*t.remaining;
   // 32-byte capture: the simulator's common shape (this + a few scalars).
@@ -70,20 +71,22 @@ void arm_timer(TimerState t) {
   });
 }
 
-void arm_timer_small(TimerState* t) {
+template <typename Sched>
+void arm_timer_small(TimerState<Sched>* t) {
   if (*t->remaining == 0) return;
   --*t->remaining;
   t->sched->schedule_after(t->period, [t] { arm_timer_small(t); });
 }
 
 /// Returns events/sec; `small` selects the 8-byte-capture variant.
-double run_timer_fire(QueueImpl impl, std::uint64_t fires, bool small) {
-  Scheduler sched(impl);
+template <typename Sched>
+double run_timer_fire(std::uint64_t fires, bool small) {
+  Sched sched;
   std::uint64_t remaining = fires;
-  std::vector<TimerState> timers;
+  std::vector<TimerState<Sched>> timers;
   for (int i = 0; i < 64; ++i) {
-    timers.push_back(TimerState{&sched, &remaining,
-                                97 + static_cast<TimePs>(i)});
+    timers.push_back(TimerState<Sched>{&sched, &remaining,
+                                       97 + static_cast<TimePs>(i)});
   }
   const auto t0 = Clock::now();
   for (auto& t : timers) {
@@ -110,12 +113,13 @@ struct ChurnResult {
 
 /// Steady queue of ~kPending "victim" timeouts (armed far out, always
 /// disarmed in time) alongside near-future "worker" events that fire. Only
-/// certainly-pending ids are cancelled, so both backends agree and the seed's
+/// certainly-pending ids are cancelled, so both queues agree and the seed's
 /// tombstone set stays seed-realistic (drained, not leaking).
-ChurnResult run_churn(QueueImpl impl, std::uint64_t iterations) {
+template <typename Sched>
+ChurnResult run_churn(std::uint64_t iterations) {
   constexpr std::size_t kPending = 1024;
   constexpr TimePs kVictimDelay = units::ms(1);
-  Scheduler sched(impl);
+  Sched sched;
   ChurnResult res;
   std::uint64_t fired = 0;
 
@@ -137,7 +141,7 @@ ChurnResult run_churn(QueueImpl impl, std::uint64_t iterations) {
     };
   };
 
-  std::vector<Scheduler::EventId> victims(kPending);
+  std::vector<typename Sched::EventId> victims(kPending);
   for (std::size_t i = 0; i < kPending; ++i) {
     victims[i] = sched.schedule_after(kVictimDelay, worker(~i));
   }
@@ -164,8 +168,9 @@ ChurnResult run_churn(QueueImpl impl, std::uint64_t iterations) {
 
 // --- reschedule: timeout pushed out repeatedly ------------------------------
 
-double run_reschedule(QueueImpl impl, std::uint64_t iterations) {
-  Scheduler sched(impl);
+template <typename Sched>
+double run_reschedule(std::uint64_t iterations) {
+  Sched sched;
   std::uint64_t fired = 0;
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iterations; ++i) {
@@ -190,14 +195,10 @@ double run_reschedule(QueueImpl impl, std::uint64_t iterations) {
 
 struct Measurement {
   const char* name;
-  double baseline_eps = 0;
-  double indexed_eps = 0;
-  double sharded_eps = 0;  ///< merge-mode sharded backend (TCA_SCHED_BASELINE=2)
+  double baseline_eps = 0;  ///< the seed queue (bench/seed_scheduler.h)
+  double indexed_eps = 0;   ///< sim::Scheduler
   [[nodiscard]] double speedup() const {
     return baseline_eps > 0 ? indexed_eps / baseline_eps : 0;
-  }
-  [[nodiscard]] double sharded_speedup() const {
-    return baseline_eps > 0 ? sharded_eps / baseline_eps : 0;
   }
 };
 
@@ -232,86 +233,62 @@ int run(bool smoke, const std::string& json_path) {
   // Allocation-free guarantee, measured around the indexed timer workload
   // (32-byte captures — the LinkPort/Dmac shape).
   const std::uint64_t heap_before = EventFn::heap_constructions();
-  timer.indexed_eps =
-      run_timer_fire(QueueImpl::kIndexed, kTimerFires, false);
+  timer.indexed_eps = run_timer_fire<Scheduler>(kTimerFires, false);
   const std::uint64_t heap_delta =
       EventFn::heap_constructions() - heap_before;
   timer.indexed_eps = std::max(
       timer.indexed_eps, best_of(kReps - 1, [&] {
-        return run_timer_fire(QueueImpl::kIndexed, kTimerFires, false);
+        return run_timer_fire<Scheduler>(kTimerFires, false);
       }));
   timer.baseline_eps = best_of(kReps, [&] {
-    return run_timer_fire(QueueImpl::kBaseline, kTimerFires, false);
-  });
-
-  timer.sharded_eps = best_of(kReps, [&] {
-    return run_timer_fire(QueueImpl::kSharded, kTimerFires, false);
+    return run_timer_fire<SeedScheduler>(kTimerFires, false);
   });
 
   timer_small.indexed_eps = best_of(kReps, [&] {
-    return run_timer_fire(QueueImpl::kIndexed, kTimerFires, true);
+    return run_timer_fire<Scheduler>(kTimerFires, true);
   });
   timer_small.baseline_eps = best_of(kReps, [&] {
-    return run_timer_fire(QueueImpl::kBaseline, kTimerFires, true);
-  });
-  timer_small.sharded_eps = best_of(kReps, [&] {
-    return run_timer_fire(QueueImpl::kSharded, kTimerFires, true);
+    return run_timer_fire<SeedScheduler>(kTimerFires, true);
   });
 
-  const ChurnResult churn_idx = run_churn(QueueImpl::kIndexed, kChurnIters);
-  const ChurnResult churn_idx2 = run_churn(QueueImpl::kIndexed, kChurnIters);
-  const ChurnResult churn_base = run_churn(QueueImpl::kBaseline, kChurnIters);
-  const ChurnResult churn_shard = run_churn(QueueImpl::kSharded, kChurnIters);
+  const ChurnResult churn_idx = run_churn<Scheduler>(kChurnIters);
+  const ChurnResult churn_idx2 = run_churn<Scheduler>(kChurnIters);
+  const ChurnResult churn_base = run_churn<SeedScheduler>(kChurnIters);
   churn.indexed_eps = std::max(churn_idx.events_per_sec,
                                churn_idx2.events_per_sec);
   churn.indexed_eps = std::max(churn.indexed_eps, best_of(kReps - 2, [&] {
-                                 return run_churn(QueueImpl::kIndexed,
-                                                  kChurnIters)
+                                 return run_churn<Scheduler>(kChurnIters)
                                      .events_per_sec;
                                }));
   churn.baseline_eps =
       std::max(churn_base.events_per_sec, best_of(kReps - 1, [&] {
-                 return run_churn(QueueImpl::kBaseline, kChurnIters)
-                     .events_per_sec;
-               }));
-  churn.sharded_eps =
-      std::max(churn_shard.events_per_sec, best_of(kReps - 1, [&] {
-                 return run_churn(QueueImpl::kSharded, kChurnIters)
-                     .events_per_sec;
+                 return run_churn<SeedScheduler>(kChurnIters).events_per_sec;
                }));
 
   resched.indexed_eps = best_of(kReps, [&] {
-    return run_reschedule(QueueImpl::kIndexed, kReschedIters);
+    return run_reschedule<Scheduler>(kReschedIters);
   });
   resched.baseline_eps = best_of(kReps, [&] {
-    return run_reschedule(QueueImpl::kBaseline, kReschedIters);
-  });
-  resched.sharded_eps = best_of(kReps, [&] {
-    return run_reschedule(QueueImpl::kSharded, kReschedIters);
+    return run_reschedule<SeedScheduler>(kReschedIters);
   });
 
-  TablePrinter table({"workload", "baseline (Mev/s)", "indexed (Mev/s)",
-                      "sharded (Mev/s)", "speedup", "sharded speedup"});
+  TablePrinter table(
+      {"workload", "baseline (Mev/s)", "indexed (Mev/s)", "speedup"});
   for (const Measurement* m : {&timer, &timer_small, &churn, &resched}) {
     table.add_row({m->name, TablePrinter::cell(m->baseline_eps / 1e6),
                    TablePrinter::cell(m->indexed_eps / 1e6),
-                   TablePrinter::cell(m->sharded_eps / 1e6),
-                   TablePrinter::cell(m->speedup()),
-                   TablePrinter::cell(m->sharded_speedup())});
+                   TablePrinter::cell(m->speedup())});
   }
   table.print();
 
   const bool deterministic = churn_idx.processed == churn_idx2.processed &&
                              churn_idx.final_now == churn_idx2.final_now &&
                              churn_idx.fire_hash == churn_idx2.fire_hash;
-  // Three-way: the sharded merge backend must reproduce the exact fire
-  // order (and therefore hash) of the indexed and seed baseline backends.
+  // sim::Scheduler must reproduce the seed queue's exact fire order (and
+  // therefore hash).
   const bool impl_equivalent = churn_idx.processed == churn_base.processed &&
                                churn_idx.final_now == churn_base.final_now &&
-                               churn_idx.fire_hash == churn_base.fire_hash &&
-                               churn_idx.processed == churn_shard.processed &&
-                               churn_idx.final_now == churn_shard.final_now &&
-                               churn_idx.fire_hash == churn_shard.fire_hash;
+                               churn_idx.fire_hash == churn_base.fire_hash;
 
   ShapeCheck check;
   char buf[160];
@@ -340,8 +317,8 @@ int run(bool smoke, const std::string& json_path) {
                "two identical indexed runs: same events_processed, now, "
                "fire-order hash");
   check.expect(impl_equivalent,
-               "baseline, indexed, and sharded backends produce identical "
-               "simulated results (three-way fire-order hash)");
+               "seed and indexed queues produce identical simulated results "
+               "(fire-order hash)");
 
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -352,11 +329,8 @@ int run(bool smoke, const std::string& json_path) {
     for (const Measurement* m : {&timer, &timer_small, &churn, &resched}) {
       std::fprintf(f,
                    "  \"%s\": {\"baseline_events_per_sec\": %.0f, "
-                   "\"indexed_events_per_sec\": %.0f, "
-                   "\"sharded_events_per_sec\": %.0f, \"speedup\": %.3f, "
-                   "\"sharded_speedup\": %.3f},\n",
-                   m->name, m->baseline_eps, m->indexed_eps, m->sharded_eps,
-                   m->speedup(), m->sharded_speedup());
+                   "\"indexed_events_per_sec\": %.0f, \"speedup\": %.3f},\n",
+                   m->name, m->baseline_eps, m->indexed_eps, m->speedup());
     }
     std::fprintf(f, "  \"headline_speedup\": %.3f,\n", churn.speedup());
     std::fprintf(f, "  \"deterministic\": %s,\n",

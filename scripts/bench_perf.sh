@@ -1,26 +1,20 @@
 #!/usr/bin/env bash
 # Simulator-core performance measurement (see docs/ARCHITECTURE.md,
-# "Simulator core performance" and "Parallel DES core").
+# "Simulator core performance").
 #
 # Builds Release, then:
-#   1. bench_sim_core — events/sec of the indexed and sharded (merge-mode)
-#      schedulers vs. the seed baseline backend on synthetic churn (gates
-#      the >=3x headline and timer_fire_small >= 1.0x), plus
-#      allocation-free / determinism / three-way equivalence checks.
-#   2. bench_sharded_scaling — ring-sweep wall clock of the conservative
-#      parallel DES core (gates >=2x over baseline at >=64 nodes and the
-#      per-shard thread-count-invariance checks).
-#   3. Wall-clock A/B of full-simulator benches (bench_fig9_dma_chain,
-#      bench_ring_scaling) across all three backends — TCA_SCHED_BASELINE
-#      0 (indexed) / 1 (baseline) / 2 (sharded merge) — with byte-for-byte
-#      diffs of their reports: simulated results must not drift by a single
-#      picosecond between backends.
-#   4. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
-#      against the conventional MPI/IB stack, with the same three-way
-#      backend diff on bench_coll_allreduce.
-#   5. End-to-end host cost of every full-simulator bench: wall, user and
+#   1. bench_sim_core — events/sec of sim::Scheduler vs. the seed queue
+#      (bench/seed_scheduler.h) on synthetic churn (gates the >=3x headline
+#      and timer_fire_small >= 1.0x), plus allocation-free / determinism /
+#      seed-equivalence checks.
+#   2. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
+#      against the conventional MPI/IB stack.
+#   3. End-to-end host cost of every full-simulator bench: wall, user and
 #      kernel time, minor page faults and peak RSS per bench (median-wall
 #      run of three, interleaved across benches).
+#
+# That simulated results stay put is the golden gate's job (`ctest -L
+# repro`, tests/golden/), not this script's.
 #
 # Everything lands in BENCH_sim_core.json, BENCH_coll.json and
 # BENCH_e2e.json at the repository root. Collector outputs (reports, JSON
@@ -36,7 +30,7 @@ JSON=BENCH_sim_core.json
 COLL_JSON=BENCH_coll.json
 E2E_JSON=BENCH_e2e.json
 # Every bench that runs the full simulator: figures, tables, extensions,
-# ablation, related work and collectives (steps 1-2 are microbenches).
+# ablation, related work and collectives (step 1 is a microbench).
 E2E_BENCHES="bench_fig7_dma_local bench_fig8_dma_single bench_fig9_dma_chain
   bench_fig10_pio_latency bench_fig12_remote_dma bench_table1_system_spec
   bench_table2_test_env bench_peak_efficiency bench_ext_channels
@@ -63,117 +57,23 @@ require_in_repo() {
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
 # E2E_BENCHES is a word list: left unquoted on purpose here and below.
-cmake --build "$BUILD" -j --target bench_sim_core bench_sharded_scaling \
-  $E2E_BENCHES > /dev/null || exit 1
+cmake --build "$BUILD" -j --target bench_sim_core $E2E_BENCHES > /dev/null \
+  || exit 1
 mkdir -p "$OUT"
 
-echo "== bench_sim_core (events/sec: indexed + sharded vs. baseline) =="
-require_in_repo "$OUT/sim_core.json"
-"$BUILD"/bench/bench_sim_core --json "$OUT/sim_core.json" || exit 1
-
-echo
-echo "== bench_sharded_scaling (ring sweep wall clock) =="
-require_in_repo "$OUT/sharded_scaling.json"
-"$BUILD"/bench/bench_sharded_scaling --json "$OUT/sharded_scaling.json" \
-  || exit 1
-
-wallclock_once() { # binary -> seconds, report saved to $2
-  local t0 t1
-  t0=$(date +%s.%N)
-  "$1" > "$2" 2>&1 || return 1
-  t1=$(date +%s.%N)
-  echo "$t0 $t1" | awk '{printf "%.3f", $2 - $1}'
-}
-
-min_s() { # a b -> min(a, b), empty-tolerant
-  if [ -z "$1" ]; then echo "$2"
-  elif awk "BEGIN{exit !($2 < $1)}"; then echo "$2"
-  else echo "$1"; fi
-}
-
-echo
-echo "== wall-clock A/B on full-simulator benches (three-way) =="
+echo "== bench_sim_core (events/sec: indexed vs. seed queue) =="
 status=0
-drift=false
-entries=""
-for bench in bench_fig9_dma_chain bench_ring_scaling; do
-  bin="$BUILD/bench/$bench"
-  require_in_repo "$OUT/$bench.indexed.txt"
-  require_in_repo "$OUT/$bench.baseline.txt"
-  require_in_repo "$OUT/$bench.sharded.txt"
-  # Best-of-5, with the backends interleaved inside each repetition: the
-  # box's slow phases (thermal, noisy neighbours) then penalize all three
-  # equally instead of whichever backend owned the slow minute, and five
-  # samples put each backend's minimum at its true floor — these two
-  # benches run at parity by design (full-simulator wall clock), so the
-  # recorded ratio is all noise floor.
-  idx_s="" base_s="" shard_s=""
-  for _rep in 1 2 3 4 5; do
-    s=$(TCA_SCHED_BASELINE=0 wallclock_once "$bin" "$OUT/$bench.indexed.txt") \
-      || status=1
-    idx_s=$(min_s "$idx_s" "$s")
-    s=$(TCA_SCHED_BASELINE=1 wallclock_once "$bin" "$OUT/$bench.baseline.txt") \
-      || status=1
-    base_s=$(min_s "$base_s" "$s")
-    s=$(TCA_SCHED_BASELINE=2 wallclock_once "$bin" "$OUT/$bench.sharded.txt") \
-      || status=1
-    shard_s=$(min_s "$shard_s" "$s")
-  done
-  if diff -q "$OUT/$bench.indexed.txt" "$OUT/$bench.baseline.txt" \
-       > /dev/null \
-     && diff -q "$OUT/$bench.indexed.txt" "$OUT/$bench.sharded.txt" \
-          > /dev/null
-  then
-    drift_txt="identical output across 3 backends (0 ps drift)"
-  else
-    drift_txt="OUTPUT DIFFERS"
-    drift=true
-    status=1
-  fi
-  speed=$(echo "$base_s $idx_s" | awk '{printf "%.3f", $1 / $2}')
-  shard_speed=$(echo "$base_s $shard_s" | awk '{printf "%.3f", $1 / $2}')
-  printf '%-24s baseline %ss  indexed %ss (%sx)  sharded %ss (%sx)  %s\n' \
-    "$bench" "$base_s" "$idx_s" "$speed" "$shard_s" "$shard_speed" \
-    "$drift_txt"
-  entries="$entries  \"$bench\": {\"baseline_wall_s\": $base_s, \
-\"indexed_wall_s\": $idx_s, \"wall_speedup\": $speed, \
-\"sharded_wall_s\": $shard_s, \"sharded_wall_speedup\": $shard_speed},\n"
-done
-
-# Merge bench_sim_core + bench_sharded_scaling + the wall-clock numbers into
-# one JSON (each fragment's last line is its lone closing brace; the scaling
-# fragment's first two lines are "{" and its bench/smoke tags).
-{
-  head -n -1 "$OUT/sim_core.json"
-  echo "  ,"
-  tail -n +4 "$OUT/sharded_scaling.json" | head -n -1
-  echo "  ,"
-  printf '%b' "$entries"
-  echo "  \"zero_drift\": $($drift && echo false || echo true)"
-  echo "}"
-} > "$JSON"
+require_in_repo "$JSON"
+"$BUILD"/bench/bench_sim_core --json "$JSON" || status=1
 echo
 echo "wrote $JSON"
 
 echo
-echo "== collective library vs the conventional stack (three-way A/B) =="
+echo "== collective library vs the conventional stack =="
 require_in_repo "$OUT/bench_coll_allreduce.json"
 require_in_repo "$OUT/bench_coll_halo.json"
-for mode in 0 1 2; do
-  TCA_SCHED_BASELINE=$mode "$BUILD"/bench/bench_coll_allreduce \
-    --json "$OUT/bench_coll_allreduce.json" \
-    > "$OUT/bench_coll_allreduce.$mode.txt" 2>&1 || status=1
-done
-if diff -q "$OUT/bench_coll_allreduce.0.txt" \
-     "$OUT/bench_coll_allreduce.1.txt" > /dev/null \
-   && diff -q "$OUT/bench_coll_allreduce.0.txt" \
-        "$OUT/bench_coll_allreduce.2.txt" > /dev/null
-then
-  echo "bench_coll_allreduce: identical output across 3 backends"
-else
-  echo "bench_coll_allreduce: OUTPUT DIFFERS across backends"
-  status=1
-fi
+"$BUILD"/bench/bench_coll_allreduce --json "$OUT/bench_coll_allreduce.json" \
+  > "$OUT/bench_coll_allreduce.txt" 2>&1 || status=1
 "$BUILD"/bench/bench_coll_halo --json "$OUT/bench_coll_halo.json" \
   > "$OUT/bench_coll_halo.txt" 2>&1 || status=1
 {
@@ -197,8 +97,8 @@ done
 # from os.wait4 on that child (/usr/bin/time is not assumed installed).
 # getrusage(RUSAGE_CHILDREN) would also count whatever the interpreter's
 # launcher ran before exec (a pyenv shim, say), and its max RSS is a
-# maximum over all of those. Repetitions are interleaved across benches, as
-# in step 3, so a slow phase of the box is spread over every bench.
+# maximum over all of those. Repetitions are interleaved across benches, so
+# a slow phase of the box is spread over every bench.
 python3 - "$BUILD/bench" "$OUT" "$E2E_JSON" $E2E_BENCHES <<'EOF' || status=1
 import json, os, sys, time
 bin_dir, out_dir, json_path, *benches = sys.argv[1:]

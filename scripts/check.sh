@@ -1,20 +1,18 @@
 #!/usr/bin/env bash
-# Fast pre-commit gate: Release build with warnings, tca_lint over the
-# whole tree (coroutine-lifetime / determinism / register-map invariants),
-# a clang-tidy baseline diff (skipped when clang-tidy is not installed),
-# full test suite (soak label excluded — run `ctest -L soak` for the long
-# fault campaigns), a sanitizer pass over the fault, collective, memory and
-# event-queue suites, a TSan pass over the sharded-scheduler suite (epoch-mode worker
-# threads; skipped when the toolchain or kernel can't run TSan binaries),
-# a ~1 s bench_sim_core smoke run (scheduler speedup tripwire + allocation,
-# determinism and backend-equivalence checks), collective bench smoke runs,
-# a chaos smoke (seeded campaigns with same-seed replay check + committed
-# corpus replay), and tca_explore smoke invocations (--stats and
-# --workload).
+# Fast pre-commit gate: Release build with warnings as errors, tca_lint over
+# the whole tree (coroutine-lifetime / determinism / register-map
+# invariants), a clang-tidy baseline diff (skipped when clang-tidy is not
+# installed), full test suite (soak label excluded — run `ctest -L soak` for
+# the long fault campaigns; the `repro` label diffs every full-simulator
+# bench against tests/golden/), a sanitizer pass over the fault, collective,
+# memory and event-queue suites, a ~1 s bench_sim_core smoke run (scheduler
+# speedup tripwire + allocation, determinism and seed-equivalence checks),
+# collective bench smoke runs, a chaos smoke (seeded campaigns with
+# same-seed replay check + committed corpus replay), and tca_explore smoke
+# invocations (--stats and --workload).
 #
 # The build trees are CMake presets (CMakePresets.json): `check` is the
-# Release gate, `asan`/`tsan` the instrumented suites, `perf` the bench
-# tree. For a full instrumented pass: cmake --preset asan && ctest
+# Release gate, `asan` the instrumented suites, `perf` the bench tree. For a full instrumented pass: cmake --preset asan && ctest
 # --preset asan (drop the filter by running ctest --test-dir
 # build-check-asan directly).
 set -eu
@@ -46,24 +44,6 @@ cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
   coll_test memory_test indexed_queue_test
 ctest --preset asan -j "$(nproc)"
-
-echo "== sharded scheduler suite under TSan (skips when unsupported) =="
-# Epoch mode runs shard workers on real threads; TSan is the gate that the
-# barrier/mailbox protocol stays race-free. Probe first: some toolchains
-# and kernels (ASLR vs tsan shadow ranges) can't run TSan binaries at all —
-# skip gracefully there, like the clang-tidy stage.
-TSAN_BUILD=build-check-tsan
-mkdir -p "$TSAN_BUILD"
-printf 'int main() { return 0; }\n' > "$TSAN_BUILD/tsan_probe.cpp"
-if c++ -fsanitize=thread "$TSAN_BUILD/tsan_probe.cpp" \
-     -o "$TSAN_BUILD/tsan_probe" 2> /dev/null \
-   && "$TSAN_BUILD/tsan_probe" 2> /dev/null; then
-  cmake --preset tsan > /dev/null
-  cmake --build --preset tsan -j --target scheduler_stress_test
-  ctest --preset tsan -j "$(nproc)"
-else
-  echo "TSan probe failed to build or run; skipping the TSan stage"
-fi
 
 echo "== bench_sim_core smoke =="
 "$BUILD"/bench/bench_sim_core --smoke

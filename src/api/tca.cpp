@@ -11,20 +11,10 @@ using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 using peach2::TcaTarget;
 
-fabric::TopologySpec Runtime::resolved_topology(const TcaConfig& config) {
-  if (!config.spec.empty()) return config.spec;
-  // One release of compatibility for the pre-TopologySpec enum surface.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return fabric::TopologySpec::from_legacy(config.topology,
-                                           config.node_count);
-#pragma GCC diagnostic pop
-}
-
 Status Runtime::validate_config(const TcaConfig& config) {
   // Per-topology shape rules (ring [2, 16], torus extents/route capacity)
   // live with the spec itself.
-  const fabric::TopologySpec spec = resolved_topology(config);
+  const fabric::TopologySpec& spec = config.spec;
   if (Status st = spec.validate(); !st.is_ok()) return st;
   // The address window must still partition across the nodes.
   auto layout = peach2::TcaLayout::create(
@@ -44,7 +34,7 @@ Status Runtime::validate_config(const TcaConfig& config) {
   if (config.node_config.gpu_backing_bytes == 0) {
     return {ErrorCode::kInvalidArgument, "GPU backing store must be > 0"};
   }
-  // Fault-plan events must name resources the resolved fabric actually has
+  // Fault-plan events must name resources the configured fabric actually has
   // (an out-of-range cable would never fire and the campaign would silently
   // test nothing).
   if (Status st = config.fault_plan.validate(spec); !st.is_ok()) return st;
@@ -62,7 +52,7 @@ Runtime::Runtime(sim::Scheduler& sched, const TcaConfig& config)
       cluster_((TCA_ASSERT(validate_config(config).is_ok()),
                 std::make_unique<fabric::SubCluster>(
                     sched, fabric::SubClusterConfig{
-                               .spec = resolved_topology(config),
+                               .spec = config.spec,
                                .node_config = config.node_config,
                                .cable_bit_error_rate =
                                    config.cable_bit_error_rate,

@@ -27,15 +27,9 @@
 namespace tca::api {
 
 struct TcaConfig {
-  /// Preferred topology description — ring, dual ring, or a 1D/2D/3D torus
-  /// (see fabric::TopologySpec). When left empty the deprecated
-  /// node_count/topology pair below is resolved through
-  /// TopologySpec::from_legacy.
-  fabric::TopologySpec spec;
-  [[deprecated("set TcaConfig::spec instead")]]
-  std::uint32_t node_count = 2;
-  [[deprecated("set TcaConfig::spec instead")]]
-  fabric::Topology topology = fabric::Topology::kRing;
+  /// Ring, dual ring, or 1D/2D/3D torus (see fabric::TopologySpec). The
+  /// default is the paper's 2-node ring.
+  fabric::TopologySpec spec = fabric::TopologySpec::ring(2);
   node::NodeConfig node_config = {
       .gpu_count = 2,
       .host_backing_bytes = 64ull << 20,
@@ -110,10 +104,6 @@ class Runtime {
   /// 1..4, and the backing stores must be large enough for the driver's
   /// host layout. Returns the first violation.
   static Status validate_config(const TcaConfig& config);
-
-  /// The topology `config` resolves to: `spec` when set, otherwise the
-  /// deprecated enum fields.
-  static fabric::TopologySpec resolved_topology(const TcaConfig& config);
 
   /// Fallible construction: validates, then builds. Prefer this over the
   /// constructor — an invalid config comes back as a Status instead of an

@@ -231,19 +231,6 @@ inline constexpr double kCudaMemcpyBytesPerSec = 5.7e9;
 /// several meters").
 inline constexpr TimePs kCableLatencyPs = ns(25);
 
-/// Conservative-PDES lookahead for the sharded scheduler backend: the
-/// minimum simulated latency of any interaction that crosses a shard
-/// boundary. Shards are nodes (or link endpoints), so every cross-shard
-/// event rides a PCIe external cable and arrives no earlier than
-/// kCableLatencyPs after it was sent — that bound is what lets all shards
-/// advance a full window of this width in parallel without risking a
-/// causality violation (see src/sim/sharded.h). Derivation: of the
-/// cross-node terms only the cable hop is unavoidable per crossing;
-/// kRouteLatencyPs and wire time only add on top, so the cable latency is
-/// the infimum. Callers pass this into ShardedEngine::Config::lookahead_ps;
-/// the sim layer deliberately does not include calib.
-inline constexpr TimePs kConservativeLookaheadPs = kCableLatencyPs;
-
 /// TCA global PCIe window reserved by PEACH2 BARs (Section III-E: "current
 /// implementation is 512 Gbytes").
 inline constexpr std::uint64_t kTcaWindowBytes = 512ull << 30;

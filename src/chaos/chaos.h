@@ -25,8 +25,8 @@
 //  * Monotonic time — heartbeat probes observe strictly increasing
 //    simulated time across the campaign.
 //  * Determinism — a campaign is a pure function of its spec: trace and
-//    metric snapshots hash identically on every replay (and across
-//    scheduler backends, which the CLI's --replay-check exercises).
+//    metric snapshots hash identically on every replay (which the CLI's
+//    --replay-check exercises).
 //  * Data integrity — when a workload reports success, the payload it
 //    delivered is verified element-for-element (initial values are small
 //    integers, so floating-point sums are exact and fold-order-free).

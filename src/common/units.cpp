@@ -20,7 +20,7 @@ std::string format_scaled(double value, const char* unit) {
 
 std::string format_time(TimePs t) {
   const double v = static_cast<double>(t);
-  if (t < 0) return "-" + format_time(-t);
+  if (t < 0) return std::string("-").append(format_time(-t));
   if (t < kNanosecond) return format_scaled(v, "ps");
   if (t < kMicrosecond) return format_scaled(v / 1e3, "ns");
   if (t < kMillisecond) return format_scaled(v / 1e6, "us");

@@ -17,16 +17,6 @@ using peach2::torus_plus_port;
 
 namespace {
 
-/// Shard affinity for the sharded scheduler backend: one shard per node,
-/// folded onto the configured shard count. Every cross-node event then
-/// crosses a cable (latency >= calib::kConservativeLookaheadPs), which is
-/// the invariant the conservative lookahead window relies on. No-op (all
-/// zero) on non-sharded backends.
-std::uint32_t node_shard(sim::Scheduler& sched, std::uint32_t node) {
-  const sim::ShardedEngine* engine = sched.sharded();
-  return engine != nullptr ? node % engine->shard_count() : 0;
-}
-
 pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
                               double bit_error_rate) {
   // PCIe external cable between boards: Gen2 x8 with repeater/propagation
@@ -44,20 +34,11 @@ pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
 
 }  // namespace
 
-TopologySpec resolved_topology(const SubClusterConfig& config) {
-  if (!config.spec.empty()) return config.spec;
-  // One release of compatibility for the pre-TopologySpec enum surface.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return TopologySpec::from_legacy(config.topology, config.node_count);
-#pragma GCC diagnostic pop
-}
-
 SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
-    : cfg_(config), topo_(resolved_topology(config)) {
-  const Status topo_ok = topo_.validate();
+    : cfg_(config) {
+  const Status topo_ok = cfg_.spec.validate();
   TCA_ASSERT(topo_ok.is_ok());
-  const std::uint32_t n = topo_.node_count();
+  const std::uint32_t n = cfg_.spec.node_count();
   auto layout_result = TcaLayout::create(config.window_base,
                                          config.window_bytes, n);
   TCA_ASSERT(layout_result.is_ok());
@@ -80,7 +61,6 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
     pcie::LinkPort& slot = cn->attach_peach2_slot(
         pcfg.device_id, node::layout::kPeach2RegBase,
         /*claim_tca_window=*/true);
-    slot.set_shard(node_shard(sched, i));  // node-internal: same shard
     chip->attach_port(PortId::kNorth, slot);
     drivers_.emplace_back(
         std::make_unique<driver::Peach2Driver>(*cn, *chip));
@@ -89,7 +69,7 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
   plus_cable_.assign(n, {kNoCable, kNoCable, kNoCable});
   minus_cable_.assign(n, {kNoCable, kNoCable, kNoCable});
 
-  if (topo_.kind() == TopologySpec::Kind::kDualRing) {
+  if (cfg_.spec.kind() == TopologySpec::Kind::kDualRing) {
     const std::uint32_t half = n / 2;
     wire_ring(sched, 0, half);
     wire_ring(sched, half, half);
@@ -111,7 +91,7 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
     // assert here is the backstop for direct SubCluster users. An
     // out-of-range event would otherwise never fire and the campaign would
     // silently test a quieter fabric than it claims.
-    const Status plan_ok = cfg_.fault_plan.validate(topo_);
+    const Status plan_ok = cfg_.fault_plan.validate(cfg_.spec);
     if (!plan_ok.is_ok()) {
       Log::write(LogLevel::kError, "fabric", plan_ok.to_string());
     }
@@ -128,8 +108,6 @@ void SubCluster::add_cable(sim::Scheduler& sched, std::uint32_t from,
   const CableId id = cables_.size() - 1;
   cable_ends_.emplace_back(from, to);
   cable_dim_.push_back(dim);
-  cable->end_a().set_shard(node_shard(sched, from));
-  cable->end_b().set_shard(node_shard(sched, to));
   chips_[from]->attach_port(from_port, cable->end_a());
   chips_[to]->attach_port(to_port, cable->end_b());
   if (from_port == torus_plus_port(dim)) plus_cable_[from][dim] = id;
@@ -154,17 +132,17 @@ void SubCluster::wire_torus(sim::Scheduler& sched) {
   // dimension in ascending base-node order. For a 1D torus (and the ring
   // topology) this is cable (k, k+1 % n) for k ascending — byte-identical
   // to the paper's E/W ring wiring, names and error seeds included.
-  const std::uint32_t n = topo_.node_count();
-  for (std::uint32_t d = 0; d < topo_.dims(); ++d) {
-    const std::uint32_t extent = topo_.extent(d);
+  const std::uint32_t n = cfg_.spec.node_count();
+  for (std::uint32_t d = 0; d < cfg_.spec.dims(); ++d) {
+    const std::uint32_t extent = cfg_.spec.extent(d);
     for (std::uint32_t base = 0; base < n; ++base) {
-      if (topo_.coords(base)[d] != 0) continue;
+      if (cfg_.spec.coords(base)[d] != 0) continue;
       for (std::uint32_t k = 0; k < extent; ++k) {
-        auto ci = topo_.coords(base);
+        auto ci = cfg_.spec.coords(base);
         auto cj = ci;
         ci[d] = k;
         cj[d] = (k + 1) % extent;
-        add_cable(sched, topo_.node_at(ci), topo_.node_at(cj), d,
+        add_cable(sched, cfg_.spec.node_at(ci), cfg_.spec.node_at(cj), d,
                   torus_plus_port(d), torus_minus_port(d));
       }
     }
@@ -179,12 +157,12 @@ void SubCluster::program_torus_routes() {
   // entries — sum(extent_d - 1) entries per node. First-match order places
   // the high-dimension ranges first, which is exactly dimension order.
   const std::uint64_t slice = layout_.slice_size();
-  const std::uint32_t n = topo_.node_count();
+  const std::uint32_t n = cfg_.spec.node_count();
   for (std::uint32_t a = 0; a < n; ++a) {
-    const auto ca = topo_.coords(a);
+    const auto ca = cfg_.spec.coords(a);
     std::size_t entry_index = 0;
-    for (std::uint32_t d = topo_.dims(); d-- > 0;) {
-      const std::uint32_t extent = topo_.extent(d);
+    for (std::uint32_t d = cfg_.spec.dims(); d-- > 0;) {
+      const std::uint32_t extent = cfg_.spec.extent(d);
       for (std::uint32_t t = 0; t < extent; ++t) {
         if (t == ca[d]) continue;
         // Range: higher dims fixed to our own coordinates, dim d at t,
@@ -195,7 +173,7 @@ void SubCluster::program_torus_routes() {
         lo[d] = hi[d] = t;
         for (std::uint32_t l = 0; l < d; ++l) {
           lo[l] = 0;
-          hi[l] = topo_.extent(l) - 1;
+          hi[l] = cfg_.spec.extent(l) - 1;
         }
         const std::uint32_t plus = (t + extent - ca[d]) % extent;
         const std::uint32_t minus = (ca[d] + extent - t) % extent;
@@ -203,8 +181,8 @@ void SubCluster::program_torus_routes() {
             plus <= minus ? torus_plus_port(d) : torus_minus_port(d);
         const Status st = chips_[a]->routing().add(RouteEntry{
             .mask = ~(slice - 1),
-            .lower = layout_.slice_base(topo_.node_at(lo)),
-            .upper = layout_.slice_base(topo_.node_at(hi)),
+            .lower = layout_.slice_base(cfg_.spec.node_at(lo)),
+            .upper = layout_.slice_base(cfg_.spec.node_at(hi)),
             .port = port,
         });
         TCA_ASSERT(st.is_ok());
@@ -235,14 +213,14 @@ void SubCluster::program_ring_routes(std::uint32_t first,
 }
 
 void SubCluster::program_dual_ring_routes() {
-  const std::uint32_t half = topo_.node_count() / 2;
+  const std::uint32_t half = cfg_.spec.node_count() / 2;
   const std::uint64_t slice = layout_.slice_size();
   program_ring_routes(0, half);
   program_ring_routes(half, half);
   // Destinations in the other ring: cross at the paired node first, then
   // ride that ring. Each node needs an S entry for every cross-ring slice;
   // the ring entries at the far side take over after the hop.
-  for (std::uint32_t i = 0; i < topo_.node_count(); ++i) {
+  for (std::uint32_t i = 0; i < cfg_.spec.node_count(); ++i) {
     const bool in_first = i < half;
     const std::uint32_t p = i % half;  // position within own ring
     const std::uint32_t other_base = in_first ? half : 0;
@@ -276,12 +254,12 @@ void SubCluster::arm_failover(sim::Scheduler& sched) {
   // first serviced one reroutes. Reroutes stay within the dead cable's
   // dimension ring — the address ranges the entries cover are fixed at
   // construction, only their ports ever flip.
-  const std::uint32_t n = topo_.node_count();
+  const std::uint32_t n = cfg_.spec.node_count();
   for (std::uint32_t i = 0; i < n; ++i) {
     chips_[i]->nios().set_link_listener(
         [this, i, &sched](PortId port, bool up) {
           CableId cable = kNoCable;
-          for (std::uint32_t d = 0; d < topo_.dims(); ++d) {
+          for (std::uint32_t d = 0; d < cfg_.spec.dims(); ++d) {
             if (port == torus_plus_port(d)) cable = plus_cable_[i][d];
             if (port == torus_minus_port(d)) cable = minus_cable_[i][d];
           }
@@ -398,16 +376,16 @@ std::uint64_t SubCluster::abandoned_tlps() const {
 
 CableId SubCluster::ring_cable_at(std::uint32_t node, std::uint32_t dim,
                                   std::uint32_t coord) const {
-  auto c = topo_.coords(node);
+  auto c = cfg_.spec.coords(node);
   c[dim] = coord;
-  return plus_cable_[topo_.node_at(c)][dim];
+  return plus_cable_[cfg_.spec.node_at(c)][dim];
 }
 
 std::pair<bool, bool> SubCluster::arcs_clean(std::uint32_t node,
                                              std::uint32_t dim,
                                              std::uint32_t target) const {
-  const std::uint32_t extent = topo_.extent(dim);
-  const std::uint32_t own = topo_.coords(node)[dim];
+  const std::uint32_t extent = cfg_.spec.extent(dim);
+  const std::uint32_t own = cfg_.spec.coords(node)[dim];
   const std::uint32_t plus = (target + extent - own) % extent;
   const std::uint32_t minus = (own + extent - target) % extent;
   bool plus_clean = true, minus_clean = true;
@@ -425,8 +403,8 @@ std::pair<bool, bool> SubCluster::arcs_clean(std::uint32_t node,
 }
 
 peach2::PortId SubCluster::expected_port(const RouteRecord& r) const {
-  const std::uint32_t extent = topo_.extent(r.dim);
-  const std::uint32_t own = topo_.coords(r.node)[r.dim];
+  const std::uint32_t extent = cfg_.spec.extent(r.dim);
+  const std::uint32_t own = cfg_.spec.coords(r.node)[r.dim];
   const std::uint32_t plus = (r.target + extent - own) % extent;
   const std::uint32_t minus = (own + extent - r.target) % extent;
   const auto [plus_clean, minus_clean] = arcs_clean(r.node, r.dim, r.target);
@@ -464,17 +442,17 @@ std::uint32_t SubCluster::route_mismatches() const {
 bool SubCluster::reachable(std::uint32_t from, std::uint32_t to) const {
   if (from >= size() || to >= size()) return false;
   if (from == to) return true;
-  if (topo_.kind() == TopologySpec::Kind::kDualRing) return true;
+  if (cfg_.spec.kind() == TopologySpec::Kind::kDualRing) return true;
   // Walk the dimension-order path: the packet corrects the highest
   // differing dimension first, and the direction choice is made by the
   // ring-entry node (intermediate nodes along a clean arc see a clean
   // sub-arc and keep steering the same way).
-  auto cur = topo_.coords(from);
-  const auto dst = topo_.coords(to);
-  for (std::uint32_t d = topo_.dims(); d-- > 0;) {
+  auto cur = cfg_.spec.coords(from);
+  const auto dst = cfg_.spec.coords(to);
+  for (std::uint32_t d = cfg_.spec.dims(); d-- > 0;) {
     if (cur[d] == dst[d]) continue;
     const auto [plus_clean, minus_clean] =
-        arcs_clean(topo_.node_at(cur), d, dst[d]);
+        arcs_clean(cfg_.spec.node_at(cur), d, dst[d]);
     if (!plus_clean && !minus_clean) return false;
     cur[d] = dst[d];
   }

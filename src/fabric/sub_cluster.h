@@ -29,14 +29,9 @@
 namespace tca::fabric {
 
 struct SubClusterConfig {
-  /// Preferred topology description (see fabric::TopologySpec). When left
-  /// empty the deprecated node_count/topology pair below is resolved
-  /// through TopologySpec::from_legacy.
-  TopologySpec spec;
-  [[deprecated("set SubClusterConfig::spec instead")]]
-  std::uint32_t node_count = 2;
-  [[deprecated("set SubClusterConfig::spec instead")]]
-  Topology topology = Topology::kRing;
+  /// Ring, dual ring, or 1D/2D/3D torus (see fabric::TopologySpec). The
+  /// default is the paper's 2-node ring.
+  TopologySpec spec = TopologySpec::ring(2);
   node::NodeConfig node_config;
   std::uint64_t window_base = calib::kTcaWindowBase;
   std::uint64_t window_bytes = calib::kTcaWindowBytes;
@@ -57,11 +52,6 @@ struct SubClusterConfig {
   bool enable_failover = true;
 };
 
-/// The topology a config resolves to: `spec` when set, otherwise the legacy
-/// enum fields. Lives out-of-line so the deprecated-field read is confined
-/// to one audited spot.
-[[nodiscard]] TopologySpec resolved_topology(const SubClusterConfig& config);
-
 class SubCluster {
  public:
   SubCluster(sim::Scheduler& sched, const SubClusterConfig& config);
@@ -75,8 +65,8 @@ class SubCluster {
   }
   [[nodiscard]] const peach2::TcaLayout& layout() const { return layout_; }
   [[nodiscard]] const SubClusterConfig& config() const { return cfg_; }
-  /// The resolved topology this fabric was built as.
-  [[nodiscard]] const TopologySpec& topology() const { return topo_; }
+  /// The topology this fabric was built as.
+  [[nodiscard]] const TopologySpec& topology() const { return cfg_.spec; }
 
   [[nodiscard]] node::ComputeNode& node(std::uint32_t i) {
     return *nodes_.at(i);
@@ -106,13 +96,7 @@ class SubCluster {
   /// distances summed for tori (dimension-order routing).
   [[nodiscard]] std::uint32_t hops(std::uint32_t from,
                                    std::uint32_t to) const {
-    return topo_.hops(from, to);
-  }
-
-  [[deprecated("use hops()")]]
-  [[nodiscard]] std::uint32_t ring_hops(std::uint32_t from,
-                                        std::uint32_t to) const {
-    return topo_.hops(from, to);
+    return cfg_.spec.hops(from, to);
   }
 
   /// Fault injection: takes every inter-node cable down (or back up).
@@ -150,11 +134,6 @@ class SubCluster {
   /// Firmware's view of cable `k` (false once a NIOS has serviced its down
   /// event; the routing tables reflect this view, not the wire state).
   [[nodiscard]] bool cable_usable(CableId k) const {
-    return cable_usable_.at(k);
-  }
-
-  [[deprecated("use cable_usable()")]]
-  [[nodiscard]] bool ring_cable_usable(CableId k) const {
     return cable_usable_.at(k);
   }
 
@@ -268,7 +247,6 @@ class SubCluster {
                                       std::uint32_t coord) const;
 
   SubClusterConfig cfg_;
-  TopologySpec topo_;
   peach2::TcaLayout layout_;
   std::vector<std::unique_ptr<node::ComputeNode>> nodes_;
   std::vector<std::unique_ptr<peach2::Peach2Chip>> chips_;

@@ -40,11 +40,6 @@ TopologySpec TopologySpec::torus(const std::vector<std::uint32_t>& extents) {
                       static_cast<std::uint32_t>(extents.size())};
 }
 
-TopologySpec TopologySpec::from_legacy(Topology topology,
-                                       std::uint32_t nodes) {
-  return topology == Topology::kDualRing ? dual_ring(nodes) : ring(nodes);
-}
-
 Status TopologySpec::validate() const {
   if (empty()) {
     return {ErrorCode::kInvalidArgument, "topology spec is empty"};

@@ -3,8 +3,7 @@
 // The paper's sub-cluster is a ring of 2..16 PEACH2 boards (optionally two
 // rings coupled over the South ports). The APEnet+ line shows where the
 // architecture goes next: a 3D torus of FPGA NICs. `TopologySpec` is the
-// value type the public config surfaces carry to describe either — the
-// legacy `Topology` enum survives as factory shorthand.
+// value type the public config surfaces carry to describe either.
 //
 // Torus node ids are linearized dimension-major, x fastest:
 //   id = x + y*X + z*X*Y
@@ -26,15 +25,6 @@
 
 namespace tca::fabric {
 
-enum class Topology {
-  /// Single ring over E/W ports (the paper's primary configuration).
-  kRing,
-  /// Two rings of N/2 nodes, coupled pairwise by the S ports ("Port S is
-  /// ... used to combine two rings by connecting to Port S on the peer
-  /// node"). Requires node_count >= 4.
-  kDualRing,
-};
-
 /// Index of an inter-node cable inside a SubCluster (creation order).
 using CableId = std::size_t;
 
@@ -49,8 +39,7 @@ class TopologySpec {
   /// At most three torus dimensions (X, Y, Z) — one port pair each.
   static constexpr std::uint32_t kMaxDims = 3;
 
-  /// Default-constructed spec is *empty* (no nodes): config structs use it
-  /// as the "not set, fall back to the legacy enum fields" sentinel.
+  /// Default-constructed spec is *empty* (no nodes); validate() rejects it.
   constexpr TopologySpec() = default;
 
   static TopologySpec ring(std::uint32_t nodes);
@@ -58,9 +47,6 @@ class TopologySpec {
   /// `extents` lists per-dimension sizes, x first; 1..3 dimensions. A 1D
   /// torus is wired and routed identically to ring(extents[0]).
   static TopologySpec torus(const std::vector<std::uint32_t>& extents);
-  /// Legacy-enum shorthand (the deprecated config fields resolve through
-  /// this).
-  static TopologySpec from_legacy(Topology topology, std::uint32_t nodes);
 
   [[nodiscard]] constexpr Kind kind() const { return kind_; }
   [[nodiscard]] constexpr bool empty() const { return extents_[0] == 0; }

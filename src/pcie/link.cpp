@@ -119,8 +119,8 @@ void LinkPort::try_transmit() {
       }
       // The wire stays busy until the retry is requeued: replay-buffer
       // ordering forbids later TLPs overtaking the failed one.
-      sched_->schedule_on_after(
-          shard_, serialize + calib::kReplayDelayPs,
+      sched_->schedule_after(
+          serialize + calib::kReplayDelayPs,
           [this, t = std::move(tlp)]() mutable {
             wire_busy_ = false;
             peer_->rx_free_ += t.wire_bytes();  // re-reserved on the retry
@@ -141,7 +141,7 @@ void LinkPort::try_transmit() {
                                                    : tlp.payload.size()),
         sched_->now(), sched_->now() + serialize);
   }
-  wire_done_event_ = sched_->schedule_on_after(shard_, serialize, [this] {
+  wire_done_event_ = sched_->schedule_after(serialize, [this] {
     wire_done_event_ = sim::Scheduler::kInvalidEvent;
     wire_busy_ = false;
     try_transmit();
@@ -149,11 +149,10 @@ void LinkPort::try_transmit() {
   });
   // Track the delivery event so a surprise-down can pull the TLP off the
   // wire. Deliveries fire in FIFO order (the serializer forbids overtaking),
-  // so the handler always consumes the front element. The delivery crosses
-  // the link, so it is tagged with the peer endpoint's shard.
+  // so the handler always consumes the front element.
   in_flight_.push_back(InFlight{sim::Scheduler::kInvalidEvent, std::move(tlp)});
-  in_flight_.back().event = sched_->schedule_on_after(
-      peer_->shard_, serialize + cfg_->propagation_ps, [this] {
+  in_flight_.back().event = sched_->schedule_after(
+      serialize + cfg_->propagation_ps, [this] {
         Tlp t = std::move(in_flight_.front().tlp);
         in_flight_.pop_front();
         peer_->deliver(std::move(t));

@@ -130,16 +130,6 @@ class LinkPort {
     replay_threshold_cb_ = std::move(cb);
   }
 
-  /// Shard affinity for the sharded scheduler backend: events that mutate
-  /// this port's state (serializer completion, replay retry) are tagged with
-  /// this shard, and TLP deliveries are tagged with the *peer's* shard — a
-  /// delivery crosses the cable, which is exactly the cross-shard edge whose
-  /// latency bounds the conservative lookahead. Fabric construction assigns
-  /// each endpoint its node's shard; untagged ports default to shard 0, and
-  /// non-sharded backends ignore the tag entirely.
-  void set_shard(std::uint32_t shard) { shard_ = shard; }
-  [[nodiscard]] std::uint32_t shard() const { return shard_; }
-
   /// Fault recovery: discards every TLP queued for transmission, including
   /// surprise-down returns parked in the replay buffer. The fabric calls
   /// this when a failover has rerouted traffic away from this cable: after
@@ -191,7 +181,6 @@ class LinkPort {
 
   sim::Scheduler* sched_;
   const LinkConfig* cfg_;
-  std::uint32_t shard_ = 0;
   LinkPort* peer_ = nullptr;
   const bool* link_up_ = nullptr;
   std::function<void(bool)> link_state_cb_;

@@ -1,11 +1,11 @@
-// Per-shard frame arena: pooled allocation for coroutine frames and EventFn
-// heap fallbacks.
+// Frame arena: pooled allocation for coroutine frames and EventFn heap
+// fallbacks.
 //
 // Simulated processes (sim::Task coroutines) and oversized event captures are
 // the last steady-state heap traffic in the event core: every Task spawn is a
 // frame malloc and every completion a free, straight through the global
 // allocator. FrameArena replaces that with bump-allocated chunks recycled
-// through size-class free lists, one arena per scheduler shard, so a shard's
+// through size-class free lists, one arena per scheduler, so a simulation's
 // churn of short-lived frames touches only its own warm memory.
 //
 // Design:
@@ -17,10 +17,10 @@
 //    recycling that makes per-frame cost a pointer swap.
 //  * Every block carries a one-max_align_t header recording the owning arena
 //    so a block can be freed from a different context than it was allocated
-//    in (a cross-shard mailbox event is built on the source shard and
-//    destroyed on the destination shard). The free-list push/pop is guarded
-//    by a mutex for that reason; it is uncontended in single-threaded modes
-//    and contended only on the rare cross-shard oversized capture.
+//    in (a frame spawned inside an event may die at teardown, outside any
+//    event). The free-list push/pop is guarded by a mutex, so a block also
+//    stays safe to free from another thread; a simulation runs on one
+//    thread, so the lock is uncontended.
 //  * arena_alloc()/arena_free() route through the calling thread's current
 //    arena (see ArenaScope), falling back to the global allocator when no
 //    arena is active — allocations made outside scheduler execution (test
@@ -32,8 +32,7 @@
 // scheduler — means frames are gone by then.
 //
 // Under AddressSanitizer the pool is disabled (pass-through to the global
-// allocator) so use-after-free of frames stays detectable; ThreadSanitizer
-// keeps the pool, whose mutex makes cross-thread recycling well-synchronized.
+// allocator) so use-after-free of frames stays detectable.
 #pragma once
 
 #include <cstddef>
@@ -131,7 +130,8 @@ class FrameArena {
 
 namespace detail {
 /// The calling thread's active arena (set by ArenaScope, null outside
-/// scheduler execution). thread_local so parallel shards never share one.
+/// scheduler execution). thread_local so simulations running on different
+/// threads never share one.
 inline thread_local FrameArena* t_current_arena = nullptr;
 }  // namespace detail
 
@@ -142,7 +142,7 @@ inline thread_local FrameArena* t_current_arena = nullptr;
 
 /// RAII activation of an arena for the current thread. The scheduler wraps
 /// event execution in one of these so every frame allocated inside an event
-/// lands in the firing shard's pool.
+/// lands in that scheduler's pool.
 class ArenaScope {
  public:
   explicit ArenaScope(FrameArena* arena) : prev_(detail::t_current_arena) {

@@ -85,8 +85,8 @@ class EventFn {
 
   /// Process-wide count of heap-fallback constructions. Steady-state
   /// scheduler traffic must not advance it (asserted by tests and
-  /// bench_sim_core). Atomic: parallel shard executors may take the
-  /// fallback concurrently.
+  /// bench_sim_core). Atomic: simulations on different threads may take
+  /// the fallback concurrently.
   static std::uint64_t heap_constructions() noexcept {
     return heap_constructions_.load(std::memory_order_relaxed);
   }
@@ -123,7 +123,7 @@ class EventFn {
       vt_ = &kVTable<D, true>;
     } else {
       // Oversized capture: the fallback allocation recycles through the
-      // executing shard's FrameArena when one is active (global heap
+      // executing scheduler's FrameArena when one is active (global heap
       // otherwise — setup code, over-aligned captures).
       void* p;
       if constexpr (arena_eligible<D>()) {

@@ -1,5 +1,4 @@
-// Indexed event queue: the storage engine behind sim::Scheduler's kIndexed
-// backend and each shard of the kSharded backend.
+// Indexed event queue: the storage engine behind sim::Scheduler.
 //
 // Every pending event owns one slot of a pool: its allocation-free
 // sim::EventFn, its (time, seq) key, list links, and a generation counter
@@ -42,10 +41,8 @@
 // and `now` never passes a live event. So each ring bucket holds the events
 // of exactly one absolute bucket.
 //
-// The queue is clock-less: callers pass `now` in (the Scheduler owns global
-// time; a shard of the parallel backend owns its local time) and supply the
-// `seq` tiebreak explicitly, which is how the sharded backend's merge mode
-// reproduces the exact global FIFO order of the single-queue backend.
+// The queue is clock-less: the Scheduler owns time and passes `now` in, and
+// supplies the `seq` tiebreak that makes same-time events fire FIFO.
 #pragma once
 
 #include <algorithm>
@@ -160,7 +157,6 @@ class IndexedQueue {
   /// 2^(gran + buckets) ps. The defaults (1.024 ns x 4096 ~ 4.2 us) hold
   /// every delay class the simulator files except its 34-67 us timeouts,
   /// and put the dominant 16-131 ns steps dozens of buckets apart.
-  /// Per-shard queues use a smaller ring (see ShardedEngine).
   explicit IndexedQueue(unsigned gran_log2 = 10, unsigned buckets_log2 = 12)
       : max_gran_log2_(gran_log2),
         mask_((std::uint64_t{1} << buckets_log2) - 1),
@@ -181,14 +177,6 @@ class IndexedQueue {
   Ref schedule(TimePs t, TimePs now, std::uint64_t seq, F&& fn) {
     const std::uint32_t index = take_slot();
     slots_[index].fn.emplace(std::forward<F>(fn));
-    return file(index, t, now, seq);
-  }
-
-  /// Same, for an already-type-erased callable (the sharded backend's
-  /// cross-shard mailbox path).
-  Ref schedule_fn(TimePs t, TimePs now, std::uint64_t seq, EventFn&& fn) {
-    const std::uint32_t index = take_slot();
-    slots_[index].fn = std::move(fn);
     return file(index, t, now, seq);
   }
 
@@ -290,8 +278,8 @@ class IndexedQueue {
     return static_cast<std::uint64_t>(t) >> gran_log2_;
   }
 
-  /// Raises the horizon anchor to `now`'s bucket. A caller passing an older
-  /// clock (a shard polled at its stale local time) never lowers it.
+  /// Raises the horizon anchor to `now`'s bucket; an older clock never
+  /// lowers it.
   void observe(TimePs now) { floor_ = std::max(floor_, bucket_abs(now)); }
 
   std::uint32_t take_slot() {

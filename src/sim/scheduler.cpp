@@ -1,77 +1,14 @@
 #include "sim/scheduler.h"
 
-#include <cstdlib>
-#include <utility>
-
 namespace tca::sim {
 
-Scheduler::QueueImpl Scheduler::default_impl() {
-  static const QueueImpl impl = [] {
-    const char* v = std::getenv("TCA_SCHED_BASELINE");
-    if (v == nullptr || v[0] == '\0' || (v[0] == '0' && v[1] == '\0')) {
-      return QueueImpl::kIndexed;
-    }
-    if (v[0] == '2' && v[1] == '\0') return QueueImpl::kSharded;
-    return QueueImpl::kBaseline;
-  }();
-  return impl;
-}
-
 void Scheduler::run_until(TimePs t) {
-  if (impl_ == QueueImpl::kSharded) {
-    sharded_->run_until(t);
-    return;
-  }
   TCA_ASSERT(t >= now_);
-  if (impl_ == QueueImpl::kIndexed) {
-    ArenaScope scope(&arena_);
-    while (fire_next_indexed(t)) {
-    }
-  } else {
-    while (run_one(t)) {
-    }
+  ArenaScope scope(&arena_);
+  while (fire_next(t)) {
   }
   now_ = t;
   Log::set_now(now_);
-}
-
-// --- Baseline (seed) backend ----------------------------------------------
-
-Scheduler::EventId Scheduler::schedule_baseline(TimePs t,
-                                                std::function<void()> fn) {
-  TCA_ASSERT(t >= now_);
-  TCA_ASSERT(fn != nullptr);
-  const EventId id = b_next_id_++;
-  b_queue_.push(BaselineEntry{t, id, std::move(fn)});
-  return id;
-}
-
-bool Scheduler::cancel_baseline(EventId id) {
-  if (id == kInvalidEvent || id >= b_next_id_) return false;
-  // Seed semantics: mark-and-skip tombstones; the set is consulted by a hash
-  // lookup on every pop.
-  return b_cancelled_.insert(id).second;
-}
-
-bool Scheduler::run_one_baseline(TimePs limit) {
-  while (!b_queue_.empty()) {
-    const BaselineEntry& top = b_queue_.top();
-    if (auto it = b_cancelled_.find(top.id); it != b_cancelled_.end()) {
-      b_cancelled_.erase(it);
-      b_queue_.pop();
-      continue;
-    }
-    if (top.time > limit) return false;
-    BaselineEntry entry = std::move(const_cast<BaselineEntry&>(top));
-    b_queue_.pop();
-    TCA_ASSERT(entry.time >= now_);
-    now_ = entry.time;
-    Log::set_now(now_);
-    ++processed_;
-    entry.fn();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace tca::sim

@@ -35,7 +35,7 @@ struct PromiseBase {
   bool detached = false;
   std::exception_ptr exception;
 
-  /// Coroutine frames route through the executing shard's FrameArena:
+  /// Coroutine frames route through the executing scheduler's FrameArena:
   /// spawning a process inside an event reuses pooled, cache-warm memory
   /// instead of hitting the global allocator per frame (frames created
   /// outside event execution fall through to the global heap — the header

@@ -145,7 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = c.src_host ? "Host" : "Gpu";
       name += c.dst_host ? "ToHost" : "ToGpu";
       name += c.remote ? "Remote" : "Local";
-      name += "_" + std::to_string(c.bytes);
+      name.append("_").append(std::to_string(c.bytes));
       return name;
     });
 
@@ -658,9 +658,7 @@ TEST(RuntimeCreate, AcceptsValidConfig) {
 
 TEST(RuntimeCreate, RejectsBadNodeCounts) {
   sim::Scheduler sched;
-  // ring(0) is the empty "unspecified" sentinel: the config defers to the
-  // (deprecated) legacy fields, whose default is a valid 2-node ring.
-  EXPECT_TRUE(Runtime::create(sched, small_config(0)).is_ok());
+  EXPECT_FALSE(Runtime::create(sched, small_config(0)).is_ok());
   EXPECT_FALSE(Runtime::create(sched, small_config(1)).is_ok());
   EXPECT_FALSE(Runtime::create(sched, small_config(3)).is_ok());   // not 2^k
   EXPECT_FALSE(Runtime::create(sched, small_config(32)).is_ok());  // > 16
@@ -677,24 +675,21 @@ TEST(RuntimeCreate, RejectsDualRingBelowFourNodes) {
   EXPECT_TRUE(Runtime::create(sched, cfg).is_ok());
 }
 
-// Deliberate legacy-surface coverage: the deprecated node_count/topology
-// fields must keep working for one release (an empty `spec` defers to
-// them), so this test pins the compatibility path until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(RuntimeCreate, DeprecatedEnumFieldsStillResolve) {
+TEST(RuntimeCreate, DefaultConfigIsThePapersTwoNodeRing) {
+  sim::Scheduler sched;
+  auto rt = Runtime::create(sched, TcaConfig{});
+  ASSERT_TRUE(rt.is_ok()) << rt.status().to_string();
+  EXPECT_EQ(rt.value().node_count(), 2u);
+  EXPECT_EQ(rt.value().cluster().topology(), fabric::TopologySpec::ring(2));
+}
+
+TEST(RuntimeCreate, RejectsAnExplicitlyEmptySpec) {
   sim::Scheduler sched;
   TcaConfig cfg = small_config();
-  cfg.spec = {};  // empty spec: legacy fields decide
-  cfg.node_count = 4;
-  cfg.topology = fabric::Topology::kDualRing;
-  EXPECT_EQ(Runtime::resolved_topology(cfg),
-            fabric::TopologySpec::dual_ring(4));
-  EXPECT_TRUE(Runtime::create(sched, cfg).is_ok());
-  cfg.node_count = 3;  // legacy path feeds the same per-topology validation
-  EXPECT_FALSE(Runtime::create(sched, cfg).is_ok());
+  cfg.spec = fabric::TopologySpec{};
+  EXPECT_EQ(Runtime::create(sched, cfg).status().code(),
+            ErrorCode::kInvalidArgument);
 }
-#pragma GCC diagnostic pop
 
 TEST(RuntimeCreate, RejectsBadBackingStores) {
   sim::Scheduler sched;

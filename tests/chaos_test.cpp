@@ -127,7 +127,7 @@ TEST(ChaosCampaign, SameSeedReplayIsByteIdentical) {
 TEST(ChaosCampaign, EveryWorkloadPassesOnSmallFabrics) {
   for (const Workload w : {Workload::kAllreduce, Workload::kHalo,
                            Workload::kPingPong, Workload::kMixed}) {
-    for (std::uint64_t seed : {1, 2, 3}) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
       CampaignSpec spec;
       spec.seed = seed;
       spec.topology = TopologySpec::ring(4);

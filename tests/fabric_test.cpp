@@ -19,10 +19,9 @@ using units::gbytes_per_second;
 using units::ns;
 using units::us;
 
-SubClusterConfig small_cluster(std::uint32_t nodes,
-                               Topology topo = Topology::kRing) {
+SubClusterConfig small_cluster(TopologySpec spec) {
   return SubClusterConfig{
-      .spec = TopologySpec::from_legacy(topo, nodes),
+      .spec = spec,
       .node_config = {.gpu_count = 2,
                       .host_backing_bytes = 8 << 20,
                       .gpu_backing_bytes = 4 << 20},
@@ -39,7 +38,7 @@ std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed = 1) {
 
 TEST(SubCluster, BuildsRingWithRoutes) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(4));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(4)));
   EXPECT_EQ(tca.size(), 4u);
   // Every chip has one route per other node.
   for (std::uint32_t i = 0; i < 4; ++i) {
@@ -55,7 +54,7 @@ TEST(SubCluster, BuildsRingWithRoutes) {
 
 TEST(SubCluster, PioStoreReachesRemoteHost) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   auto data = pattern(4, 2);
 
   auto t = tca.driver(0).pio_store(tca.global_host(1, 0x100), data);
@@ -72,7 +71,7 @@ TEST(SubCluster, PioStoreReachesRemoteHost) {
 TEST(SubCluster, PioLatencyIsSubMicrosecond) {
   // The paper's headline: 782 ns between adjacent nodes. Store + poll.
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
 
   std::uint32_t zero = 0;
   tca.node(1).cpu().write_host(0x100, std::as_bytes(std::span(&zero, 1)));
@@ -89,7 +88,7 @@ TEST(SubCluster, PioLatencyIsSubMicrosecond) {
 
 TEST(SubCluster, PioToOwnNodeLoopsBackThroughChip) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   auto data = pattern(8, 3);
 
   auto t = tca.driver(0).pio_store(tca.global_host(0, 0x40), data);
@@ -102,7 +101,7 @@ TEST(SubCluster, PioToOwnNodeLoopsBackThroughChip) {
 
 TEST(SubCluster, DmaLocalWriteToHost) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   auto data = pattern(4096, 4);
@@ -127,7 +126,7 @@ TEST(SubCluster, DmaLocalWriteToHost) {
 
 TEST(SubCluster, DmaLocalReadFromHost) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   auto data = pattern(8192, 5);
@@ -148,7 +147,7 @@ TEST(SubCluster, DmaLocalReadFromHost) {
 
 TEST(SubCluster, DmaLocalWriteToGpuViaGpuDirect) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
   auto& gpu = tca.node(0).gpu(0);
 
@@ -175,7 +174,7 @@ TEST(SubCluster, DmaLocalWriteToGpuViaGpuDirect) {
 
 TEST(SubCluster, DmaReadFromGpuIsTranslationLimited) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
   auto& gpu = tca.node(0).gpu(0);
 
@@ -209,7 +208,7 @@ TEST(SubCluster, DmaReadFromGpuIsTranslationLimited) {
 
 TEST(SubCluster, RemoteDmaWriteToHostDeliversAndAcks) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   auto data = pattern(4096, 8);
@@ -232,7 +231,7 @@ TEST(SubCluster, RemoteDmaWriteToHostDeliversAndAcks) {
 
 TEST(SubCluster, RemoteDmaWriteToGpuGetsDeliveryAck) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
   auto& gpu = tca.node(1).gpu(0);
 
@@ -265,7 +264,7 @@ TEST(SubCluster, RemoteDmaWriteToGpuGetsDeliveryAck) {
 
 TEST(SubCluster, RemoteReadRejectedPutOnly) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   auto t = drv.run_chain(
@@ -281,7 +280,7 @@ TEST(SubCluster, RemoteReadRejectedPutOnly) {
 
 TEST(SubCluster, PipelinedDescriptorMovesHostToRemoteHost) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   auto data = pattern(16 << 10, 10);
@@ -331,7 +330,7 @@ TEST(SubCluster, PipelinedBeatsTwoPhase) {
   TimePs two_phase = 0, pipelined = 0;
   {
     sim::Scheduler sched;
-    SubCluster tca(sched, small_cluster(2));
+    SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
     tca.node(0).cpu().write_host(0x1000, data);
     auto t = run_two_phase(tca);
     sched.run();
@@ -342,7 +341,7 @@ TEST(SubCluster, PipelinedBeatsTwoPhase) {
   }
   {
     sim::Scheduler sched;
-    SubCluster tca(sched, small_cluster(2));
+    SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
     tca.node(0).cpu().write_host(0x1000, data);
     auto t = tca.driver(0).run_chain(
         {DmaDescriptor{.src = tca.driver(0).host_buffer_global(0x1000),
@@ -361,7 +360,7 @@ TEST(SubCluster, PipelinedBeatsTwoPhase) {
 
 TEST(SubCluster, MultiHopLatencyGrowsWithDistance) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(8));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(8)));
 
   auto measure = [&](std::uint32_t dest) {
     std::uint32_t zero = 0;
@@ -388,7 +387,7 @@ TEST(SubCluster, MultiHopLatencyGrowsWithDistance) {
 
 TEST(SubCluster, RingRoutesChooseShortestDirection) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(8));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(8)));
   // From node 0: node 1..3 go East, node 5..7 go West (4 = tie, East).
   auto& routing = tca.chip(0).routing();
   auto port_for = [&](std::uint32_t dest) {
@@ -403,7 +402,7 @@ TEST(SubCluster, RingRoutesChooseShortestDirection) {
 
 TEST(SubCluster, DualRingCrossesSouth) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(8, Topology::kDualRing));
+  SubCluster tca(sched, small_cluster(TopologySpec::dual_ring(8)));
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(tca.chip(i).link_up(peach2::PortId::kSouth));
   }
@@ -422,7 +421,7 @@ TEST(SubCluster, DualRingCrossesSouth) {
 
 TEST(SubCluster, RegisterPathReadsChipId) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   auto t = tca.driver(0).read_register(peach2::regs::kChipId);
   sched.run();
   EXPECT_EQ(t.result(), peach2::regs::kChipIdValue);
@@ -434,7 +433,7 @@ TEST(SubCluster, RegisterPathReadsChipId) {
 
 TEST(SubCluster, RegisterPathProgramsRoutingEntry) {
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   namespace r = peach2::regs;
   auto& drv = tca.driver(0);
   const std::uint64_t base = r::kRouteBase + 10 * r::kRouteStride;
@@ -461,7 +460,7 @@ TEST(SubCluster, RegisterPathProgramsRoutingEntry) {
 TEST(SubCluster, ChainedWritesHit33GBs) {
   // The Figure 7 headline: 255 chained 4 KiB DMA writes -> 3.3 GB/s.
   sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(2));
+  SubCluster tca(sched, small_cluster(TopologySpec::ring(2)));
   Peach2Driver& drv = tca.driver(0);
 
   std::vector<DmaDescriptor> chain;

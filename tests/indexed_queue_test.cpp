@@ -1,5 +1,5 @@
-// Reference-model tests for sim::IndexedQueue, the storage engine behind the
-// indexed and sharded scheduler backends.
+// Reference-model tests for sim::IndexedQueue, the storage engine behind
+// sim::Scheduler.
 //
 // Every test drives the queue and a std::map keyed by (time, seq) side by
 // side and requires each pop to return the map's first key. The scenarios
@@ -8,7 +8,7 @@
 // far heap, events exactly at the ring horizon and 1 ps past it, cancels of
 // a bucket's head, tail and middle and of the cached minimum, far timers and
 // heap compaction, and grain adaptation in both directions. They run at the
-// scheduler's default geometry and at the sharded engine's.
+// scheduler's default geometry and at a finer, shorter ring.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +33,7 @@ struct Geometry {
 };
 
 constexpr Geometry kSchedulerGeometry{10, 12};  // IndexedQueue defaults
-constexpr Geometry kShardGeometry{8, 10};       // ShardedEngine::Config
+constexpr Geometry kShardGeometry{8, 10};       // 256 ps x 1024 buckets
 constexpr Geometry kTinyGeometry{0, 6};         // 64 ps horizon
 
 /// The queue under test plus its reference model. Callers advance `now`
@@ -56,12 +56,8 @@ class Harness {
   /// Files an event at absolute time `t`; returns its seq.
   std::uint64_t schedule(TimePs t) {
     const std::uint64_t seq = next_seq_++;
-    IndexedQueue::Ref ref;
-    if (seq % 5 == 0) {  // the sharded mailbox path
-      ref = q_.schedule_fn(t, now_, seq, EventFn([this, seq] { fired_ = seq; }));
-    } else {
-      ref = q_.schedule(t, now_, seq, [this, seq] { fired_ = seq; });
-    }
+    const IndexedQueue::Ref ref =
+        q_.schedule(t, now_, seq, [this, seq] { fired_ = seq; });
     model_.emplace(std::make_pair(t, seq), ref);
     refs_.push_back(ref);
     times_.push_back(t);
@@ -186,7 +182,7 @@ void random_ops(Geometry g, std::uint64_t seed, int ops) {
     } else if (dice < 48) {
       h.advance(static_cast<TimePs>(rng.next_below(2 * horizon)));
     } else if (dice < 52) {
-      h.expect_min(h.now() / 2);  // a shard polled at a stale clock
+      h.expect_min(h.now() / 2);  // an older clock never lowers the floor
     } else {
       h.pop();
     }

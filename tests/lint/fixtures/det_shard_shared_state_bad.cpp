@@ -1,7 +1,8 @@
-// Seeded violation: det-shard-shared-state — mutable statics on a shard
-// execution path. Epoch-mode workers execute event bodies concurrently, so
-// unsynchronized shared state is a data race, and the value any event
-// observes depends on thread interleaving: replay stops being bit-identical.
+// Seeded violation: det-shard-shared-state — mutable statics in the event
+// core. Process-global state is shared by every simulation in the process,
+// so simulations run side by side on a thread pool race on it, and the
+// value any event observes depends on what ran before: replay stops being
+// bit-identical.
 #include <cstdint>
 
 namespace fixture {

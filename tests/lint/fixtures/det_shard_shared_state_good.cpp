@@ -1,6 +1,6 @@
-// Clean twin of det_shard_shared_state_bad.cpp: every static on a shard
-// execution path is immutable, synchronized, or per-thread — or carries a
-// justified allow when a counter is genuinely diagnostic-only.
+// Clean twin of det_shard_shared_state_bad.cpp: every static in the event
+// core is immutable, synchronized, or per-thread — or carries a justified
+// allow when a counter is genuinely diagnostic-only.
 #include <atomic>
 #include <cstdint>
 

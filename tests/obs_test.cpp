@@ -26,7 +26,7 @@ TEST(MetricRegistry, ReferencesAreStableAcrossInsertions) {
   Counter& a = reg.counter("a");
   // Force rebalancing-ish churn; std::map nodes must not move.
   for (int i = 0; i < 256; ++i) {
-    reg.counter("n" + std::to_string(i)).add();
+    reg.counter(std::string("n").append(std::to_string(i))).add();
   }
   a.add(7);
   EXPECT_EQ(reg.counter_value("a"), 7u);

@@ -4,31 +4,22 @@
 // assert the invariants the indexed queue must preserve: FIFO stability
 // among equal timestamps, cancel-after-fire returning false, run-to-run
 // determinism (identical events_processed and fire-order hashes), and
-// equivalence with the seed priority_queue baseline backend. Also pins the
-// allocation-free guarantee of sim::EventFn for the capture shapes the
-// simulator's hot paths use.
-//
-// Sharded backend coverage: merge mode must reproduce the indexed backend's
-// exact global event order under the same churn (including shard-spread
-// schedules and full-simulator traces, byte for byte), and epoch mode must
-// produce thread-count-invariant per-shard event orders. This file is also
-// the target of the ThreadSanitizer stage in scripts/check.sh.
+// equivalence with the seed priority_queue scheduler in
+// bench/seed_scheduler.h.
+// Also pins the allocation-free guarantee of sim::EventFn for the capture
+// shapes the simulator's hot paths use.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/seed_scheduler.h"
 #include "common/rng.h"
-#include "common/trace.h"
 #include "common/units.h"
-#include "fabric/sub_cluster.h"
 #include "pcie/tlp.h"
-#include "peach2/descriptor.h"
 #include "sim/event_fn.h"
 #include "sim/scheduler.h"
-#include "sim/sharded.h"
 
 namespace tca::sim {
 namespace {
@@ -57,14 +48,9 @@ struct StressResult {
 /// reschedules (cancel + schedule). Tokens increase in scheduling order, so
 /// FIFO stability among equal timestamps is checkable as strictly increasing
 /// tokens within each timestamp.
-/// `spread_shards` tags each schedule with a shard (token % 7) — the tag
-/// routes events across shard queues on the sharded backend and is ignored
-/// by the others, so the identical workload remains comparable across all
-/// three.
-StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
-                        std::uint64_t target_fired,
-                        bool spread_shards = false) {
-  Scheduler sched(impl);
+template <typename Sched>
+StressResult run_stress(std::uint64_t seed, std::uint64_t target_fired) {
+  Sched sched;
   Rng rng(seed);
   StressResult res;
   std::uint64_t next_token = 0;
@@ -72,9 +58,9 @@ StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
   std::uint64_t last_token = 0;
   // Live (cancellable) events: parallel id/token bookkeeping, swap-removed.
   // Entries for fired events are purged before use (fired_flag), so cancel()
-  // is only ever invoked on genuinely pending events — where both backends
+  // is only ever invoked on genuinely pending events — where both queues
   // agree; cancel-after-fire semantics get their own dedicated test.
-  std::vector<std::pair<Scheduler::EventId, std::uint64_t>> live;
+  std::vector<std::pair<typename Sched::EventId, std::uint64_t>> live;
   std::vector<char> fired_flag;
 
   auto on_fire = [&](std::uint64_t token) {
@@ -91,17 +77,13 @@ StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
   auto schedule_one = [&](TimePs at) {
     const std::uint64_t token = next_token++;
     fired_flag.push_back(0);
-    const auto id =
-        spread_shards
-            ? sched.schedule_on(static_cast<std::uint32_t>(token % 7), at,
-                                [&, token] { on_fire(token); })
-            : sched.schedule_at(at, [&, token] { on_fire(token); });
-    live.emplace_back(id, token);
+    live.emplace_back(sched.schedule_at(at, [&, token] { on_fire(token); }),
+                      token);
   };
 
   // Picks a random still-pending entry and removes it from `live`, purging
   // fired entries it stumbles on. Returns kInvalidEvent when none is left.
-  auto take_live = [&]() -> Scheduler::EventId {
+  auto take_live = [&]() -> typename Sched::EventId {
     while (!live.empty()) {
       const std::size_t i = rng.next_below(live.size());
       const auto [id, token] = live[i];
@@ -109,7 +91,7 @@ StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
       live.pop_back();
       if (fired_flag[token] == 0) return id;
     }
-    return Scheduler::kInvalidEvent;
+    return Sched::kInvalidEvent;
   };
 
   while (res.fired < target_fired) {
@@ -123,12 +105,12 @@ StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
                                                 rng.next_below(1000));
       schedule_one(at);
     } else if (op < 5) {
-      if (const auto id = take_live(); id != Scheduler::kInvalidEvent) {
+      if (const auto id = take_live(); id != Sched::kInvalidEvent) {
         EXPECT_TRUE(sched.cancel(id));
       }
     } else if (op < 6) {
       // Reschedule: cancel + schedule at a new time, as a timeout push-out.
-      if (const auto id = take_live(); id != Scheduler::kInvalidEvent) {
+      if (const auto id = take_live(); id != Sched::kInvalidEvent) {
         EXPECT_TRUE(sched.cancel(id));
         schedule_one(sched.now() + static_cast<TimePs>(rng.next_below(500)));
       }
@@ -144,8 +126,8 @@ StressResult run_stress(Scheduler::QueueImpl impl, std::uint64_t seed,
 }
 
 TEST(SchedulerStress, FifoStableAndDeterministicAcrossRuns) {
-  const auto a = run_stress(Scheduler::QueueImpl::kIndexed, 0xA11CE, 120'000);
-  const auto b = run_stress(Scheduler::QueueImpl::kIndexed, 0xA11CE, 120'000);
+  const auto a = run_stress<Scheduler>(0xA11CE, 120'000);
+  const auto b = run_stress<Scheduler>(0xA11CE, 120'000);
   EXPECT_TRUE(a.fifo_ok);
   EXPECT_GE(a.fired, 120'000u);
   EXPECT_EQ(a.processed, b.processed);
@@ -155,191 +137,16 @@ TEST(SchedulerStress, FifoStableAndDeterministicAcrossRuns) {
 }
 
 TEST(SchedulerStress, IndexedMatchesBaselineImpl) {
-  // The two backends must produce identical simulated behavior: same events
-  // fire, in the same order, at the same times.
-  const auto idx = run_stress(Scheduler::QueueImpl::kIndexed, 0x5EED, 100'000);
-  const auto base =
-      run_stress(Scheduler::QueueImpl::kBaseline, 0x5EED, 100'000);
+  // The indexed queue must reproduce the seed queue's simulated behavior:
+  // same events fire, in the same order, at the same times.
+  const auto idx = run_stress<Scheduler>(0x5EED, 100'000);
+  const auto base = run_stress<bench::SeedScheduler>(0x5EED, 100'000);
   EXPECT_TRUE(idx.fifo_ok);
   EXPECT_TRUE(base.fifo_ok);
   EXPECT_EQ(idx.processed, base.processed);
   EXPECT_EQ(idx.fired, base.fired);
   EXPECT_EQ(idx.final_now, base.final_now);
   EXPECT_EQ(idx.fire_hash, base.fire_hash);
-}
-
-// --- Sharded backend: merge mode ---------------------------------------------
-
-TEST(SchedulerStress, ShardedMergeMatchesIndexedUnderChurn) {
-  // Shard-spread churn/cancel-heavy load: the merge-mode sharded backend
-  // must reproduce the indexed backend's exact global fire order (hash
-  // covers token and timestamp of every fire) and be deterministic across
-  // runs.
-  const auto idx = run_stress(Scheduler::QueueImpl::kIndexed, 0xC0FFEE,
-                              100'000, /*spread_shards=*/true);
-  const auto sh = run_stress(Scheduler::QueueImpl::kSharded, 0xC0FFEE,
-                             100'000, /*spread_shards=*/true);
-  const auto sh2 = run_stress(Scheduler::QueueImpl::kSharded, 0xC0FFEE,
-                              100'000, /*spread_shards=*/true);
-  EXPECT_TRUE(idx.fifo_ok);
-  EXPECT_TRUE(sh.fifo_ok);
-  EXPECT_EQ(sh.processed, idx.processed);
-  EXPECT_EQ(sh.fired, idx.fired);
-  EXPECT_EQ(sh.final_now, idx.final_now);
-  EXPECT_EQ(sh.fire_hash, idx.fire_hash);
-  EXPECT_EQ(sh.processed, sh2.processed);
-  EXPECT_EQ(sh.fire_hash, sh2.fire_hash);
-}
-
-TEST(SchedulerStress, ShardedMergeMatchesBaselineUntagged) {
-  // Untagged schedules (everything lands on shard 0 plus callback-inherited
-  // affinity) — the drop-in configuration the full simulator uses.
-  const auto base =
-      run_stress(Scheduler::QueueImpl::kBaseline, 0xFAB, 60'000);
-  const auto sh = run_stress(Scheduler::QueueImpl::kSharded, 0xFAB, 60'000);
-  EXPECT_EQ(sh.processed, base.processed);
-  EXPECT_EQ(sh.final_now, base.final_now);
-  EXPECT_EQ(sh.fire_hash, base.fire_hash);
-}
-
-TEST(SchedulerStress, ShardedCancelAfterFireReturnsFalse) {
-  // Sharded ids pack (generation, shard, slot); slot reuse inside a shard
-  // must not resurrect fired ids.
-  Scheduler sched(Scheduler::QueueImpl::kSharded);
-  std::vector<Scheduler::EventId> ids;
-  for (int i = 0; i < 1000; ++i) {
-    ids.push_back(sched.schedule_on(static_cast<std::uint32_t>(i % 5),
-                                    ns(i), [] {}));
-  }
-  sched.run();
-  for (auto id : ids) EXPECT_FALSE(sched.cancel(id));
-  std::vector<Scheduler::EventId> fresh;
-  for (int i = 0; i < 1000; ++i) {
-    fresh.push_back(sched.schedule_on(static_cast<std::uint32_t>(i % 5),
-                                      sched.now() + ns(1), [] {}));
-  }
-  for (auto id : ids) EXPECT_FALSE(sched.cancel(id));
-  for (auto id : fresh) EXPECT_TRUE(sched.cancel(id));
-  sched.run();
-  EXPECT_TRUE(sched.empty());
-}
-
-TEST(SchedulerStress, ShardedFullSimTraceByteIdentical) {
-  // The whole simulator, traced, on the merge-mode sharded backend must
-  // produce byte-for-byte the trace the indexed backend produces.
-  auto traced_run = [](Scheduler::QueueImpl impl) {
-    Trace::instance().clear();
-    Trace::instance().enable();
-    Scheduler sched(impl);
-    fabric::SubCluster tca(
-        sched, fabric::SubClusterConfig{
-                   .spec = fabric::TopologySpec::ring(2),
-                   .node_config = {.gpu_count = 2,
-                                   .host_backing_bytes = 8 << 20,
-                                   .gpu_backing_bytes = 4 << 20}});
-    auto t = tca.driver(0).run_chain(
-        {peach2::DmaDescriptor{.src = tca.driver(0).internal_global(0),
-                               .dst = tca.global_host(1, 0),
-                               .length = 64 * 1024,
-                               .direction = peach2::DmaDirection::kWrite},
-         peach2::DmaDescriptor{.src = tca.driver(0).internal_global(4096),
-                               .dst = tca.global_host(1, 1 << 20),
-                               .length = 4096,
-                               .direction = peach2::DmaDirection::kWrite}});
-    sched.run();
-    EXPECT_GT(t.result(), 0);
-    std::string json = Trace::instance().to_json();
-    Trace::instance().disable();
-    Trace::instance().clear();
-    return std::pair{std::move(json), sched.events_processed()};
-  };
-  const auto [idx_json, idx_events] =
-      traced_run(Scheduler::QueueImpl::kIndexed);
-  const auto [sh_json, sh_events] =
-      traced_run(Scheduler::QueueImpl::kSharded);
-  EXPECT_GT(idx_events, 100u);
-  EXPECT_EQ(idx_events, sh_events);
-  ASSERT_EQ(idx_json.size(), sh_json.size());
-  EXPECT_EQ(idx_json, sh_json);
-}
-
-// --- Sharded backend: conservative epochs ------------------------------------
-
-/// Shard-confined ring workload for epoch mode: per-shard self-rescheduling
-/// timers (times stay off the multiple-of-5 lattice) and a message chain
-/// that crosses to the next shard with the conservative lookahead (arrivals
-/// land exactly on the lattice) — so the per-shard event order is tie-free
-/// and must be identical whichever mode or worker count executes it.
-struct EpochRig {
-  Scheduler* sched = nullptr;
-  std::uint32_t shards = 0;
-  std::vector<std::uint64_t> shard_hash;
-  std::vector<std::uint64_t> timer_left;
-
-  void touch(std::uint32_t shard, std::uint64_t key) {
-    shard_hash[shard] = hash_combine(
-        shard_hash[shard],
-        key ^ static_cast<std::uint64_t>(sched->now()));
-  }
-};
-
-constexpr TimePs kLookaheadPs = 25'000;
-
-void epoch_timer(EpochRig* rig, std::uint32_t shard, std::size_t slot,
-                 TimePs period) {
-  rig->touch(shard, rig->timer_left[slot]);
-  if (--rig->timer_left[slot] == 0) return;
-  rig->sched->schedule_on_after(shard, period, [rig, shard, slot, period] {
-    epoch_timer(rig, shard, slot, period);
-  });
-}
-
-void epoch_hop(EpochRig* rig, std::uint32_t shard, std::uint32_t hops_left) {
-  rig->touch(shard, 0xB0B + hops_left);
-  if (hops_left == 0) return;
-  const std::uint32_t next = (shard + 1) % rig->shards;
-  const TimePs arrive = (rig->sched->now() + kLookaheadPs + 4) / 5 * 5;
-  rig->sched->schedule_on(next, arrive, [rig, next, hops_left] {
-    epoch_hop(rig, next, hops_left - 1);
-  });
-}
-
-std::vector<std::uint64_t> run_epoch_rig(unsigned threads) {
-  constexpr std::uint32_t kShards = 8;
-  ShardedEngine::Config cfg;
-  cfg.shards = kShards;
-  cfg.lookahead_ps = kLookaheadPs;
-  cfg.threads = threads;
-  Scheduler sched(cfg);
-  EpochRig rig;
-  rig.sched = &sched;
-  rig.shards = kShards;
-  rig.shard_hash.assign(kShards, 0xcbf29ce484222325ull);
-  rig.timer_left.assign(kShards * 2, 3000);
-  for (std::uint32_t s = 0; s < kShards; ++s) {
-    for (std::size_t k = 0; k < 2; ++k) {
-      // Times ≡ 1..4 (mod 5): never tie with a lattice-aligned arrival.
-      sched.schedule_on(s, 1 + (s + k) % 4,
-                        [&rig, s, slot = s * 2 + k,
-                         period = static_cast<TimePs>(5 * (20 + s + k))] {
-                          epoch_timer(&rig, s, slot, period);
-                        });
-    }
-  }
-  sched.schedule_on(0, kLookaheadPs, [&rig] { epoch_hop(&rig, 0, 300); });
-  sched.run();
-  EXPECT_TRUE(sched.empty());
-  return rig.shard_hash;
-}
-
-TEST(SchedulerStress, EpochModeThreadCountInvariant) {
-  const auto merge = run_epoch_rig(0);   // merge mode: global order
-  const auto t1 = run_epoch_rig(1);      // epochs, one worker
-  const auto t2 = run_epoch_rig(2);      // epochs, two workers
-  const auto t4 = run_epoch_rig(4);      // more workers than needed
-  EXPECT_EQ(t1, merge);
-  EXPECT_EQ(t2, t1);
-  EXPECT_EQ(t4, t1);
 }
 
 TEST(SchedulerStress, CancelAfterFireReturnsFalse) {

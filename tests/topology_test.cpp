@@ -196,7 +196,7 @@ INSTANTIATE_TEST_SUITE_P(Tori, DimensionOrderRouting,
 
 /// Drives one DMA chain (node 0 -> node 2 host) and returns the full chrome
 /// trace JSON, our strongest equality witness: it captures cable names,
-/// per-TLP routing, timestamps, and shard placement.
+/// per-TLP routing, and timestamps.
 std::string trace_of(const TopologySpec& spec) {
   TraceGuard guard;
   sim::Scheduler sched;
@@ -241,18 +241,6 @@ TEST(TorusDegenerateCase, RoutingRegistersMatchRing) {
     }
   }
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TorusDegenerateCase, DeprecatedRingAccessorsDelegate) {
-  sim::Scheduler sched;
-  SubCluster tca(sched, small_cluster(TopologySpec::ring(8)));
-  for (std::uint32_t to = 1; to < 8; ++to) {
-    EXPECT_EQ(tca.ring_hops(0, to), tca.hops(0, to));
-  }
-  EXPECT_EQ(tca.ring_cable_usable(0), tca.cable_usable(0));
-}
-#pragma GCC diagnostic pop
 
 // --- Torus failover acceptance pair (mirrors the PR 3 ring scenario) --------
 

@@ -75,8 +75,9 @@ LexedFile lex(std::string_view src) {
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t d = i + 2;
       while (d < n && src[d] != '(') ++d;
-      const std::string closer =
-          ")" + std::string(src.substr(i + 2, d - i - 2)) + "\"";
+      const std::string closer = std::string(")")
+                                     .append(src.substr(i + 2, d - i - 2))
+                                     .append("\"");
       std::size_t e = (d < n) ? d + 1 : n;
       while (e < n && src.compare(e, closer.size(), closer) != 0) {
         if (src[e] == '\n') ++line;

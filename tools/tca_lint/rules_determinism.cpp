@@ -69,10 +69,12 @@ void collect_unordered_names(const LexedFile& f, Context& ctx) {
 
 namespace {
 
-/// det-shard-shared-state: a mutable `static` in a shard-execution path.
-/// Shard workers run event bodies concurrently in epoch mode, so any static
-/// that is not const/constexpr, std::atomic, or thread_local is both a data
-/// race and a replay hazard (its value depends on thread interleaving).
+/// det-shard-shared-state: a mutable `static` in the event core (src/sim).
+/// Simulation state must belong to one simulation, not the process: two
+/// simulations sharing a process — or running side by side on a thread
+/// pool — would otherwise leak state into each other and race, so any
+/// static that is not const/constexpr, std::atomic, or thread_local is both
+/// a data race and a replay hazard.
 /// Token heuristic: scan the declaration from `static` to the first
 /// top-level `;`, `=`, `{` or `(`; a `(` first means a function declaration
 /// (never state), and any const/constexpr/atomic/thread_local/mutex token
@@ -116,10 +118,11 @@ void check_shard_statics(const std::string& path, const LexedFile& f,
     out.push_back(
         {path, toks[i].line, "det-shard-shared-state",
          "mutable static `" + name +
-             "` in a shard-execution path: epoch-mode workers execute "
-             "events concurrently, so unsynchronized statics race and make "
-             "replay depend on thread interleaving — use std::atomic, "
-             "thread_local, const, or per-shard state"});
+             "` in the event core: process-global simulation state leaks "
+             "between simulations sharing a process and races when they "
+             "run on a thread pool, so replay stops depending on the seed "
+             "alone — use std::atomic, thread_local, const, or state owned "
+             "by the Scheduler"});
     i = j;
   }
 }
