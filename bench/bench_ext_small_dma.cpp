@@ -16,6 +16,8 @@
 
 using namespace tca;
 using bench::DmaRig;
+using driver::Completion;
+using driver::Source;
 using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 
@@ -45,17 +47,19 @@ int main() {
     const TimePs chain = t_chain.result();
 
     // Polled completion: same chain, status writeback + host spin.
-    auto t_polled = drv.run_chain_polled({desc});
+    auto t_polled =
+        drv.run_chain({desc}, 0, 0, Source::kTable, Completion::kWriteback);
     rig.sched.run();
     const TimePs polled = t_polled.result();
 
     // Descriptor-less immediate DMA.
-    auto t_imm = drv.run_immediate(desc);
+    auto t_imm = drv.run_chain({desc}, 0, 0, Source::kImmediate);
     rig.sched.run();
     const TimePs imm = t_imm.result();
 
     // Both: immediate registers, status-writeback completion.
-    auto t_imm_polled = drv.run_immediate_polled(desc);
+    auto t_imm_polled = drv.run_chain({desc}, 0, 0, Source::kImmediate,
+                                      Completion::kWriteback);
     rig.sched.run();
     const TimePs imm_polled = t_imm_polled.result();
     imm_polled_fastest = imm_polled_fastest && imm_polled < imm &&

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "common/units.h"
 #include "driver/peach2_driver.h"
 #include "fabric/sub_cluster.h"
-#include "obs/metrics.h"
 #include "peach2/descriptor.h"
 #include "sim/scheduler.h"
 
@@ -61,12 +59,6 @@ class ShapeCheck {
 };
 
 /// Standard 2-node rig used by the DMA benches.
-///
-/// Metrics sidecar: when the TCA_METRICS_OUT environment variable names a
-/// file, the rig enables latency sampling and, on destruction, writes the
-/// fabric's full metrics snapshot there as JSON — so any figure bench can
-/// emit per-link/per-channel counters alongside its table without code
-/// changes (`TCA_METRICS_OUT=fig9.metrics.json bench_fig9_dma_chain`).
 struct DmaRig {
   explicit DmaRig(std::uint32_t nodes = 2)
       : cluster(sched, fabric::SubClusterConfig{
@@ -74,10 +66,6 @@ struct DmaRig {
                            .node_config = {.gpu_count = 2,
                                            .host_backing_bytes = 64ull << 20,
                                            .gpu_backing_bytes = 8ull << 20}}) {
-    if (const char* path = std::getenv("TCA_METRICS_OUT")) {
-      metrics_path_ = path;
-      obs::set_sampling_enabled(true);
-    }
     // Stage recognizable data in node 0's internal RAM and host memory,
     // and pin a window on every GPU we might address.
     Rng rng(42);
@@ -133,27 +121,8 @@ struct DmaRig {
     return units::gbytes_per_second(bytes, elapsed);
   }
 
-  /// Snapshot of every fabric counter (on demand; also written by ~DmaRig
-  /// when TCA_METRICS_OUT is set).
-  void export_metrics(obs::MetricRegistry& reg) const {
-    cluster.export_metrics(reg);
-  }
-
-  ~DmaRig() {
-    if (metrics_path_.empty()) return;
-    obs::MetricRegistry reg;
-    cluster.export_metrics(reg);
-    const Status st = reg.write_json(metrics_path_);
-    if (!st.is_ok()) {
-      std::fprintf(stderr, "metrics sidecar: %s\n", st.to_string().c_str());
-    } else {
-      std::printf("metrics: %zu -> %s\n", reg.size(), metrics_path_.c_str());
-    }
-  }
-
   sim::Scheduler sched;
   fabric::SubCluster cluster;
-  std::string metrics_path_;
 };
 
 inline std::string fmt_gbps(double v) { return TablePrinter::cell(v, 3); }

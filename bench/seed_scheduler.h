@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/units.h"
 
 namespace tca::bench {
@@ -100,7 +99,6 @@ class SeedScheduler {
       queue_.pop();
       TCA_ASSERT(entry.time >= now_);
       now_ = entry.time;
-      Log::set_now(now_);
       ++processed_;
       entry.fn();
       return true;

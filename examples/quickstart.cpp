@@ -64,7 +64,7 @@ int main() {
   auto flag = rt.alloc_host(1, 64);
   const TimePs t1 = sched.now();
   auto notify = rt.notify(0, flag.value(), 0, 1);
-  auto wait = rt.wait_flag(flag.value(), 0, 1);
+  auto wait = rt.wait_flag_ge(flag.value(), 0, 1);
   sched.run();
   std::printf("  4-byte PIO notify latency: %s\n",
               units::format_time(sched.now() - t1).c_str());

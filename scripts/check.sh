@@ -24,9 +24,7 @@ cmake --preset check > /dev/null
 cmake --build --preset check -j
 
 echo "== tca_lint (project invariants) =="
-# --cache-dir: per-file lex/analysis results keyed by content hash, so
-# repeated gate runs only re-analyze what changed.
-"$BUILD"/tools/tca_lint/tca_lint --root . --cache-dir "$BUILD"/lint-cache
+"$BUILD"/tools/tca_lint/tca_lint --root .
 
 echo "== clang-tidy (baseline diff; skips when not installed) =="
 scripts/clang_tidy.sh "$BUILD"

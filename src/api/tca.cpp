@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "common/units.h"
 
@@ -201,11 +202,12 @@ sim::Task<Status> Runtime::memcpy_peer(Buffer dst, std::uint64_t dst_off,
                     .dst = global_addr(dst, dst_off),
                     .length = static_cast<std::uint32_t>(bytes),
                     .direction = DmaDirection::kPipelined}};
-  const Status st = co_await drv.run_chain_checked(std::move(chain));
+  const driver::ChainResult result =
+      co_await drv.run_chain_reliable(std::move(chain));
   if (obs::sampling_enabled()) {
     metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
   }
-  co_return st;
+  co_return result.status;
 }
 
 Status Runtime::build_batch_chain(
@@ -241,41 +243,10 @@ Status Runtime::build_batch_chain(
 }
 
 sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
-                                             std::vector<CopyOp> ops) {
-  if (ops.empty()) co_return Status::ok();
-  std::vector<DmaDescriptor> chain;
-  if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
-    co_return st;
-  }
-  ++metrics_.batches;
-  metrics_.batch_ops += ops.size();
-  co_return co_await cluster_->driver(driving_node).run_chain_checked(
-      std::move(chain));
-}
-
-namespace {
-
-/// The driver retry policy `options` describe: no watchdog when they ask
-/// for the legacy wait-forever single attempt.
-driver::RetryPolicy retry_policy(const SyncOptions& options) {
-  driver::RetryPolicy policy{
-      .max_attempts = std::max<std::uint32_t>(1, options.max_attempts),
-      .timeout_ps = options.deadline_ps,
-      .backoff_base_ps = options.backoff_base_ps,
-  };
-  if (policy.timeout_ps <= 0) {
-    policy.timeout_ps = policy.max_attempts > 1 ? calib::kChainWatchdogPs : 0;
-  }
-  return policy;
-}
-
-}  // namespace
-
-sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
                                              std::vector<CopyOp> ops,
-                                             SyncOptions options,
+                                             driver::RetryPolicy policy,
                                              std::uint32_t* retries_out) {
-  *retries_out = 0;
+  if (retries_out != nullptr) *retries_out = 0;
   if (ops.empty()) co_return Status::ok();
   std::vector<DmaDescriptor> chain;
   if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
@@ -286,28 +257,32 @@ sim::Task<Status> Runtime::batch_with_policy(std::uint32_t driving_node,
   // Between attempts, ask the fabric manager whether every destination is
   // still dimension-order reachable: a partition that forms mid-transfer
   // then surfaces as kUnreachable after the current attempt's deadline
-  // instead of after the full attempts-times-deadline budget.
-  std::vector<std::uint32_t> dst_nodes;
-  for (const CopyOp& op : ops) {
-    if (std::find(dst_nodes.begin(), dst_nodes.end(), op.dst.node) ==
-        dst_nodes.end()) {
-      dst_nodes.push_back(op.dst.node);
-    }
-  }
-  driver::RetryPolicy policy = retry_policy(options);
-  policy.abort_check = [this, driving_node,
-                        dst_nodes = std::move(dst_nodes)]() -> Status {
-    for (const std::uint32_t dst : dst_nodes) {
-      if (Status st = check_reachable(driving_node, dst); !st.is_ok()) {
-        return st;
+  // instead of after the full attempts-times-deadline budget. A single
+  // attempt never consults it, so it is only built for a retrying policy.
+  std::function<Status()> abort_check;
+  if (policy.max_attempts > 1) {
+    std::vector<std::uint32_t> dst_nodes;
+    for (const CopyOp& op : ops) {
+      if (std::find(dst_nodes.begin(), dst_nodes.end(), op.dst.node) ==
+          dst_nodes.end()) {
+        dst_nodes.push_back(op.dst.node);
       }
     }
-    return Status::ok();
-  };
+    abort_check = [this, driving_node,
+                   dst_nodes = std::move(dst_nodes)]() -> Status {
+      for (const std::uint32_t dst : dst_nodes) {
+        if (Status st = check_reachable(driving_node, dst); !st.is_ok()) {
+          return st;
+        }
+      }
+      return Status::ok();
+    };
+  }
   const driver::ChainResult result =
       co_await cluster_->driver(driving_node).run_chain_reliable(
-          std::move(chain), std::move(policy));
-  *retries_out = result.attempts > 0 ? result.attempts - 1 : 0;
+          std::move(chain), policy, driver::Source::kTable,
+          driver::Completion::kInterrupt, std::move(abort_check));
+  if (retries_out != nullptr) *retries_out = result.attempts - 1;
   co_return result.status;
 }
 
@@ -339,8 +314,9 @@ sim::Task<Status> Runtime::memcpy_block_stride(
                       .direction = DmaDirection::kPipelined});
   }
   ++metrics_.block_stride_ops;
-  co_return co_await cluster_->driver(src.node).run_chain_checked(
-      std::move(chain));
+  const driver::ChainResult result =
+      co_await cluster_->driver(src.node).run_chain_reliable(std::move(chain));
+  co_return result.status;
 }
 
 void Runtime::export_metrics(obs::MetricRegistry& reg) const {
@@ -401,7 +377,7 @@ Status Stream::enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
   return Status::ok();
 }
 
-sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
+sim::Task<SyncReport> Stream::synchronize(driver::RetryPolicy policy) {
   SyncReport report;
   if (ops_.empty()) co_return report;
   std::vector<Runtime::CopyOp> ops = std::move(ops_);
@@ -434,7 +410,8 @@ sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
   for (std::uint32_t n = 0; n < rt_.node_count(); ++n) {
     if (by_node[n].empty()) continue;
     sim::spawn([](Runtime& rt, std::uint32_t node,
-                  std::vector<IndexedOp> group, SyncOptions sync_opts,
+                  std::vector<IndexedOp> group,
+                  driver::RetryPolicy batch_policy,
                   std::vector<Status>& statuses,
                   std::vector<std::uint32_t>& retry_counts,
                   std::size_t& left, sim::Trigger& done) -> sim::Task<> {
@@ -458,8 +435,8 @@ sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
           batch.push_back(group[j].op);
         }
         std::uint32_t retries = 0;
-        status = co_await rt.batch_with_policy(node, std::move(batch),
-                                               sync_opts, &retries);
+        status = co_await rt.memcpy_peer_batch(node, std::move(batch),
+                                               batch_policy, &retries);
         for (std::size_t j = i; j < i + count; ++j) {
           statuses[group[j].index] = status;
           retry_counts[group[j].index] = retries;
@@ -467,7 +444,7 @@ sim::Task<SyncReport> Stream::synchronize(SyncOptions options) {
         i += count;
       }
       if (--left == 0) done.fire();
-    }(rt_, n, std::move(by_node[n]), options, op_status, op_retries,
+    }(rt_, n, std::move(by_node[n]), policy, op_status, op_retries,
       remaining, all_done));
   }
   if (total_groups > 0) co_await all_done.wait();
@@ -490,19 +467,6 @@ sim::Task<> Runtime::notify(std::uint32_t from_node, Buffer host_flag,
   ++metrics_.notify_ops;
   co_await cluster_->driver(from_node).pio_store_u32(
       global_addr(host_flag, offset), value);
-}
-
-sim::Task<> Runtime::wait_flag(Buffer host_flag, std::uint64_t offset,
-                               std::uint32_t expected) {
-  TCA_ASSERT(host_flag.is_host());
-  ++metrics_.wait_flag_ops;
-  for (;;) {
-    std::uint32_t now_value = 0;
-    read(host_flag, offset,
-         std::as_writable_bytes(std::span(&now_value, 1)));
-    if (now_value == expected) co_return;
-    co_await sim::Delay(sched_, calib::kCpuPollIterationPs);
-  }
 }
 
 sim::Task<Status> Runtime::wait_flag_ge(Buffer host_flag, std::uint64_t offset,
@@ -552,7 +516,8 @@ sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,
 
 sim::Task<Status> Runtime::memcpy_peer_reliable(
     Buffer dst, std::uint64_t dst_off, Buffer src, std::uint64_t src_off,
-    std::uint64_t bytes, SyncOptions options, std::uint32_t* retries_out) {
+    std::uint64_t bytes, driver::RetryPolicy policy,
+    std::uint32_t* retries_out) {
   if (retries_out != nullptr) *retries_out = 0;
   if (bytes == 0) co_return Status::ok();
   ++metrics_.memcpy_ops;
@@ -564,15 +529,16 @@ sim::Task<Status> Runtime::memcpy_peer_reliable(
   const std::uint32_t to = dst.node;
   if (Status st = check_reachable(from, to); !st.is_ok()) co_return st;
 
-  driver::RetryPolicy policy = retry_policy(options);
-  policy.abort_check = [this, from, to] { return check_reachable(from, to); };
+  std::vector<DmaDescriptor> chain{
+      DmaDescriptor{.src = global_addr(src, src_off),
+                    .dst = global_addr(dst, dst_off),
+                    .length = static_cast<std::uint32_t>(bytes),
+                    .direction = DmaDirection::kPipelined}};
   const driver::ChainResult result =
-      co_await cluster_->driver(from).run_immediate_reliable(
-          DmaDescriptor{.src = global_addr(src, src_off),
-                        .dst = global_addr(dst, dst_off),
-                        .length = static_cast<std::uint32_t>(bytes),
-                        .direction = DmaDirection::kPipelined},
-          std::move(policy));
+      co_await cluster_->driver(from).run_chain_reliable(
+          std::move(chain), policy, driver::Source::kImmediate,
+          driver::Completion::kWriteback,
+          [this, from, to] { return check_reachable(from, to); });
   if (retries_out != nullptr) *retries_out = result.attempts - 1;
   co_return result.status;
 }

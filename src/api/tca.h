@@ -80,20 +80,6 @@ struct ApiMetrics {
   SampleSeries memcpy_latency_ps;
 };
 
-/// Recovery policy for Stream::synchronize(). The default is the legacy
-/// behavior: wait forever, one attempt.
-struct SyncOptions {
-  /// Per-attempt chain deadline. When > 0 the driver arms its watchdog: a
-  /// chain that has not completed by then is aborted and reported as
-  /// kTimedOut instead of hanging the stream.
-  TimePs deadline_ps = 0;
-  /// Attempts per chain (> 1 enables the driver's bounded retry with
-  /// exponential backoff — enough time for a NIOS-serviced ring failover to
-  /// reroute before the doorbell rings again).
-  std::uint32_t max_attempts = 1;
-  TimePs backoff_base_ps = calib::kRetryBackoffBasePs;
-};
-
 class Runtime {
  public:
   /// Validates `config` without building anything. Per-topology shape
@@ -160,9 +146,15 @@ class Runtime {
   /// Executes several peer copies as a single descriptor chain — one
   /// doorbell, one table fetch, one interrupt ("a series of bulk transfers
   /// ... are effective by using the chaining DMA mechanism"). All sources
-  /// must live on `driving_node`; destinations may be anywhere.
+  /// must live on `driving_node`; destinations may be anywhere. `policy`
+  /// gives the per-attempt deadline and bounded retry (the default waits
+  /// forever on one attempt); between attempts a destination the fabric
+  /// manager reports partitioned away ends the retry with kUnreachable.
+  /// `retries_out`, when non-null, receives the doorbell re-rings needed.
   sim::Task<Status> memcpy_peer_batch(std::uint32_t driving_node,
-                                      std::vector<CopyOp> ops);
+                                      std::vector<CopyOp> ops,
+                                      driver::RetryPolicy policy = {},
+                                      std::uint32_t* retries_out = nullptr);
 
   /// Block-stride transfer via one descriptor chain: `count` blocks of
   /// `block_bytes`, advancing src/dst by their strides between blocks.
@@ -180,10 +172,6 @@ class Runtime {
   /// reference coroutine parameter could dangle across suspension.
   sim::Task<> notify(std::uint32_t from_node, Buffer host_flag,
                      std::uint64_t offset, std::uint32_t value);
-
-  /// Polls a local host flag until it equals `expected`.
-  sim::Task<> wait_flag(Buffer host_flag, std::uint64_t offset,
-                        std::uint32_t expected);
 
   /// Polls a local host flag until it is >= `expected` — the right wait for
   /// monotonic sequence counters, where a waiter may arrive after several
@@ -206,16 +194,15 @@ class Runtime {
   /// pipelined descriptor programmed into an acquired channel's immediate
   /// registers, completed by the DMAC's status writeback that the CPU
   /// polls. No descriptor table is written or fetched and no interrupt is
-  /// taken, which is why coll::Communicator's ring puts use it. `options`
-  /// gives the per-attempt deadline and bounded retry (see
-  /// Stream::synchronize); the default waits forever on one attempt.
-  /// `retries_out`, when non-null, receives the number of re-kicks the
-  /// copy needed. memcpy_peer keeps the table + interrupt path the paper
-  /// measured.
+  /// taken, which is why coll::Communicator's ring puts use it. `policy`
+  /// gives the per-attempt deadline and bounded retry as in
+  /// memcpy_peer_batch. `retries_out`, when non-null, receives the number
+  /// of re-kicks the copy needed. memcpy_peer keeps the table + interrupt
+  /// path the paper measured.
   sim::Task<Status> memcpy_peer_reliable(Buffer dst, std::uint64_t dst_off,
                                          Buffer src, std::uint64_t src_off,
                                          std::uint64_t bytes,
-                                         SyncOptions options,
+                                         driver::RetryPolicy policy,
                                          std::uint32_t* retries_out = nullptr);
 
   // --- Observability -----------------------------------------------------------
@@ -246,11 +233,6 @@ class Runtime {
   Status build_batch_chain(std::uint32_t driving_node,
                            const std::vector<CopyOp>& ops,
                            std::vector<peach2::DmaDescriptor>* chain) const;
-  /// memcpy_peer_batch with a recovery policy; reports retry count.
-  sim::Task<Status> batch_with_policy(std::uint32_t driving_node,
-                                      std::vector<CopyOp> ops,
-                                      SyncOptions options,
-                                      std::uint32_t* retries_out);
 
   sim::Scheduler& sched_;
   // unique_ptr: the sub-cluster schedules fault events and NIOS listeners
@@ -280,7 +262,7 @@ struct SyncReport {
 
   [[nodiscard]] bool ok() const { return status.is_ok(); }
   /// True when the first failure was a deadline expiry (kTimedOut) — the
-  /// outcome SyncOptions::deadline_ps guarantees instead of a hang.
+  /// outcome a policy's timeout_ps guarantees instead of a hang.
   [[nodiscard]] bool timed_out() const {
     return status.code() == ErrorCode::kTimedOut;
   }
@@ -318,10 +300,10 @@ class Stream {
   [[nodiscard]] std::size_t pending() const { return ops_.size(); }
 
   /// Executes everything recorded so far and reports per-op outcomes.
-  /// `options` adds fault tolerance: a per-attempt deadline (kTimedOut
+  /// `policy` adds fault tolerance: a per-attempt deadline (kTimedOut
   /// instead of hanging) and bounded retry with backoff (retries surfaces
   /// in each OpStatus).
-  sim::Task<SyncReport> synchronize(SyncOptions options = {});
+  sim::Task<SyncReport> synchronize(driver::RetryPolicy policy = {});
 
  private:
   Runtime& rt_;

@@ -73,16 +73,14 @@ inline constexpr TimePs kRouteOccupancyPs = ns(60);
 /// setup). Calibrated: 255x4 KiB chained writes -> 3.3 GB/s (Figure 7).
 inline constexpr TimePs kDescriptorProcessPs = ns(113);
 
-/// One-time DMA activation: MMIO doorbell write reaching the chip.
-inline constexpr TimePs kDoorbellPs = ns(250);
-
 /// One-time fetch of the descriptor table from host memory into the chip
 /// ("retrieving the descriptor table is the dominant factor" — Figure 8).
 inline constexpr TimePs kDescriptorTableFetchPs = ns(900);
 
 /// Completion interrupt delivery + handler until the driver reads the TSC.
-/// kDoorbellPs + kDescriptorTableFetchPs + kCompletionInterruptPs = 2.1 us,
-/// the fixed cost that Figure 9 amortizes over the number of requests.
+/// The ~250 ns doorbell (an MMIO store, emergent over the register path) +
+/// kDescriptorTableFetchPs + kCompletionInterruptPs = 2.1 us, the fixed
+/// cost that Figure 9 amortizes over the number of requests.
 inline constexpr TimePs kCompletionInterruptPs = ns(950);
 
 /// Residual per-descriptor drain bubble on the DMA *read* path (completion

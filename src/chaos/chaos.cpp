@@ -274,13 +274,13 @@ sim::Task<> halo_rank(coll::Communicator* comm, std::uint32_t rank,
 sim::Task<> pingpong_node(api::Runtime* rt, api::Buffer send_fwd,
                           api::Buffer dst_fwd, api::Buffer send_rev,
                           api::Buffer dst_rev, std::uint64_t bytes,
-                          api::SyncOptions opts, TaskSlot* fwd,
+                          driver::RetryPolicy policy, TaskSlot* fwd,
                           TaskSlot* rev) {
-  fwd->status =
-      co_await rt->memcpy_peer_reliable(dst_fwd, 0, send_fwd, 0, bytes, opts);
+  fwd->status = co_await rt->memcpy_peer_reliable(dst_fwd, 0, send_fwd, 0,
+                                                  bytes, policy);
   fwd->done = true;
-  rev->status =
-      co_await rt->memcpy_peer_reliable(dst_rev, 0, send_rev, 0, bytes, opts);
+  rev->status = co_await rt->memcpy_peer_reliable(dst_rev, 0, send_rev, 0,
+                                                  bytes, policy);
   rev->done = true;
 }
 
@@ -339,8 +339,8 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     } else {
       api::Runtime rt = std::move(rt_result).value();
       const std::uint32_t n = rt.node_count();
-      const api::SyncOptions sync{.deadline_ps = spec.deadline_ps,
-                                  .max_attempts = spec.max_attempts};
+      const driver::RetryPolicy sync{.max_attempts = spec.max_attempts,
+                                     .timeout_ps = spec.deadline_ps};
 
       // Heartbeats: probes spread across the horizon that record the clock;
       // the monotonic-time invariant checks them after the run.

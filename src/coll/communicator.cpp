@@ -82,7 +82,6 @@ Communicator::Communicator(api::Runtime& rt, CollConfig cfg)
       ring_order_(rt.cluster().topology().ring_order()),
       ring_pos_(ranks_, 0),
       slot_stride_(round_up_256(cfg.pipeline_seg_bytes)),
-      eager_slot_(round_up_256(std::max<std::uint64_t>(cfg.eager_threshold, 8))),
       eager_tx_seq_(std::size_t{ranks_} * ranks_, 0),
       eager_rx_seq_(std::size_t{ranks_} * ranks_, 0) {
   for (std::uint32_t p = 0; p < ranks_; ++p) ring_pos_[ring_order_[p]] = p;
@@ -117,7 +116,7 @@ Result<Communicator> Communicator::create(api::Runtime& rt, CollConfig config) {
     if (!bounce.is_ok()) return bounce.status();
     // Eager mailbox row: slot q holds deposits from rank q; the own-rank
     // slot (never a deposit target) doubles as PIO TX staging.
-    auto eager = rt.alloc_host(r, std::uint64_t{n} * comm.eager_slot_);
+    auto eager = rt.alloc_host(r, std::uint64_t{n} * kEagerSlot);
     if (!eager.is_ok()) return eager.status();
     auto flags = rt.alloc_host(r, flag_words * kFlagStride);
     if (!flags.is_ok()) return flags.status();
@@ -206,7 +205,7 @@ sim::Task<Status> Communicator::ring_send(
   // overlaps the DMA chain of segment i.
   const bool carried = host_src != nullptr && !buf.is_host();
   const bool staged =
-      !carried && !buf.is_host() && bytes >= cfg_.gpu_staging_min;
+      !carried && !buf.is_host() && bytes >= kGpuStagingMin;
   const std::uint64_t seg = cfg_.pipeline_seg_bytes;
   std::optional<sim::Task<Status>> pending;
   std::uint32_t pending_seq = 0;
@@ -363,9 +362,9 @@ sim::Task<Status> Communicator::eager_send(std::uint32_t rank,
     }
   }
   RankState& me = states_[rank];
-  rt_->write(me.eager, rank * eager_slot_, payload);
+  rt_->write(me.eager, rank * kEagerSlot, payload);
   const Status st = co_await rt_->memcpy_pio(
-      states_[dst].eager, rank * eager_slot_, me.eager, rank * eager_slot_,
+      states_[dst].eager, rank * kEagerSlot, me.eager, rank * kEagerSlot,
       payload.size());
   if (!st.is_ok()) co_return st;
   metrics_.bytes += payload.size();
@@ -383,7 +382,7 @@ sim::Task<Status> Communicator::eager_recv(std::uint32_t rank,
     co_return st;
   }
   out->resize(bytes);
-  rt_->read(states_[rank].eager, src * eager_slot_, *out);
+  rt_->read(states_[rank].eager, src * kEagerSlot, *out);
   co_await signal(rank, src, kEagerWordBase + ranks_ + rank, s);
   co_return Status::ok();
 }
@@ -774,7 +773,7 @@ sim::Task<Status> Communicator::neighbor_exchange(std::uint32_t rank,
     api::Buffer src_prev = spec.buf;
     std::uint64_t off_next = spec.send_to_next_off;
     std::uint64_t off_prev = spec.send_to_prev_off;
-    if (!spec.buf.is_host() && spec.bytes >= cfg_.gpu_staging_min) {
+    if (!spec.buf.is_host() && spec.bytes >= kGpuStagingMin) {
       std::vector<std::byte> tmp(spec.bytes);
       co_await rt_->cluster()
           .node(rank)

@@ -12,7 +12,7 @@
 // What the Communicator does that the ad-hoc example loops could not:
 //
 //  * Message-size algorithm selection. Host-resident payloads at or below
-//    CollConfig::eager_threshold go through the PIO/eager path (CPU MMIO
+//    Communicator::kEagerThreshold go through the PIO/eager path (CPU MMIO
 //    stores into per-peer mailbox slots); everything else uses chained-DMA
 //    ring pipelines. The ~2 KB default mirrors the paper's PIO/DMA
 //    crossover: an eager put of 2 KB costs ~8 TLPs x 150 ns issue, right at
@@ -69,19 +69,13 @@ enum class Algorithm {
 };
 
 struct CollConfig {
-  /// PIO/eager vs chained-DMA crossover in bytes (paper: ~2 KB). Payloads
-  /// at or below this — when host-resident — use the eager path.
-  std::uint64_t eager_threshold = 2048;
   /// Ring pipeline segment: staging-slot granularity and the unit of
   /// D2H/DMA overlap. Must be a multiple of 8.
   std::uint64_t pipeline_seg_bytes = 64ull << 10;
   /// Staging slots per rank (credit depth of each ring link). >= 2.
   std::uint32_t staging_slots = 4;
-  /// GPU-resident sends at or above this stage through the host bounce
-  /// buffer instead of letting the DMA engine read BAR1 at 830 MB/s.
-  std::uint64_t gpu_staging_min = 8ull << 10;
   /// Recovery policy for every DMA put this communicator issues.
-  api::SyncOptions sync;
+  driver::RetryPolicy sync;
   /// Bound on every flag wait (0 = poll forever). Set this alongside
   /// `sync` in fault campaigns so a dead peer surfaces as kTimedOut.
   TimePs flag_timeout_ps = 0;
@@ -136,6 +130,13 @@ struct HaloSpec {
 /// spawn one call per rank and run the scheduler.
 class Communicator {
  public:
+  /// PIO/eager vs chained-DMA crossover in bytes (paper: ~2 KB). Payloads
+  /// at or below this — when host-resident — use the eager path.
+  static constexpr std::uint64_t kEagerThreshold = 2048;
+  /// GPU-resident sends at or above this stage through the host bounce
+  /// buffer instead of letting the DMA engine read BAR1 at 830 MB/s.
+  static constexpr std::uint64_t kGpuStagingMin = 8ull << 10;
+
   /// Allocates the per-rank communication resources out of `rt`. Keep the
   /// returned Communicator at a stable address while collectives are in
   /// flight (in-flight calls hold `this`).
@@ -155,7 +156,7 @@ class Communicator {
   /// rides the chained-DMA ring.
   [[nodiscard]] Algorithm select_algorithm(std::uint64_t payload_bytes,
                                            bool host_resident) const {
-    return (host_resident && payload_bytes <= cfg_.eager_threshold)
+    return (host_resident && payload_bytes <= kEagerThreshold)
                ? Algorithm::kEager
                : Algorithm::kRing;
   }
@@ -323,7 +324,9 @@ class Communicator {
   std::vector<std::uint32_t> ring_order_;
   std::vector<std::uint32_t> ring_pos_;
   std::uint64_t slot_stride_ = 0;   ///< staging/bounce slot stride (256-aligned)
-  std::uint64_t eager_slot_ = 0;    ///< mailbox slot stride (256-aligned)
+  /// Mailbox slot stride: one eager payload (256-aligned).
+  static constexpr std::uint64_t kEagerSlot = kEagerThreshold;
+  static_assert(kEagerSlot % 256 == 0);
   std::vector<RankState> states_;
   /// Per-(src,dst) eager deposit counters, flattened src*ranks+dst. The tx
   /// view advances on send, the rx view on receive; they stay aligned

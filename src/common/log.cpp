@@ -23,7 +23,6 @@ LogLevel initial_level() {
 }  // namespace
 
 LogLevel Log::level_ = initial_level();
-TimePs Log::now_ = 0;
 
 namespace {
 const char* level_name(LogLevel level) {
@@ -39,11 +38,11 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void Log::write(LogLevel level, const char* component,
+void Log::write(LogLevel level, TimePs now, const char* component,
                 const std::string& message) {
   if (!enabled(level)) return;
   std::fprintf(stderr, "[%12s] %-5s %-10s %s\n",
-               units::format_time(now_).c_str(), level_name(level), component,
+               units::format_time(now).c_str(), level_name(level), component,
                message.c_str());
 }
 

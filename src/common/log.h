@@ -20,18 +20,16 @@ class Log {
   static LogLevel level() { return level_; }
   static void set_level(LogLevel level) { level_ = level; }
 
-  /// Current simulated time prefix for messages; components set this via
-  /// Scheduler so log lines are attributable to a simulation instant.
-  static void set_now(TimePs now) { now_ = now; }
-
   static bool enabled(LogLevel level) { return level >= level_; }
 
-  static void write(LogLevel level, const char* component,
+  /// Prints `message` prefixed with `now`, the simulated time of the
+  /// caller's own scheduler, so every line is attributable to an instant of
+  /// the simulation that wrote it.
+  static void write(LogLevel level, TimePs now, const char* component,
                     const std::string& message);
 
  private:
   static LogLevel level_;
-  static TimePs now_;
 };
 
 }  // namespace tca

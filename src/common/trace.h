@@ -89,9 +89,9 @@ class Trace {
       index_;
 };
 
-/// RAII span helper: records `name` on `track` from construction to
-/// destruction (simulated time read through the global Log clock set by the
-/// Scheduler). No-op when tracing is disabled.
+/// Span helper: records `name` on `track` from the `begin` time given at
+/// construction to the time passed to end(); both are the caller's
+/// simulated time. No-op when tracing is disabled.
 class TraceSpan {
  public:
   TraceSpan(std::string_view track, std::string_view name, TimePs begin)

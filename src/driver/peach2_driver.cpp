@@ -1,5 +1,6 @@
 #include "driver/peach2_driver.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/log.h"
@@ -140,76 +141,21 @@ sim::Task<std::uint64_t> Peach2Driver::read_register(std::uint64_t offset) {
 
 sim::Task<> Peach2Driver::error_isr(std::uint64_t bits) {
   error_bits_seen_ |= bits;
-  Log::write(LogLevel::kWarn, "driver",
+  Log::write(LogLevel::kWarn, node_.cpu().scheduler().now(), "driver",
              "error interrupt, status bits " + std::to_string(bits));
   // Acknowledge the serviced bits (write-1-to-clear) so the next raise of
   // the same condition interrupts again.
   co_await write_register(regs::kErrAck, bits);
 }
 
-sim::Task<TimePs> Peach2Driver::run_chain(
-    std::vector<peach2::DmaDescriptor> chain, int channel, TimePs timeout_ps) {
-  co_return co_await submit(std::move(chain), channel, Source::kTable,
-                            Completion::kInterrupt, timeout_ps);
-}
-
-sim::Task<TimePs> Peach2Driver::run_chain_polled(
-    std::vector<peach2::DmaDescriptor> chain, int channel) {
-  co_return co_await submit(std::move(chain), channel, Source::kTable,
-                            Completion::kWriteback, 0);
-}
-
-sim::Task<TimePs> Peach2Driver::run_immediate(peach2::DmaDescriptor desc,
-                                              int channel) {
-  std::vector<peach2::DmaDescriptor> chain{desc};
-  co_return co_await submit(std::move(chain), channel, Source::kImmediate,
-                            Completion::kInterrupt, 0);
-}
-
-sim::Task<TimePs> Peach2Driver::run_immediate_polled(
-    peach2::DmaDescriptor desc, int channel) {
-  std::vector<peach2::DmaDescriptor> chain{desc};
-  co_return co_await submit(std::move(chain), channel, Source::kImmediate,
-                            Completion::kWriteback, 0);
-}
-
-sim::Task<TimePs> Peach2Driver::run_chain_auto(
-    std::vector<peach2::DmaDescriptor> chain) {
-  const ChainResult result =
-      co_await submit_reliable(std::move(chain), Source::kTable,
-                               Completion::kInterrupt,
-                               RetryPolicy{.max_attempts = 1, .timeout_ps = 0});
-  co_return result.elapsed;
-}
-
-sim::Task<Status> Peach2Driver::run_chain_checked(
-    std::vector<peach2::DmaDescriptor> chain) {
-  const ChainResult result =
-      co_await submit_reliable(std::move(chain), Source::kTable,
-                               Completion::kInterrupt,
-                               RetryPolicy{.max_attempts = 1, .timeout_ps = 0});
-  co_return result.status;
-}
-
-sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_chain_reliable(
-    std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy) {
-  co_return co_await submit_reliable(std::move(chain), Source::kTable,
-                                     Completion::kInterrupt,
-                                     std::move(policy));
-}
-
-sim::Task<Peach2Driver::ChainResult> Peach2Driver::run_immediate_reliable(
-    peach2::DmaDescriptor desc, RetryPolicy policy) {
-  std::vector<peach2::DmaDescriptor> chain{desc};
-  co_return co_await submit_reliable(std::move(chain), Source::kImmediate,
-                                     Completion::kWriteback,
-                                     std::move(policy));
-}
-
-sim::Task<Peach2Driver::ChainResult> Peach2Driver::submit_reliable(
-    std::vector<peach2::DmaDescriptor> chain, Source source,
-    Completion completion, RetryPolicy policy) {
-  TCA_ASSERT(policy.max_attempts > 0);
+sim::Task<ChainResult> Peach2Driver::run_chain_reliable(
+    std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy,
+    Source source, Completion completion,
+    std::function<Status()> abort_check) {
+  const std::uint32_t attempts =
+      std::max<std::uint32_t>(1, policy.max_attempts);
+  TimePs timeout = policy.timeout_ps;
+  if (timeout <= 0) timeout = attempts > 1 ? calib::kChainWatchdogPs : 0;
   co_await channel_sem_.acquire();
   TCA_ASSERT(!free_channels_.empty());
   const int channel = free_channels_.back();  // tca-protocol: acquire(dma-channel)
@@ -217,15 +163,15 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::submit_reliable(
 
   ChainResult result;
   TimePs backoff = policy.backoff_base_ps;
-  for (std::uint32_t attempt = 1; attempt <= policy.max_attempts; ++attempt) {
+  for (std::uint32_t attempt = 1; attempt <= attempts; ++attempt) {
     result.attempts = attempt;
-    result.elapsed = co_await submit(chain, channel, source, completion,
-                                     policy.timeout_ps);
+    result.elapsed =
+        co_await run_chain(chain, channel, timeout, source, completion);
     result.status = chain_status(channel);
     if (result.status.is_ok()) break;
-    if (attempt == policy.max_attempts) break;
-    if (policy.abort_check) {
-      if (Status verdict = policy.abort_check(); !verdict.is_ok()) {
+    if (attempt == attempts) break;
+    if (abort_check) {
+      if (Status verdict = abort_check(); !verdict.is_ok()) {
         result.status = verdict;
         break;
       }
@@ -233,11 +179,11 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::submit_reliable(
     // Back off before re-ringing the doorbell: gives the NIOS firmware and
     // fabric manager time to fail the ring over before the next attempt.
     ++retries_;
-    Log::write(LogLevel::kWarn, "driver",
+    Log::write(LogLevel::kWarn, node_.cpu().scheduler().now(), "driver",
                "chain failed (" + result.status.to_string() +
                    "), retrying after backoff");
     co_await sim::Delay(node_.cpu().scheduler(), backoff);
-    backoff *= policy.backoff_multiplier;
+    backoff *= 2;
   }
 
   free_channels_.push_back(channel);  // tca-protocol: release(dma-channel)
@@ -245,9 +191,9 @@ sim::Task<Peach2Driver::ChainResult> Peach2Driver::submit_reliable(
   co_return result;
 }
 
-sim::Task<TimePs> Peach2Driver::submit(
-    std::vector<peach2::DmaDescriptor> chain, int channel, Source source,
-    Completion completion, TimePs timeout_ps) {
+sim::Task<TimePs> Peach2Driver::run_chain(
+    std::vector<peach2::DmaDescriptor> chain, int channel, TimePs timeout_ps,
+    Source source, Completion completion) {
   const auto ch = static_cast<std::size_t>(channel);
   TCA_ASSERT(!dma_in_flight_[ch] && "channel already has a chain in flight");
   TCA_ASSERT(!chain.empty());
@@ -307,7 +253,8 @@ sim::Task<TimePs> Peach2Driver::submit(
           if ((engine.status() & regs::kDmaStatusDone) != 0) return;
           ++timeouts_;
           timed_out = true;
-          Log::write(LogLevel::kWarn, "driver", "chain watchdog expired");
+          Log::write(LogLevel::kWarn, node_.cpu().scheduler().now(), "driver",
+                     "chain watchdog expired");
           if (engine.busy()) {
             engine.abort(ErrorCode::kTimedOut);
           } else if (polled) {

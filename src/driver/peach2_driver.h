@@ -62,23 +62,33 @@ struct DriverHostLayout {
   static DriverHostLayout for_dram_size(std::uint64_t dram_bytes);
 };
 
-/// Bounded-retry policy for Peach2Driver's reliable entry points: exponential
-/// backoff between attempts, each attempt guarded by the chain watchdog.
-/// (Namespace scope so it can serve as an in-class default argument.)
+/// How a submission loads the DMAC: a descriptor table serialized into host
+/// DRAM and fetched after the doorbell (any chain length, ~0.9 us fetch), or
+/// one descriptor latched in the channel's immediate registers (no table, no
+/// fetch; the small-transfer path of Section IV-A1).
+enum class Source : std::uint8_t { kTable, kImmediate };
+
+/// How a submission learns the chain finished: the completion interrupt
+/// (~0.95 us to the handler), or a status word the DMAC writes back into
+/// host memory while the CPU spins on it.
+enum class Completion : std::uint8_t { kInterrupt, kWriteback };
+
+/// Bounded-retry policy for Peach2Driver::run_chain_reliable. The default is
+/// one attempt with no watchdog: wait for the completion however long it
+/// takes. (Namespace scope so it can serve as an in-class default argument.)
 struct RetryPolicy {
-  std::uint32_t max_attempts = 3;
-  TimePs timeout_ps = calib::kChainWatchdogPs;  ///< per attempt; 0: none
+  /// Attempts per chain; 0 counts as 1. Past the first, the doorbell is
+  /// re-rung after a backoff that doubles each time — enough for a
+  /// NIOS-serviced ring failover to reroute before the next attempt.
+  std::uint32_t max_attempts = 1;
+  /// Per-attempt chain watchdog. 0 arms none on a single attempt and
+  /// calib::kChainWatchdogPs per attempt when retrying.
+  TimePs timeout_ps = 0;
+  /// Backoff before the second attempt.
   TimePs backoff_base_ps = calib::kRetryBackoffBasePs;
-  std::uint32_t backoff_multiplier = 2;
-  /// Optional preflight consulted after a failed attempt, before the next
-  /// doorbell re-ring. A non-OK return stops the retry loop immediately
-  /// with that status — the hook the API layer uses to surface a fabric
-  /// partition as a prompt kUnreachable instead of burning the remaining
-  /// attempts' deadlines against a destination no reroute can reach.
-  std::function<Status()> abort_check;
 };
 
-/// Outcome of run_chain_reliable / run_immediate_reliable.
+/// Outcome of run_chain_reliable.
 struct ChainResult {
   Status status;
   TimePs elapsed = 0;  ///< elapsed time of the final attempt
@@ -102,25 +112,25 @@ class Peach2Driver {
   sim::Task<std::uint64_t> read_register(std::uint64_t offset);
 
   // --- DMA -------------------------------------------------------------------
-  // Two ways to load the engine and two ways to learn it finished. Loading:
-  // a descriptor table serialized into host DRAM and fetched by the DMAC
-  // after the doorbell (any chain length, ~0.9 us fetch), or one descriptor
-  // latched in the channel's immediate registers (no table, no fetch).
-  // Completion: an interrupt (~0.95 us to the handler), or a status word
-  // the DMAC writes back into host memory while the CPU spins on it. The
-  // driver keeps a shadow of each channel's writeback register and programs
-  // it only when a submission wants the other completion mode.
+  // Two calls cover the DMAC's 2x2 of Source (descriptor table or immediate
+  // registers) and Completion (interrupt or status writeback): run_chain is
+  // one attempt on a given channel, run_chain_reliable acquires any free
+  // channel and retries. The driver keeps a shadow of each channel's
+  // writeback register and programs it only when a submission wants the
+  // other completion mode.
 
-  /// Serializes the chain into the descriptor table in host memory, rings
-  /// the doorbell over MMIO, and waits for the completion interrupt.
-  /// Returns the TSC-measured elapsed time from just-before-doorbell to the
-  /// interrupt handler's clock read (the paper's measurement method).
-  /// `channel` selects one of the kDmaChannels independent engines.
-  /// `timeout_ps` > 0 arms a chain watchdog: if the completion signal has
-  /// not arrived by then, the driver aborts the engine and the chain
-  /// finishes with chain_status() == kTimedOut instead of hanging forever.
+  /// One submission on `channel` (one of the kDmaChannels independent
+  /// engines): loads the engine from `source` (kImmediate takes exactly one
+  /// descriptor), rings over MMIO and waits for `completion`. Returns the
+  /// TSC-measured elapsed time from just-before-doorbell to the completion
+  /// (the paper's measurement method). `timeout_ps` > 0 arms a chain
+  /// watchdog: if the completion has not arrived by then, the driver aborts
+  /// the engine and the chain finishes with chain_status() == kTimedOut
+  /// instead of hanging forever.
   sim::Task<TimePs> run_chain(std::vector<peach2::DmaDescriptor> chain,
-                              int channel = 0, TimePs timeout_ps = 0);
+                              int channel = 0, TimePs timeout_ps = 0,
+                              Source source = Source::kTable,
+                              Completion completion = Completion::kInterrupt);
 
   /// Outcome of the most recent submission on `channel`: kOk, kTimedOut
   /// (watchdog fired), or the per-descriptor DMAC error.
@@ -128,56 +138,18 @@ class Peach2Driver {
     return last_status_[static_cast<std::size_t>(channel)];
   }
 
-  using RetryPolicy = driver::RetryPolicy;
-  using ChainResult = driver::ChainResult;
-
-  /// Reliable chain submission: acquires a channel, runs the chain under
-  /// the watchdog, and on failure re-rings the doorbell after exponential
-  /// backoff — giving a NIOS-serviced ring failover time to reroute before
-  /// the retry. Returns the final status plus the attempt count.
+  /// Acquires a free channel (suspending while all are busy), runs the
+  /// chain on it under `policy` and releases it. A failed attempt is retried
+  /// after backoff until the attempts run out; `abort_check`, when set, is
+  /// consulted before each retry and a non-OK return stops the loop with
+  /// that status — how the API surfaces a fabric partition as a prompt
+  /// kUnreachable instead of burning the remaining attempts' deadlines.
+  /// Returns the final status plus the attempt count.
   sim::Task<ChainResult> run_chain_reliable(
-      std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy = {});
-
-  /// Reliable single-descriptor submission on the short path: the
-  /// descriptor goes into the acquired channel's immediate registers and
-  /// completion is the status writeback, so neither the table fetch nor
-  /// the interrupt sits on the critical path. Same watchdog, retry,
-  /// backoff and abort_check guarantees as run_chain_reliable.
-  sim::Task<ChainResult> run_immediate_reliable(peach2::DmaDescriptor desc,
-                                                RetryPolicy policy = {});
-
-  /// Acquires a free DMA channel (suspending if all are busy), runs the
-  /// chain on it, releases it. No watchdog, one attempt.
-  sim::Task<TimePs> run_chain_auto(std::vector<peach2::DmaDescriptor> chain);
-
-  /// run_chain_auto returning the status of the channel that actually ran
-  /// the chain (the DMAC's error bit is per-channel and sticky).
-  sim::Task<Status> run_chain_checked(
-      std::vector<peach2::DmaDescriptor> chain);
-
-  /// Descriptor-less immediate DMA: latches src/dst/len in registers and
-  /// kicks — no table in host memory, no table fetch. The low-latency path
-  /// for small transfers the paper calls for in Section IV-A1. Takes the
-  /// descriptor by value: a coroutine must not keep a reference to a
-  /// caller temporary across its suspension points.
-  sim::Task<TimePs> run_immediate(peach2::DmaDescriptor desc,
-                                  int channel = 0);
-
-  /// Like run_chain, but completion is signaled by a status writeback into
-  /// host memory that the driver polls, instead of an interrupt. Shaves the
-  /// interrupt-delivery latency off every chain.
-  sim::Task<TimePs> run_chain_polled(
-      std::vector<peach2::DmaDescriptor> chain, int channel = 0);
-
-  /// run_immediate completed by status writeback: no table, no table
-  /// fetch, no interrupt. One attempt of run_immediate_reliable.
-  sim::Task<TimePs> run_immediate_polled(peach2::DmaDescriptor desc,
-                                         int channel = 0);
-
-  /// True while a chain is in flight on `channel`.
-  [[nodiscard]] bool dma_busy(int channel = 0) const {
-    return dma_in_flight_[static_cast<std::size_t>(channel)];
-  }
+      std::vector<peach2::DmaDescriptor> chain, RetryPolicy policy = {},
+      Source source = Source::kTable,
+      Completion completion = Completion::kInterrupt,
+      std::function<Status()> abort_check = {});
 
   // --- PIO --------------------------------------------------------------------
   /// Store through the mmapped window: `global_addr` is a TCA global
@@ -212,7 +184,7 @@ class Peach2Driver {
   }
   /// Chain watchdog expirations (each one aborted an engine).
   [[nodiscard]] std::uint64_t watchdog_timeouts() const { return timeouts_; }
-  /// Doorbell re-rings performed by the reliable entry points.
+  /// Doorbell re-rings performed by run_chain_reliable.
   [[nodiscard]] std::uint64_t chain_retries() const { return retries_; }
   /// Error interrupts serviced (AER-flavored kErrStatus raises).
   [[nodiscard]] std::uint64_t error_irqs() const { return error_irqs_; }
@@ -231,20 +203,6 @@ class Peach2Driver {
   sim::Task<> write_table(std::span<const peach2::DmaDescriptor> chain,
                           int channel);
   sim::Task<> error_isr(std::uint64_t bits);
-
-  enum class Source : std::uint8_t { kTable, kImmediate };
-  enum class Completion : std::uint8_t { kInterrupt, kWriteback };
-
-  /// One submission on `channel`, every public run_* variant's body: loads
-  /// the engine from `source`, selects `completion`, rings, waits under the
-  /// optional watchdog, records chain_status() and acks the done bit.
-  sim::Task<TimePs> submit(std::vector<peach2::DmaDescriptor> chain,
-                           int channel, Source source, Completion completion,
-                           TimePs timeout_ps);
-  /// The one channel-acquiring entry point: submit() under bounded retry.
-  sim::Task<ChainResult> submit_reliable(
-      std::vector<peach2::DmaDescriptor> chain, Source source,
-      Completion completion, RetryPolicy policy);
 
   node::ComputeNode& node_;
   peach2::Peach2Chip& chip_;

@@ -35,12 +35,12 @@ pcie::LinkConfig cable_config(std::uint32_t from, std::uint32_t to,
 }  // namespace
 
 SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
-    : cfg_(config) {
+    : sched_(sched), cfg_(config) {
   const Status topo_ok = cfg_.spec.validate();
   TCA_ASSERT(topo_ok.is_ok());
   const std::uint32_t n = cfg_.spec.node_count();
-  auto layout_result = TcaLayout::create(config.window_base,
-                                         config.window_bytes, n);
+  auto layout_result =
+      TcaLayout::create(calib::kTcaWindowBase, calib::kTcaWindowBytes, n);
   TCA_ASSERT(layout_result.is_ok());
   layout_ = layout_result.value();
 
@@ -71,19 +71,19 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
 
   if (cfg_.spec.kind() == TopologySpec::Kind::kDualRing) {
     const std::uint32_t half = n / 2;
-    wire_ring(sched, 0, half);
-    wire_ring(sched, half, half);
+    wire_ring(0, half);
+    wire_ring(half, half);
     // South cross-links pair node i with node i + half.
     for (std::uint32_t i = 0; i < half; ++i) {
-      add_cable(sched, i, i + half, 1, PortId::kSouth, PortId::kSouth);
+      add_cable(i, i + half, 1, PortId::kSouth, PortId::kSouth);
     }
     program_dual_ring_routes();
     cable_usable_.assign(cables_.size(), true);
   } else {
-    wire_torus(sched);
+    wire_torus();
     program_torus_routes();
     cable_usable_.assign(cables_.size(), true);
-    if (config.enable_failover) arm_failover(sched);
+    if (config.enable_failover) arm_failover();
   }
 
   if (!config.fault_plan.empty()) {
@@ -93,18 +93,19 @@ SubCluster::SubCluster(sim::Scheduler& sched, const SubClusterConfig& config)
     // silently test a quieter fabric than it claims.
     const Status plan_ok = cfg_.fault_plan.validate(cfg_.spec);
     if (!plan_ok.is_ok()) {
-      Log::write(LogLevel::kError, "fabric", plan_ok.to_string());
+      Log::write(LogLevel::kError, sched_.now(), "fabric",
+                 plan_ok.to_string());
     }
     TCA_ASSERT(plan_ok.is_ok());
-    schedule_faults(sched);
+    schedule_faults();
   }
 }
 
-void SubCluster::add_cable(sim::Scheduler& sched, std::uint32_t from,
-                           std::uint32_t to, std::uint32_t dim,
-                           PortId from_port, PortId to_port) {
+void SubCluster::add_cable(std::uint32_t from, std::uint32_t to,
+                           std::uint32_t dim, PortId from_port,
+                           PortId to_port) {
   auto& cable = cables_.emplace_back(std::make_unique<pcie::PcieLink>(
-      sched, cable_config(from, to, cfg_.cable_bit_error_rate)));
+      sched_, cable_config(from, to, cfg_.cable_bit_error_rate)));
   const CableId id = cables_.size() - 1;
   cable_ends_.emplace_back(from, to);
   cable_dim_.push_back(dim);
@@ -114,8 +115,7 @@ void SubCluster::add_cable(sim::Scheduler& sched, std::uint32_t from,
   if (to_port == torus_minus_port(dim)) minus_cable_[to][dim] = id;
 }
 
-void SubCluster::wire_ring(sim::Scheduler& sched, std::uint32_t first,
-                           std::uint32_t count) {
+void SubCluster::wire_ring(std::uint32_t first, std::uint32_t count) {
   if (count < 2) return;
   // A 2-node ring degenerates to two cables between the same pair of
   // boards (E0-W1 and E1-W0), which is exactly how two PEACH2 boards are
@@ -123,11 +123,11 @@ void SubCluster::wire_ring(sim::Scheduler& sched, std::uint32_t first,
   for (std::uint32_t k = 0; k < count; ++k) {
     const std::uint32_t i = first + k;
     const std::uint32_t j = first + (k + 1) % count;
-    add_cable(sched, i, j, 0, PortId::kEast, PortId::kWest);
+    add_cable(i, j, 0, PortId::kEast, PortId::kWest);
   }
 }
 
-void SubCluster::wire_torus(sim::Scheduler& sched) {
+void SubCluster::wire_torus() {
   // One cable ring per dimension, dimension 0 first; rings within a
   // dimension in ascending base-node order. For a 1D torus (and the ring
   // topology) this is cable (k, k+1 % n) for k ascending — byte-identical
@@ -142,7 +142,7 @@ void SubCluster::wire_torus(sim::Scheduler& sched) {
         auto cj = ci;
         ci[d] = k;
         cj[d] = (k + 1) % extent;
-        add_cable(sched, cfg_.spec.node_at(ci), cfg_.spec.node_at(cj), d,
+        add_cable(cfg_.spec.node_at(ci), cfg_.spec.node_at(cj), d,
                   torus_plus_port(d), torus_minus_port(d));
       }
     }
@@ -248,7 +248,7 @@ void SubCluster::program_dual_ring_routes() {
   }
 }
 
-void SubCluster::arm_failover(sim::Scheduler& sched) {
+void SubCluster::arm_failover() {
   // Every fabric port maps to exactly one cable per the plus/minus tables
   // built during wiring; both endpoints report each transition and the
   // first serviced one reroutes. Reroutes stay within the dead cable's
@@ -257,7 +257,7 @@ void SubCluster::arm_failover(sim::Scheduler& sched) {
   const std::uint32_t n = cfg_.spec.node_count();
   for (std::uint32_t i = 0; i < n; ++i) {
     chips_[i]->nios().set_link_listener(
-        [this, i, &sched](PortId port, bool up) {
+        [this, i](PortId port, bool up) {
           CableId cable = kNoCable;
           for (std::uint32_t d = 0; d < cfg_.spec.dims(); ++d) {
             if (port == torus_plus_port(d)) cable = plus_cable_[i][d];
@@ -306,7 +306,7 @@ void SubCluster::arm_failover(sim::Scheduler& sched) {
           // chain instead; the driver retry layer redelivers them whole
           // over the settled routes.
           quiesce_in_flight_chains();
-          Log::write(LogLevel::kInfo, "fabric",
+          Log::write(LogLevel::kInfo, sched_.now(), "fabric",
                      std::string(up ? "failback" : "failover") + ": cable " +
                          std::to_string(cable) + (up ? " up, " : " down, ") +
                          std::to_string(changed) + " routes rewritten");
@@ -315,7 +315,7 @@ void SubCluster::arm_failover(sim::Scheduler& sched) {
                 "fabric",
                 std::string(up ? "failback" : "failover") + " cable " +
                     std::to_string(cable),
-                sched.now());
+                sched_.now());
           }
         });
   }
@@ -339,7 +339,7 @@ void SubCluster::abandon_dead_path(CableId cable) {
   chips_[from]->abandon_egress(torus_plus_port(dim));
   chips_[to]->abandon_egress(torus_minus_port(dim));
   if (n > 0) {
-    Log::write(LogLevel::kInfo, "fabric",
+    Log::write(LogLevel::kInfo, sched_.now(), "fabric",
                "failover: abandoned " + std::to_string(n) +
                    " held TLPs on cable " + std::to_string(cable));
   }
@@ -358,7 +358,7 @@ void SubCluster::quiesce_in_flight_chains() {
   }
   chain_quiesces_ += aborted;
   if (aborted > 0) {
-    Log::write(LogLevel::kInfo, "fabric",
+    Log::write(LogLevel::kInfo, sched_.now(), "fabric",
                "route change: quiesced " + std::to_string(aborted) +
                    " in-flight DMA chains");
   }
@@ -459,7 +459,7 @@ bool SubCluster::reachable(std::uint32_t from, std::uint32_t to) const {
   return true;
 }
 
-void SubCluster::schedule_faults(sim::Scheduler& sched) {
+void SubCluster::schedule_faults() {
   cable_down_depth_.assign(cables_.size(), 0);
   cable_ber_depth_.assign(cables_.size(), 0);
   dmac_stuck_depth_.assign(size() * calib::kDmaChannels, 0);
@@ -469,7 +469,7 @@ void SubCluster::schedule_faults(sim::Scheduler& sched) {
       case FaultEvent::Kind::kLinkDown: {
         TCA_ASSERT(e.cable < cables_.size());
         const std::size_t c = e.cable;
-        sched.schedule_after(e.at, [this, c] {
+        sched_.schedule_after(e.at, [this, c] {
           if (++cable_down_depth_[c] == 1) cables_[c]->set_up(false);
         });
         if (e.duration > 0) {
@@ -477,7 +477,7 @@ void SubCluster::schedule_faults(sim::Scheduler& sched) {
           // this window before it closed; decrementing past 0 would make a
           // later kLinkDown's ++depth==1 edge test miss and leave the cable
           // silently up.
-          sched.schedule_after(e.at + e.duration, [this, c] {
+          sched_.schedule_after(e.at + e.duration, [this, c] {
             if (cable_down_depth_[c] > 0 && --cable_down_depth_[c] == 0) {
               cables_[c]->set_up(true);
             }
@@ -488,7 +488,7 @@ void SubCluster::schedule_faults(sim::Scheduler& sched) {
       case FaultEvent::Kind::kLinkUp: {
         TCA_ASSERT(e.cable < cables_.size());
         const std::size_t c = e.cable;
-        sched.schedule_after(e.at, [this, c] {
+        sched_.schedule_after(e.at, [this, c] {
           cable_down_depth_[c] = 0;  // cancels every open down window
           cables_[c]->set_up(true);
         });
@@ -498,11 +498,11 @@ void SubCluster::schedule_faults(sim::Scheduler& sched) {
         TCA_ASSERT(e.cable < cables_.size());
         const std::size_t c = e.cable;
         const double rate = e.ber;
-        sched.schedule_after(e.at, [this, c, rate] {
+        sched_.schedule_after(e.at, [this, c, rate] {
           ++cable_ber_depth_[c];
           cables_[c]->set_bit_error_rate(rate);
         });
-        sched.schedule_after(e.at + e.duration, [this, c] {
+        sched_.schedule_after(e.at + e.duration, [this, c] {
           if (--cable_ber_depth_[c] == 0) {
             cables_[c]->set_bit_error_rate(cfg_.cable_bit_error_rate);
           }
@@ -516,12 +516,12 @@ void SubCluster::schedule_faults(sim::Scheduler& sched) {
             e.node * calib::kDmaChannels + static_cast<std::size_t>(e.channel);
         const std::uint32_t node = e.node;
         const int ch = e.channel;
-        sched.schedule_after(e.at, [this, idx, node, ch] {
+        sched_.schedule_after(e.at, [this, idx, node, ch] {
           if (++dmac_stuck_depth_[idx] == 1) {
             chips_[node]->dmac(ch).set_stuck(true);
           }
         });
-        sched.schedule_after(e.at + e.duration, [this, idx, node, ch] {
+        sched_.schedule_after(e.at + e.duration, [this, idx, node, ch] {
           if (--dmac_stuck_depth_[idx] == 0) {
             chips_[node]->dmac(ch).set_stuck(false);
           }

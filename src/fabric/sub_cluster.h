@@ -33,8 +33,6 @@ struct SubClusterConfig {
   /// default is the paper's 2-node ring.
   TopologySpec spec = TopologySpec::ring(2);
   node::NodeConfig node_config;
-  std::uint64_t window_base = calib::kTcaWindowBase;
-  std::uint64_t window_bytes = calib::kTcaWindowBytes;
   /// Fault injection: bit error rate on the inter-node cables (LCRC
   /// failures trigger data-link-layer replays; data is never lost).
   double cable_bit_error_rate = 0;
@@ -198,14 +196,12 @@ class SubCluster {
     std::size_t entry_index;
   };
 
-  void wire_ring(sim::Scheduler& sched, std::uint32_t first,
-                 std::uint32_t count);
+  void wire_ring(std::uint32_t first, std::uint32_t count);
   /// Wires one cable ring per torus dimension (dimension 0 first; for a 1D
   /// torus/ring this produces the exact cable order of wire_ring(0, n)).
-  void wire_torus(sim::Scheduler& sched);
-  void add_cable(sim::Scheduler& sched, std::uint32_t from, std::uint32_t to,
-                 std::uint32_t dim, peach2::PortId from_port,
-                 peach2::PortId to_port);
+  void wire_torus();
+  void add_cable(std::uint32_t from, std::uint32_t to, std::uint32_t dim,
+                 peach2::PortId from_port, peach2::PortId to_port);
   /// Programs dimension-order routes for ring/torus topologies and records
   /// a RouteRecord per entry.
   void program_torus_routes();
@@ -213,7 +209,7 @@ class SubCluster {
   void program_dual_ring_routes();
 
   /// Installs the NIOS link listeners that drive route failover.
-  void arm_failover(sim::Scheduler& sched);
+  void arm_failover();
   /// Discards traffic held for `cable` after a failover rerouted around it
   /// (both link directions' queues and the endpoint chips' facing egress
   /// FIFOs). Redelivery belongs to the driver retry layer from here on.
@@ -221,8 +217,8 @@ class SubCluster {
   /// Aborts every busy DMA engine in the sub-cluster after a route change
   /// (see chain_quiesces() for why a reroute invalidates in-flight chains).
   void quiesce_in_flight_chains();
-  /// Schedules every FaultPlan event onto `sched`.
-  void schedule_faults(sim::Scheduler& sched);
+  /// Schedules every FaultPlan event.
+  void schedule_faults();
   /// Rewrites every recorded route honoring cable_usable_; returns the
   /// number of route entries whose port changed. Only ports within the
   /// affected dimension's rings ever flip — dimension-order ranges are
@@ -246,6 +242,9 @@ class SubCluster {
   [[nodiscard]] CableId ring_cable_at(std::uint32_t node, std::uint32_t dim,
                                       std::uint32_t coord) const;
 
+  /// The scheduler the sub-cluster is built on: fault events, failover
+  /// trace instants and log lines read its clock.
+  sim::Scheduler& sched_;
   SubClusterConfig cfg_;
   peach2::TcaLayout layout_;
   std::vector<std::unique_ptr<node::ComputeNode>> nodes_;

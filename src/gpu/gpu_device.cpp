@@ -120,7 +120,7 @@ void GpuDevice::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
                            static_cast<std::uint32_t>(tlp.payload.size()));
       if (!dev) {
         ++access_errors_;
-        Log::write(LogLevel::kWarn, "gpu",
+        Log::write(LogLevel::kWarn, sched_.now(), "gpu",
                    "dropped write to unpinned/out-of-aperture address");
       } else {
         // Deep request queue: commit after a small fixed latency; the queue

@@ -74,7 +74,7 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
       return;
     }
     ++unroutable_;
-    Log::write(LogLevel::kWarn, "rc", "unroutable TLP dropped");
+    Log::write(LogLevel::kWarn, sched_.now(), "rc", "unroutable TLP dropped");
     return;
   }
 

@@ -177,7 +177,8 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
         ++dropped_;
         ++unroutable_;
         raise_error(regs::kErrUnroutable);
-        Log::write(LogLevel::kWarn, "peach2", "unroutable TLP dropped");
+        Log::write(LogLevel::kWarn, sched_.now(), "peach2",
+                   "unroutable TLP dropped");
         in.link->release_rx(wire);
         continue;
       }

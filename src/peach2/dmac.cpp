@@ -13,7 +13,6 @@ namespace tca::peach2 {
 using calib::kDescriptorProcessPs;
 using calib::kDescriptorTableFetchPs;
 using calib::kDmaReadTags;
-using calib::kDoorbellPs;
 using calib::kMaxPayloadBytes;
 using calib::kMaxReadRequestBytes;
 using calib::kReadDescriptorGapPs;
@@ -55,11 +54,13 @@ void DmaController::arm_chain() {
 
 void DmaController::doorbell() {
   if (stuck_) {
-    Log::write(LogLevel::kWarn, "dmac", "doorbell swallowed (engine stuck)");
+    Log::write(LogLevel::kWarn, sched_.now(), "dmac",
+               "doorbell swallowed (engine stuck)");
     return;
   }
   if (busy()) {
-    Log::write(LogLevel::kWarn, "dmac", "doorbell while busy ignored");
+    Log::write(LogLevel::kWarn, sched_.now(), "dmac",
+               "doorbell while busy ignored");
     return;
   }
   if (!fetch_table_ || count_ == 0) {
@@ -67,16 +68,18 @@ void DmaController::doorbell() {
     return;
   }
   arm_chain();
-  chain_task_ = run_chain({}, /*fetch_table=*/true);
+  chain_task_ = run_chain();
 }
 
 void DmaController::kick_immediate() {
   if (stuck_) {
-    Log::write(LogLevel::kWarn, "dmac", "kick swallowed (engine stuck)");
+    Log::write(LogLevel::kWarn, sched_.now(), "dmac",
+               "kick swallowed (engine stuck)");
     return;
   }
   if (busy()) {
-    Log::write(LogLevel::kWarn, "dmac", "immediate kick while busy ignored");
+    Log::write(LogLevel::kWarn, sched_.now(), "dmac",
+               "immediate kick while busy ignored");
     return;
   }
   if (imm_.length == 0) {
@@ -85,15 +88,6 @@ void DmaController::kick_immediate() {
   }
   arm_chain();
   chain_task_ = run_immediate(imm_);
-}
-
-Status DmaController::start(std::vector<DmaDescriptor> chain) {
-  if (stuck_) return {ErrorCode::kBusy, "DMA engine stuck (fault injection)"};
-  if (busy()) return {ErrorCode::kBusy, "DMA chain already active"};
-  if (chain.empty()) return {ErrorCode::kInvalidArgument, "empty chain"};
-  arm_chain();
-  chain_task_ = run_chain(std::move(chain), /*fetch_table=*/false);
-  return Status::ok();
 }
 
 void DmaController::fail_descriptor(ErrorCode code) {
@@ -137,26 +131,20 @@ void DmaController::on_completion_timeout(std::uint8_t tag) {
   if (it == pending_reads_.end()) return;
   it->second.timeout_event = sim::Scheduler::kInvalidEvent;
   ++completion_timeouts_;
-  Log::write(LogLevel::kWarn, "dmac", "completion timeout, aborting chain");
+  Log::write(LogLevel::kWarn, sched_.now(), "dmac",
+             "completion timeout, aborting chain");
   chip_.raise_error(regs::kErrCompletionTimeout);
   abort(ErrorCode::kTimedOut);
 }
 
-sim::Task<> DmaController::run_chain(std::vector<DmaDescriptor> chain,
-                                     bool fetch_table) {
-  if (fetch_table) {
-    // Doorbell cost is emergent (MMIO store through the N link); only the
-    // table fetch is modeled as a lump: the MRd round trip for the first
-    // descriptor group ("retrieving the descriptor table is the dominant
-    // factor", Figure 8).
-    co_await sim::Delay(sched_, kDescriptorTableFetchPs);
-    ++table_fetches_;
-    chain = fetch_table_(table_addr_, count_);
-  } else {
-    // Direct start (tests/benches bypassing the register file): model the
-    // doorbell MMIO cost explicitly so both paths time alike.
-    co_await sim::Delay(sched_, kDoorbellPs + kDescriptorTableFetchPs);
-  }
+sim::Task<> DmaController::run_chain() {
+  // Doorbell cost is emergent (MMIO store through the N link); only the
+  // table fetch is modeled as a lump: the MRd round trip for the first
+  // descriptor group ("retrieving the descriptor table is the dominant
+  // factor", Figure 8).
+  co_await sim::Delay(sched_, kDescriptorTableFetchPs);
+  ++table_fetches_;
+  const std::vector<DmaDescriptor> chain = fetch_table_(table_addr_, count_);
 
   for (const DmaDescriptor& d : chain) {
     if ((status_ & kStatusError) != 0) break;

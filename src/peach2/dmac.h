@@ -86,9 +86,6 @@ class DmaController {
   /// descriptor-table fetch entirely. No-op if busy.
   void kick_immediate();
 
-  /// Direct start for tests/benches that bypass the register file.
-  Status start(std::vector<DmaDescriptor> chain);
-
   [[nodiscard]] bool busy() const { return (status_ & 1ull) != 0; }
 
   /// Cooperative chain abort (driver watchdog / error ISR). Marks the chain
@@ -126,7 +123,7 @@ class DmaController {
   [[nodiscard]] std::uint64_t completion_timeouts() const {
     return completion_timeouts_;
   }
-  /// Chain starts accepted (doorbell, immediate kick, or direct start).
+  /// Chain starts accepted (doorbell or immediate kick).
   [[nodiscard]] std::uint64_t doorbells() const { return doorbells_; }
   /// Descriptor-table fetches from host memory (Figure 8's dominant cost).
   [[nodiscard]] std::uint64_t table_fetches() const { return table_fetches_; }
@@ -134,7 +131,7 @@ class DmaController {
   [[nodiscard]] std::uint64_t interrupts() const { return interrupts_; }
 
  private:
-  sim::Task<> run_chain(std::vector<DmaDescriptor> chain, bool fetch_table);
+  sim::Task<> run_chain();
   sim::Task<> run_immediate(DmaDescriptor d);
   sim::Task<> exec_one(DmaDescriptor d);
   sim::Task<> complete_chain();

@@ -18,13 +18,16 @@
 //  * Every block carries a one-max_align_t header recording the owning arena
 //    so a block can be freed from a different context than it was allocated
 //    in (a frame spawned inside an event may die at teardown, outside any
-//    event). The free-list push/pop is guarded by a mutex, so a block also
-//    stays safe to free from another thread; a simulation runs on one
-//    thread, so the lock is uncontended.
+//    event).
 //  * arena_alloc()/arena_free() route through the calling thread's current
 //    arena (see ArenaScope), falling back to the global allocator when no
 //    arena is active — allocations made outside scheduler execution (test
 //    setup, main()) behave exactly as before.
+//
+// Thread contract: an arena is used by one thread only. A simulation
+// allocates and frees its frames on the thread that runs its scheduler, so
+// the free lists take no lock; independent simulations on different threads
+// each have their own scheduler and therefore their own arena.
 //
 // Lifetime contract: blocks must be freed before their arena dies. The
 // arenas live in the Scheduler (declared before the event queues, destroyed
@@ -36,8 +39,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -75,12 +76,9 @@ class FrameArena {
 
   void* allocate(std::size_t bytes) {
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
-    std::lock_guard<std::mutex> lock(mu_);
-    ++allocations_;
     if (FreeBlock*& head = free_[cls]; head != nullptr) {
       FreeBlock* b = head;
       head = b->next;
-      ++reuses_;
       return b;
     }
     const std::size_t sz = cls * kClassBytes;
@@ -97,7 +95,6 @@ class FrameArena {
 
   void deallocate(void* p, std::size_t bytes) {
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
-    std::lock_guard<std::mutex> lock(mu_);
     auto* b = static_cast<FreeBlock*>(p);
     b->next = free_[cls];
     free_[cls] = b;
@@ -107,25 +104,16 @@ class FrameArena {
     return bytes <= kMaxPooledBytes;
   }
 
-  /// Observability for tests: total pooled allocations and how many were
-  /// served by recycling a freed block rather than bumping fresh memory.
-  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
-  [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
-  [[nodiscard]] std::size_t chunk_count() const { return chunks_.size(); }
-
  private:
   struct FreeBlock {
     FreeBlock* next;
   };
   static constexpr std::size_t kClasses = kMaxPooledBytes / kClassBytes + 1;
 
-  std::mutex mu_;
   FreeBlock* free_[kClasses] = {};
   std::byte* bump_ = nullptr;
   std::size_t bump_left_ = 0;
   std::vector<void*> chunks_;
-  std::uint64_t allocations_ = 0;
-  std::uint64_t reuses_ = 0;
 };
 
 namespace detail {

@@ -8,7 +8,6 @@ void Scheduler::run_until(TimePs t) {
   while (fire_next(t)) {
   }
   now_ = t;
-  Log::set_now(now_);
 }
 
 }  // namespace tca::sim

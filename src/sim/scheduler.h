@@ -19,7 +19,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/units.h"
 #include "sim/arena.h"
 #include "sim/event_fn.h"
@@ -100,10 +99,8 @@ class Scheduler {
  private:
   static constexpr TimePs kNoLimit = std::numeric_limits<TimePs>::max();
 
-  /// Fires the earliest live event iff its time <= `limit`. Same-timestamp
-  /// events drain under one clock update; the Log timestamp only moves when
-  /// simulated time does. The caller must hold an ArenaScope on the
-  /// scheduler's arena.
+  /// Fires the earliest live event iff its time <= `limit`. The caller must
+  /// hold an ArenaScope on the scheduler's arena.
   bool fire_next(TimePs limit) {
     IndexedQueue::Key k;
     if (!queue_.peek(now_, &k)) return false;
@@ -111,10 +108,7 @@ class Scheduler {
     TCA_ASSERT(k.time >= now_);
     EventFn fn;
     queue_.pop_min(&fn);
-    if (k.time != now_) {
-      now_ = k.time;
-      Log::set_now(now_);
-    }
+    now_ = k.time;
     ++processed_;
     fn();
     return true;

@@ -423,10 +423,11 @@ TEST(Runtime, NotifyAndWaitFlagSynchronize) {
     done = true;
   }(rt, flag, producer_done));
 
-  auto consumer = rt.wait_flag(flag, 0, 0xCAFE);
+  auto consumer = rt.wait_flag_ge(flag, 0, 0xCAFE);
   sched.run();
   EXPECT_TRUE(producer_done);
-  EXPECT_TRUE(consumer.done());
+  ASSERT_TRUE(consumer.done());
+  EXPECT_TRUE(consumer.result().is_ok());
   EXPECT_GE(sched.now(), us(5));
 }
 
@@ -521,7 +522,8 @@ TEST(Runtime, MemcpyPeerReliableReportsZeroRetriesOnAHealthyFabric) {
   std::uint32_t retries = 99;
   auto t = rt.memcpy_peer_reliable(
       dst, 0, src, 0, 16 << 10,
-      SyncOptions{.deadline_ps = us(500), .max_attempts = 3}, &retries);
+      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(500)},
+      &retries);
   sched.run();
   ASSERT_TRUE(t.result().is_ok()) << t.result().to_string();
   EXPECT_EQ(retries, 0u);
@@ -543,7 +545,8 @@ TEST(Runtime, MemcpyPeerReliableRetriesAcrossACutCable) {
   std::uint32_t retries = 0;
   auto t = rt.memcpy_peer_reliable(
       dst, 0, src, 0, 256 << 10,
-      SyncOptions{.deadline_ps = us(150), .max_attempts = 3}, &retries);
+      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(150)},
+      &retries);
   sched.run();
   ASSERT_TRUE(t.result().is_ok()) << t.result().to_string();
   EXPECT_GE(retries, 1u);
@@ -615,7 +618,8 @@ TEST(Runtime, MemcpyPeerReliableTimesOutOnAStuckEngine) {
   std::uint32_t retries = 0;
   auto t = rt.memcpy_peer_reliable(
       dst, 0, src, 0, 4096,
-      SyncOptions{.deadline_ps = us(50), .max_attempts = 3}, &retries);
+      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(50)},
+      &retries);
   // Bounded run: a wedged wait spins in poll iterations forever.
   sched.run_for(units::ms(2));
   ASSERT_TRUE(t.done());

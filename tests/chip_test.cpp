@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/log.h"
 #include "peach2/chip.h"
 #include "peach2/dmac.h"
 #include "peach2/nios.h"
@@ -255,21 +257,20 @@ TEST(Chip, ForwardingPreservesOrderWithinAPort) {
 // The status writeback is a polled-mode driver's only completion edge, so
 // an abort must not drop it with the chain's data: here the host port's
 // FIFO holds one full TLP, and the 8-byte status write waits behind it.
+// The descriptor is latched in the immediate registers and kicked, the way
+// the driver submits every reliable put.
 TEST(Chip, AbortedChainStillWritesBackItsStatus) {
   sim::Scheduler sched;
   ChipRig rig(sched, /*node_id=*/0, /*egress_queue_bytes=*/280);
   DmaController& dmac = rig.chip->dmac(0);
   constexpr std::uint64_t kStatusWord = 0x1000;
   dmac.set_writeback_addr(kStatusWord);
-  const std::uint64_t internal =
-      rig.chip->internal_block_base() + Peach2Chip::kInternalRamOffset;
-  ASSERT_TRUE(dmac.start({DmaDescriptor{
-                             .src = internal,
-                             .dst = rig.layout.encode(0, TcaTarget::kHost,
-                                                      0x10000),
-                             .length = 64 << 10,
-                             .direction = DmaDirection::kWrite}})
-                  .is_ok());
+  dmac.set_imm_src(rig.chip->internal_block_base() +
+                   Peach2Chip::kInternalRamOffset);
+  dmac.set_imm_dst(rig.layout.encode(0, TcaTarget::kHost, 0x10000));
+  dmac.set_imm_len((64u << 10) |
+                   (static_cast<std::uint64_t>(DmaDirection::kWrite) << 32));
+  dmac.kick_immediate();
   sched.run_for(us(3));
   ASSERT_TRUE(dmac.busy());
   dmac.abort(ErrorCode::kTimedOut);
@@ -280,6 +281,27 @@ TEST(Chip, AbortedChainStillWritesBackItsStatus) {
   ASSERT_FALSE(north.empty());
   EXPECT_EQ(north.back().address, kStatusWord);
   EXPECT_EQ(north.back().payload.size(), 8u);
+}
+
+// A log line carries the clock of the simulation that wrote it: after one
+// simulation ran to 3 ms, a fresh one logging at t = 0 must say 0 ps.
+TEST(Chip, LogLineCarriesItsOwnSimulationsClock) {
+  {
+    sim::Scheduler earlier;
+    earlier.run_until(units::ms(3));
+  }
+  sim::Scheduler sched;
+  ChipRig rig(sched, 0);
+  DmaController& dmac = rig.chip->dmac(0);
+  dmac.set_stuck(true);
+  const LogLevel level = Log::level();
+  Log::set_level(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
+  dmac.kick_immediate();
+  const std::string err = testing::internal::GetCapturedStderr();
+  Log::set_level(level);
+  EXPECT_EQ(err,
+            "[        0 ps] WARN  dmac       kick swallowed (engine stuck)\n");
 }
 
 TEST(Chip, NiosSeesAttachAndTransitions) {

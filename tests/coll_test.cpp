@@ -343,7 +343,7 @@ TEST(Coll, ReduceScatterOwnsChunkWithRingFoldOrder) {
 
 TEST(Coll, AllgatherReplicatesEveryChunkEverywhere) {
   constexpr std::uint32_t kRanks = 4;
-  constexpr std::uint64_t kChunkBytes = 16 << 10;  // >= gpu_staging_min
+  constexpr std::uint64_t kChunkBytes = 16 << 10;  // >= kGpuStagingMin
 
   sim::Scheduler sched;
   api::Runtime rt(sched, cluster_of(kRanks));
@@ -669,7 +669,7 @@ TEST(Recovery, CollAllreduceSurvivesRingCableCutViaFailover) {
   config.fault_plan.cut(0, us(5));  // node0 East dies mid-collective
   api::Runtime rt(sched, config);
   auto comm = Communicator::create(
-      rt, CollConfig{.sync = {.deadline_ps = us(300), .max_attempts = 4},
+      rt, CollConfig{.sync = {.max_attempts = 4, .timeout_ps = us(300)},
                      .flag_timeout_ps = ms(50)});
   ASSERT_TRUE(comm.is_ok());
   auto bufs = load_inputs(rt, in, /*host=*/true);
@@ -704,7 +704,7 @@ TEST(Recovery, CollAllreduceSurfacesTimedOutWithoutFailover) {
   config.enable_failover = false;
   api::Runtime rt(sched, config);
   auto comm = Communicator::create(
-      rt, CollConfig{.sync = {.deadline_ps = us(200), .max_attempts = 2},
+      rt, CollConfig{.sync = {.max_attempts = 2, .timeout_ps = us(200)},
                      .flag_timeout_ps = ms(2)});
   ASSERT_TRUE(comm.is_ok());
   auto bufs = load_inputs(rt, in, /*host=*/true);
@@ -738,7 +738,7 @@ std::string run_traced_campaign() {
     config.fault_plan.flap(0, us(5), us(100));
     api::Runtime rt(sched, config);
     auto comm = Communicator::create(
-        rt, CollConfig{.sync = {.deadline_ps = us(300), .max_attempts = 4},
+        rt, CollConfig{.sync = {.max_attempts = 4, .timeout_ps = us(300)},
                        .flag_timeout_ps = ms(50)});
     EXPECT_TRUE(comm.is_ok());
     auto bufs =

@@ -67,10 +67,12 @@ TEST(Driver, ImmediateDmaMovesDataWithoutTableFetch) {
   auto data = pattern(2048, 3);
   rig.cluster.chip(0).internal_ram().write(0, data);
 
-  auto t = drv.run_immediate({.src = drv.internal_global(0),
-                              .dst = rig.cluster.global_host(1, 0x3000),
-                              .length = 2048,
-                              .direction = DmaDirection::kWrite});
+  auto t = drv.run_chain(
+      {DmaDescriptor{.src = drv.internal_global(0),
+                     .dst = rig.cluster.global_host(1, 0x3000),
+                     .length = 2048,
+                     .direction = DmaDirection::kWrite}},
+      0, 0, Source::kImmediate);
   rig.sched.run();
   ASSERT_TRUE(t.done());
 
@@ -90,7 +92,7 @@ TEST(Driver, ImmediateBeatsChainOnLatency) {
 
   auto chain = drv.run_chain({desc});
   rig.sched.run();
-  auto imm = drv.run_immediate(desc);
+  auto imm = drv.run_chain({desc}, 0, 0, Source::kImmediate);
   rig.sched.run();
 
   // The table fetch (~0.9 us) disappears; part of the saving is eaten by
@@ -108,7 +110,8 @@ TEST(Driver, PolledChainCompletesAndRestoresInterruptMode) {
                            .length = 4096,
                            .direction = DmaDirection::kWrite};
 
-  auto polled = drv.run_chain_polled({desc});
+  auto polled =
+      drv.run_chain({desc}, 0, 0, Source::kTable, Completion::kWriteback);
   rig.sched.run();
   ASSERT_TRUE(polled.done());
   std::vector<std::byte> out(4096);
@@ -134,7 +137,8 @@ TEST(Driver, PolledChainAcksTheDoneBitSoAStuckEngineTimesOut) {
                            .length = 256,
                            .direction = DmaDirection::kWrite};
 
-  auto polled = drv.run_chain_polled({desc});
+  auto polled =
+      drv.run_chain({desc}, 0, 0, Source::kTable, Completion::kWriteback);
   rig.sched.run();
   ASSERT_TRUE(polled.done());
   EXPECT_EQ(rig.cluster.chip(0).dmac(0).status() & regs::kDmaStatusDone, 0u);
@@ -161,7 +165,8 @@ TEST(Driver, PolledChainReportsItsOwnStatus) {
   rig.sched.run();
   EXPECT_EQ(drv.chain_status(0).code(), ErrorCode::kInvalidArgument);
 
-  auto polled = drv.run_chain_polled({good});
+  auto polled =
+      drv.run_chain({good}, 0, 0, Source::kTable, Completion::kWriteback);
   rig.sched.run();
   ASSERT_TRUE(polled.done());
   EXPECT_TRUE(drv.chain_status(0).is_ok()) << drv.chain_status(0).to_string();
@@ -178,7 +183,8 @@ TEST(Driver, ImmediatePolledSkipsTheTableFetchAndTheInterrupt) {
                            .direction = DmaDirection::kWrite};
   const peach2::DmaController& engine = rig.cluster.chip(0).dmac(0);
 
-  auto fast = drv.run_immediate_polled(desc);
+  auto fast = drv.run_chain({desc}, 0, 0, Source::kImmediate,
+                            Completion::kWriteback);
   rig.sched.run();
   ASSERT_TRUE(fast.done());
   EXPECT_TRUE(drv.chain_status(0).is_ok());
@@ -189,9 +195,10 @@ TEST(Driver, ImmediatePolledSkipsTheTableFetchAndTheInterrupt) {
   EXPECT_EQ(out, data);
 
   // Each mechanism alone leaves the other's cost on the path.
-  auto imm = drv.run_immediate(desc);
+  auto imm = drv.run_chain({desc}, 0, 0, Source::kImmediate);
   rig.sched.run();
-  auto polled = drv.run_chain_polled({desc});
+  auto polled =
+      drv.run_chain({desc}, 0, 0, Source::kTable, Completion::kWriteback);
   rig.sched.run();
   EXPECT_LT(fast.result(), imm.result() - ns(500));
   EXPECT_LT(fast.result(), polled.result() - ns(500));
@@ -206,17 +213,19 @@ TEST(Driver, ImmediateReliableTimesOutOnAStuckEngineWithoutWedging) {
                            .direction = DmaDirection::kWrite};
   // A completed writeback first, so a stale done bit or completion word
   // would be there to misread.
-  auto warm = drv.run_immediate_polled(desc);
+  auto warm = drv.run_chain({desc}, 0, 0, Source::kImmediate,
+                            Completion::kWriteback);
   rig.sched.run();
   ASSERT_TRUE(warm.done());
 
   for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
     rig.cluster.chip(0).dmac(ch).set_stuck(true);
   }
-  auto t = drv.run_immediate_reliable(
-      desc, RetryPolicy{.max_attempts = 3,
-                        .timeout_ps = us(20),
-                        .backoff_base_ps = us(1)});
+  auto t = drv.run_chain_reliable({desc},
+                                  RetryPolicy{.max_attempts = 3,
+                                              .timeout_ps = us(20),
+                                              .backoff_base_ps = us(1)},
+                                  Source::kImmediate, Completion::kWriteback);
   // Bounded run: a wedged wait spins in poll iterations forever.
   rig.sched.run_for(units::ms(1));
   ASSERT_TRUE(t.done());

@@ -256,7 +256,7 @@ TEST(Recovery, ApiStreamRecoversWithRetriesVisibleInTheReport) {
   ASSERT_TRUE(stream.enqueue_copy(dst.value(), 0, src.value(), 0, kBytes)
                   .is_ok());
   auto t = stream.synchronize(
-      api::SyncOptions{.deadline_ps = us(150), .max_attempts = 3});
+      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(150)});
   sched.run();
   ASSERT_TRUE(t.done());
 
@@ -288,7 +288,7 @@ TEST(Recovery, WithoutFailoverTheDeadlineSurfacesTimedOutInsteadOfHanging) {
   api::Stream stream(rt);
   ASSERT_TRUE(stream.enqueue_copy(dst.value(), 0, src.value(), 0, kBytes)
                   .is_ok());
-  auto t = stream.synchronize(api::SyncOptions{.deadline_ps = us(500)});
+  auto t = stream.synchronize(driver::RetryPolicy{.timeout_ps = us(500)});
   sched.run();
 
   // The whole point: the simulation ran dry (no hang) and the report says

@@ -4,9 +4,7 @@
 #   cmake -DEXE=<binary> [-DARGS="<arg> <arg> ..."] -DGOLDEN=<file>
 #         -DOUT=<file> -P golden_diff.cmake
 #
-# TCA_METRICS_OUT is unset so the metrics sidecar never changes what a
-# bench samples. stderr (log lines) is not compared; it is shown on failure.
-unset(ENV{TCA_METRICS_OUT})
+# stderr (log lines) is not compared; it is shown on failure.
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 get_filename_component(out_dir "${OUT}" DIRECTORY)
 file(MAKE_DIRECTORY "${out_dir}")

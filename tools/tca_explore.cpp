@@ -203,8 +203,8 @@ int run_workload(const Options& opt) {
   api::Runtime rt(sched, config);
 
   coll::CollConfig cfg;
-  cfg.sync.max_attempts = opt.attempts;
-  if (opt.deadline_us > 0) cfg.sync.deadline_ps = units::us(opt.deadline_us);
+  cfg.sync = {.max_attempts = opt.attempts,
+              .timeout_ps = units::us(opt.deadline_us)};
   // A fault campaign may kill a neighbor's doorbell outright; bound the
   // flag waits so the run reports kTimedOut instead of never terminating.
   if (!opt.fault_plan.empty() && cfg.flag_timeout_ps == 0) {
@@ -498,10 +498,8 @@ int main(int argc, char** argv) {
       if (opt.deadline_us > 0 || opt.attempts > 1) {
         auto t = drv.run_chain_reliable(
             std::move(chain),
-            driver::RetryPolicy{
-                .max_attempts = opt.attempts,
-                .timeout_ps = opt.deadline_us > 0 ? units::us(opt.deadline_us)
-                                                  : calib::kChainWatchdogPs});
+            driver::RetryPolicy{.max_attempts = opt.attempts,
+                                .timeout_ps = units::us(opt.deadline_us)});
         sched.run();
         const driver::ChainResult result = t.result();
         elapsed = result.elapsed;

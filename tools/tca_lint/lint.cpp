@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -114,181 +112,13 @@ void apply_suppressions(const std::string& path, const LexedFile& f,
       findings->end());
 }
 
-// ---------------------------------------------------------------------------
-// Content-hash result cache (Options::cache_dir).
-//
-// Two validity levels per file:
-//  * contributions (unordered-container names, protocol registry entries)
-//    depend only on the file's own content — valid whenever the content
-//    hash matches;
-//  * findings additionally depend on every *other* file's contributions, so
-//    they carry the run's context hash and go stale when any annotated
-//    declaration anywhere changes.
-// A warm run with no edits lexes nothing at all.
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h = kFnvOffset) {
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string hex64(std::uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return s;
-}
-
-std::string join(const std::vector<std::string>& v) {
-  std::string s;
-  for (const std::string& e : v) {
-    if (!s.empty()) s += ';';
-    s += e;
-  }
-  return s;
-}
-
-std::vector<std::string> split(const std::string& s) {
-  std::vector<std::string> v;
-  std::string cur;
-  for (char c : s) {
-    if (c == ';') {
-      if (!cur.empty()) v.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) v.push_back(cur);
-  return v;
-}
-
 struct FileEntry {
   std::string path;
   std::string text;
   LexedFile lexed;
-  bool is_lexed = false;
   rules::FileScope scope;
   bool is_registers = false;
-  std::uint64_t key = 0;  ///< content + scope + rule-set hash
-  std::string cache_path;
-  // Cached state (when valid).
-  bool contrib_cached = false;
-  bool findings_cached = false;  ///< requires the ctx hash to match too
-  std::vector<std::string> cached_unordered;
-  std::map<std::string, rules::ProtoEffects> cached_proto;
-  std::vector<Finding> cached_findings;
 };
-
-const LexedFile& ensure_lexed(FileEntry& fe) {
-  if (!fe.is_lexed) {
-    fe.lexed = lex(fe.text);
-    fe.is_lexed = true;
-  }
-  return fe.lexed;
-}
-
-std::uint64_t scope_bits(const rules::FileScope& s, bool is_registers) {
-  return (s.allow_wall_clock ? 1u : 0u) | (s.allow_raw_rand ? 2u : 0u) |
-         (s.check_magic_mmio ? 4u : 0u) | (s.check_shard_state ? 8u : 0u) |
-         (s.check_protocol ? 16u : 0u) | (is_registers ? 32u : 0u);
-}
-
-/// Loads a cache entry for `fe`; fills cached_* on content match.
-void load_cache_entry(FileEntry& fe, bool check_ctx,
-                      std::uint64_t ctx_hash) {
-  std::ifstream in(fe.cache_path);
-  if (!in) return;
-  std::string line;
-  if (!std::getline(in, line) || line != "tca-lint-cache v1") return;
-  if (!std::getline(in, line) || line.rfind("key ", 0) != 0 ||
-      line.substr(4) != hex64(fe.key)) {
-    return;
-  }
-  std::vector<std::string> unordered;
-  std::map<std::string, rules::ProtoEffects> proto;
-  std::vector<Finding> findings;
-  bool ctx_ok = false;
-  while (std::getline(in, line)) {
-    if (line.rfind("unordered ", 0) == 0) {
-      unordered.push_back(line.substr(10));
-    } else if (line.rfind("proto ", 0) == 0) {
-      std::vector<std::string> cols;
-      std::string cur;
-      for (std::size_t i = 6; i <= line.size(); ++i) {
-        if (i == line.size() || line[i] == '\t') {
-          cols.push_back(cur);
-          cur.clear();
-        } else {
-          cur += line[i];
-        }
-      }
-      if (cols.size() != 6) return;  // corrupt: drop the whole entry
-      rules::ProtoEffects eff;
-      eff.acquires = split(cols[1]);
-      eff.releases = split(cols[2]);
-      eff.abandons = split(cols[3]);
-      eff.borrows = split(cols[4]);
-      eff.acks_on_commit = cols[5] == "1";
-      proto[cols[0]] = std::move(eff);
-    } else if (line.rfind("ctx ", 0) == 0) {
-      ctx_ok = check_ctx && line.substr(4) == hex64(ctx_hash);
-    } else if (line.rfind("finding ", 0) == 0) {
-      std::vector<std::string> cols;
-      std::string cur;
-      for (std::size_t i = 8; i <= line.size(); ++i) {
-        if (i == line.size() || line[i] == '\t') {
-          cols.push_back(cur);
-          cur.clear();
-        } else {
-          cur += line[i];
-        }
-      }
-      if (cols.size() != 3) return;
-      findings.push_back(
-          {fe.path, std::atoi(cols[0].c_str()), cols[1], cols[2]});
-    } else {
-      return;  // unknown record: treat as corrupt
-    }
-  }
-  fe.contrib_cached = true;
-  fe.cached_unordered = std::move(unordered);
-  fe.cached_proto = std::move(proto);
-  if (ctx_ok) {
-    fe.findings_cached = true;
-    fe.cached_findings = std::move(findings);
-  }
-}
-
-void store_cache_entry(const FileEntry& fe, std::uint64_t ctx_hash,
-                       const std::vector<Finding>& findings) {
-  std::ofstream outf(fe.cache_path, std::ios::trunc);
-  if (!outf) return;
-  outf << "tca-lint-cache v1\n";
-  outf << "key " << hex64(fe.key) << "\n";
-  for (const std::string& n : fe.cached_unordered) {
-    outf << "unordered " << n << "\n";
-  }
-  for (const auto& [name, eff] : fe.cached_proto) {
-    outf << "proto " << name << "\t" << join(eff.acquires) << "\t"
-         << join(eff.releases) << "\t" << join(eff.abandons) << "\t"
-         << join(eff.borrows) << "\t" << (eff.acks_on_commit ? 1 : 0)
-         << "\n";
-  }
-  outf << "ctx " << hex64(ctx_hash) << "\n";
-  for (const Finding& fi : findings) {
-    outf << "finding " << fi.line << "\t" << fi.rule << "\t" << fi.message
-         << "\n";
-  }
-}
 
 }  // namespace
 
@@ -381,90 +211,39 @@ std::vector<Finding> run_lint(const Options& opts) {
     }
   }
 
-  // -- Cache lookup (contribution level). The key folds in the rule set so
-  // new rules invalidate stale entries wholesale.
-  const bool use_cache = !opts.cache_dir.empty();
-  if (use_cache) {
-    std::error_code ec;
-    fs::create_directories(opts.cache_dir, ec);
-  }
-  const std::uint64_t rules_hash = fnv1a(join(rule_ids()));
-  for (FileEntry& fe : files) {
-    fe.key = fnv1a(fe.text,
-                   fnv1a(fe.path, rules_hash ^ scope_bits(fe.scope,
-                                                          fe.is_registers)));
-    if (use_cache) {
-      fe.cache_path =
-          (fs::path(opts.cache_dir) / (hex64(fnv1a(fe.path)) + ".lintcache"))
-              .string();
-      load_cache_entry(fe, /*check_ctx=*/false, 0);
+  // -- Contributions: every file's unordered-container names and protocol
+  // annotations, merged in sorted path order so the context is stable.
+  rules::Context ctx;
+  std::set<std::string> unordered;
+  auto add = [](std::vector<std::string>& v,
+                const std::vector<std::string>& from) {
+    for (const std::string& k : from) {
+      if (std::find(v.begin(), v.end(), k) == v.end()) v.push_back(k);
     }
-  }
-
-  // -- Contributions: from cache when content matched, else computed.
+  };
   for (FileEntry& fe : files) {
-    if (fe.contrib_cached) continue;
+    fe.lexed = lex(fe.text);
     rules::Context local;
-    rules::collect_unordered_names(ensure_lexed(fe), local);
+    rules::collect_unordered_names(fe.lexed, local);
     if (fe.scope.check_protocol) {
       rules::collect_protocol_annotations(fe.lexed, local);
     }
-    fe.cached_unordered = std::move(local.unordered_names);
-    fe.cached_proto = std::move(local.protocol);
+    unordered.insert(local.unordered_names.begin(),
+                     local.unordered_names.end());
+    for (const auto& [name, eff] : local.protocol) {
+      rules::ProtoEffects& merged = ctx.protocol[name];
+      add(merged.acquires, eff.acquires);
+      add(merged.releases, eff.releases);
+      add(merged.abandons, eff.abandons);
+      add(merged.borrows, eff.borrows);
+      merged.acks_on_commit |= eff.acks_on_commit;
+    }
   }
+  ctx.unordered_names.assign(unordered.begin(), unordered.end());
 
-  // -- Merge into the run context (sorted path order keeps it stable) and
-  // hash it for the finding-level cache validity check.
-  rules::Context ctx;
-  {
-    std::set<std::string> unordered;
-    for (const FileEntry& fe : files) {
-      unordered.insert(fe.cached_unordered.begin(),
-                       fe.cached_unordered.end());
-      for (const auto& [name, eff] : fe.cached_proto) {
-        rules::ProtoEffects& merged = ctx.protocol[name];
-        auto add = [](std::vector<std::string>& v,
-                      const std::vector<std::string>& from) {
-          for (const std::string& k : from) {
-            if (std::find(v.begin(), v.end(), k) == v.end()) v.push_back(k);
-          }
-        };
-        add(merged.acquires, eff.acquires);
-        add(merged.releases, eff.releases);
-        add(merged.abandons, eff.abandons);
-        add(merged.borrows, eff.borrows);
-        merged.acks_on_commit |= eff.acks_on_commit;
-      }
-    }
-    ctx.unordered_names.assign(unordered.begin(), unordered.end());
-  }
-  std::uint64_t ctx_hash = kFnvOffset;
-  {
-    std::string blob = join(ctx.unordered_names);
-    for (const auto& [name, eff] : ctx.protocol) {
-      blob += '\n';
-      blob += name + '\t' + join(eff.acquires) + '\t' + join(eff.releases) +
-              '\t' + join(eff.abandons) + '\t' + join(eff.borrows) + '\t' +
-              (eff.acks_on_commit ? '1' : '0');
-    }
-    // Kinds are sorted inside join inputs by construction order; sort the
-    // vectors first so merge order cannot perturb the hash.
-    ctx_hash = fnv1a(blob);
-  }
-
-  // -- Findings: cached when both content and context match.
-  for (FileEntry& fe : files) {
-    if (use_cache && fe.contrib_cached && !fe.findings_cached) {
-      // Re-read the entry now that the context hash is known.
-      fe.cached_findings.clear();
-      load_cache_entry(fe, /*check_ctx=*/true, ctx_hash);
-    }
-    if (fe.findings_cached) {
-      out.insert(out.end(), fe.cached_findings.begin(),
-                 fe.cached_findings.end());
-      continue;
-    }
-    const LexedFile& lf = ensure_lexed(fe);
+  // -- Findings.
+  for (const FileEntry& fe : files) {
+    const LexedFile& lf = fe.lexed;
     std::vector<Finding> file_findings;
     rules::check_coroutines(fe.path, lf, file_findings);
     rules::check_determinism(fe.path, lf, ctx, fe.scope, file_findings);
@@ -478,7 +257,6 @@ std::vector<Finding> run_lint(const Options& opts) {
       rules::check_register_map(fe.path, lf, file_findings);
     }
     apply_suppressions(fe.path, lf, &file_findings);
-    if (use_cache) store_cache_entry(fe, ctx_hash, file_findings);
     out.insert(out.end(), file_findings.begin(), file_findings.end());
   }
 

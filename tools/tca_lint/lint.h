@@ -110,9 +110,6 @@ struct Options {
   std::vector<std::string> files;
   /// Explicit register-map header to analyze (fixtures/tests).
   std::string registers_path;
-  /// When non-empty, per-file lex/finding results are cached here keyed by
-  /// content hash, so repeated repo-wide runs skip unchanged files.
-  std::string cache_dir;
 };
 
 /// Runs the configured lint; findings are sorted by (file, line, rule).

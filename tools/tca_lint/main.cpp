@@ -3,8 +3,6 @@
 //   tca_lint --root .                     lint the whole project
 //   tca_lint file.cpp [file2.cpp ...]     lint explicit files (all rules)
 //   tca_lint --registers path/to/regs.h   analyze a register map header
-//   tca_lint --cache-dir DIR              reuse per-file results by content
-//                                         hash (warm runs lex nothing)
 //   tca_lint --sarif out.sarif            also write SARIF 2.1.0 for code
 //                                         scanning upload
 //   tca_lint --list-rules                 print the rule catalogue
@@ -23,8 +21,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: tca_lint [--root DIR] [--registers FILE] "
-               "[--cache-dir DIR] [--sarif FILE] [--quiet] [--list-rules] "
-               "[files...]\n");
+               "[--sarif FILE] [--quiet] [--list-rules] [files...]\n");
   return 2;
 }
 
@@ -111,9 +108,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--registers") {
       if (++i >= argc) return usage();
       opts.registers_path = argv[i];
-    } else if (arg == "--cache-dir") {
-      if (++i >= argc) return usage();
-      opts.cache_dir = argv[i];
     } else if (arg == "--sarif") {
       if (++i >= argc) return usage();
       sarif_path = argv[i];
