@@ -9,7 +9,7 @@
 # speedup tripwire + allocation, determinism and seed-equivalence checks),
 # collective bench smoke runs, a chaos smoke (seeded campaigns with
 # same-seed replay check + committed corpus replay), and tca_explore smoke
-# invocations (--stats and --workload).
+# invocations (--stats, --workload and --trace).
 #
 # The build trees are CMake presets (CMakePresets.json): `check` is the
 # Release gate, `asan` the instrumented suites, `perf` the bench tree. For a full instrumented pass: cmake --preset asan && ctest
@@ -90,10 +90,27 @@ TCA_LOG=error "$BUILD"/tools/tca_chaos --corpus tests/chaos
 
 echo "== tca_explore torus smoke =="
 # 2D torus, dimension-order routed: a cross-dimension DMA plus a collective
-# riding the boustrophedon ring order (allreduce verifies the result).
+# riding the boustrophedon ring order (allreduce verifies the result). The
+# collective also writes its --trace, which must parse with events in it.
+TRACE_JSON=$(mktemp)
+trap 'rm -f "$METRICS_JSON" "$TRACE_JSON"' EXIT
 "$BUILD"/tools/tca_explore --topology torus:4x4 --op pipelined \
   --target remote-host --dest 5 --burst 8 --sizes 4096
 "$BUILD"/tools/tca_explore --topology torus:4x4 --workload allreduce \
-  --size 65536
+  --size 65536 --trace "$TRACE_JSON"
+if command -v python3 > /dev/null 2>&1; then
+  python3 - "$TRACE_JSON" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    events = json.load(f).get("traceEvents")
+assert isinstance(events, list) and events, "trace JSON has no traceEvents"
+print(f"trace JSON OK ({len(events)} events)")
+EOF
+else
+  # No python3: at least require the event array and one recorded span.
+  grep -q '"traceEvents":\[' "$TRACE_JSON"
+  grep -q '"ph":"X"' "$TRACE_JSON"
+  echo "trace JSON OK (grep fallback)"
+fi
 
 echo "check.sh: OK"

@@ -307,12 +307,9 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     result.violations.push_back(std::move(msg));
   };
 
-  // The campaign owns the global trace for its duration: deterministic
-  // same-seed replay is judged on the full event stream.
-  Trace& trace = Trace::instance();
-  const bool trace_was_enabled = trace.enabled();
-  trace.clear();
-  trace.enable();
+  // Deterministic same-seed replay is judged on the full event stream. The
+  // trace is declared before the scheduler so it outlives every event.
+  Trace trace;
 
   fabric::FaultPlan plan = spec.plan.empty()
                                ? generate_fault_plan(spec.seed, spec.topology)
@@ -320,6 +317,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
 
   {
     sim::Scheduler sched;
+    sched.set_trace(&trace);
     api::TcaConfig cfg;
     cfg.spec = spec.topology;
     // These sizes are part of every campaign's simulated result:
@@ -694,8 +692,6 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
   }
 
   result.trace_hash = fnv1a64(trace.to_json());
-  trace.clear();
-  if (!trace_was_enabled) trace.disable();
   return result;
 }
 

@@ -124,9 +124,8 @@ fabric::FaultPlan generate_fault_plan(std::uint64_t seed,
                                       const fabric::TopologySpec& topo);
 
 /// Builds the fabric, applies the plan, drives the workload, audits every
-/// invariant. Pure function of `spec` — it clears and re-enables the global
-/// Trace for the duration (restoring the previous enable state), so callers
-/// must not hold trace state across it.
+/// invariant. Pure function of `spec`: the campaign records into a trace of
+/// its own, whose JSON `trace_hash` digests.
 CampaignResult run_campaign(const CampaignSpec& spec);
 
 /// shrink_campaign's report: the locally-minimal failing spec plus how much

@@ -513,7 +513,7 @@ sim::Task<Status> Communicator::barrier(std::uint32_t rank) {
   RankState& me = states_[rank];
   const std::uint32_t e = ++me.barrier_epoch;
   const TimePs t0 = rt_->scheduler().now();
-  TraceSpan span(me.track, "barrier", t0);
+  TraceSpan span(rt_->scheduler().trace(), me.track, "barrier", t0);
   std::uint32_t round = 0;
   for (std::uint32_t dist = 1; dist < ranks_; dist <<= 1, ++round) {
     co_await signal(rank, (rank + dist) % ranks_, kBarrierWordBase + round, e);
@@ -552,7 +552,7 @@ sim::Task<Status> Communicator::broadcast(std::uint32_t rank,
   const Algorithm algo = select_algorithm(bytes, buf.is_host());
   const TimePs t0 = rt_->scheduler().now();
   RankState& me = states_[rank];
-  TraceSpan span(me.track,
+  TraceSpan span(rt_->scheduler().trace(), me.track,
                  algo == Algorithm::kEager ? "bcast.eager" : "bcast.ring", t0);
   Status st = Status::ok();
   if (algo == Algorithm::kEager) {
@@ -602,7 +602,8 @@ sim::Task<Status> Communicator::reduce_scatter_sum(std::uint32_t rank,
     co_return st;
   }
   RankState& me = states_[rank];
-  TraceSpan span(me.track, "reduce_scatter", rt_->scheduler().now());
+  TraceSpan span(rt_->scheduler().trace(), me.track, "reduce_scatter",
+                 rt_->scheduler().now());
   ++metrics_.ring_ops;
   // shift -1 makes rank r end the n-1 steps holding fully reduced chunk r.
   std::vector<std::byte> carry;
@@ -633,7 +634,8 @@ sim::Task<Status> Communicator::allgather(std::uint32_t rank, api::Buffer buf,
     co_return st;
   }
   RankState& me = states_[rank];
-  TraceSpan span(me.track, "allgather", rt_->scheduler().now());
+  TraceSpan span(rt_->scheduler().trace(), me.track, "allgather",
+                 rt_->scheduler().now());
   ++metrics_.ring_ops;
   // shift 0: rank r injects its own chunk r at step 0 and relays from
   // there; after n-1 steps every rank holds every chunk.
@@ -669,7 +671,7 @@ sim::Task<Status> Communicator::allreduce_sum(std::uint32_t rank,
   const TimePs t0 = rt_->scheduler().now();
   RankState& me = states_[rank];
   TraceSpan span(
-      me.track,
+      rt_->scheduler().trace(), me.track,
       algo == Algorithm::kEager ? "allreduce.eager" : "allreduce.ring", t0);
   Status st = Status::ok();
   if (algo == Algorithm::kEager) {
@@ -739,7 +741,7 @@ sim::Task<Status> Communicator::neighbor_exchange(std::uint32_t rank,
   RankState& me = states_[rank];
   const std::uint32_t h = ++me.halo_seq;
   const TimePs t0 = rt_->scheduler().now();
-  TraceSpan span(me.track, "halo", t0);
+  TraceSpan span(rt_->scheduler().trace(), me.track, "halo", t0);
   // Both neighbors must have consumed exchange h-1's puts before their
   // halo slots are overwritten (credit of depth 1 per direction).
   if (h > 1) {

@@ -36,4 +36,24 @@ void assert_fail(const char* expr, const char* file, int line) {
   std::abort();
 }
 
+void value_of_error(const Status& status) {
+  std::fprintf(stderr, "Result::value() on an error: %s\n",
+               status.to_string().c_str());
+  std::abort();
+}
+
+Status write_file(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return {ErrorCode::kInvalidArgument, "cannot open " + path};
+  }
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    return {ErrorCode::kInternal, "failed to write " + path};
+  }
+  return Status::ok();
+}
+
 }  // namespace tca

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace tca {
@@ -62,6 +63,9 @@ class Status {
   std::string message_;
 };
 
+[[noreturn]] void assert_fail(const char* expr, const char* file, int line);
+[[noreturn]] void value_of_error(const Status& status);
+
 /// A value or a Status. Minimal expected<>-style type; the simulator does not
 /// need monadic composition, just explicit checking at call sites.
 template <typename T>
@@ -73,16 +77,24 @@ class Result {
   [[nodiscard]] bool is_ok() const { return value_.has_value(); }
   [[nodiscard]] const Status& status() const { return status_; }
 
-  [[nodiscard]] T& value() & { return *value_; }
-  [[nodiscard]] const T& value() const& { return *value_; }
-  [[nodiscard]] T&& value() && { return *std::move(value_); }
+  /// The value; aborts with the status, in every build type, on an error.
+  [[nodiscard]] T& value() & { return (check(), *value_); }
+  [[nodiscard]] const T& value() const& { return (check(), *value_); }
+  [[nodiscard]] T&& value() && { return (check(), *std::move(value_)); }
 
  private:
+  void check() const {
+    if (!value_.has_value()) value_of_error(status_);
+  }
+
   std::optional<T> value_;
   Status status_;
 };
 
-[[noreturn]] void assert_fail(const char* expr, const char* file, int line);
+/// Writes `text` to the file at `path`, replacing it. Fails if the file
+/// cannot be opened, or if the write or the close (where buffered output
+/// reaches the file) fails.
+Status write_file(const std::string& path, std::string_view text);
 
 }  // namespace tca
 

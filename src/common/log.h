@@ -29,6 +29,7 @@ class Log {
                     const std::string& message);
 
  private:
+  // tca-lint: allow(det-shard-shared-state): verbosity, not simulation state
   static LogLevel level_;
 };
 

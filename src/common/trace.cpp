@@ -5,11 +5,6 @@
 
 namespace tca {
 
-Trace& Trace::instance() {
-  static Trace trace;
-  return trace;
-}
-
 Trace::StrId Trace::intern(std::string_view s) {
   if (auto it = index_.find(s); it != index_.end()) return it->second;
   const StrId id = static_cast<StrId>(strings_.size());
@@ -20,33 +15,27 @@ Trace::StrId Trace::intern(std::string_view s) {
 
 void Trace::duration(std::string_view track, std::string_view name,
                      TimePs begin, TimePs end) {
-  if (!enabled_) return;
   duration(intern(track), intern(name), begin, end);
 }
 
 void Trace::duration(StrId track, StrId name, TimePs begin, TimePs end) {
-  if (!enabled_) return;
   events_.push_back(Event{Kind::kDuration, track, name, begin, end, 0});
 }
 
 void Trace::instant(std::string_view track, std::string_view name, TimePs at) {
-  if (!enabled_) return;
   instant(intern(track), intern(name), at);
 }
 
 void Trace::instant(StrId track, StrId name, TimePs at) {
-  if (!enabled_) return;
   events_.push_back(Event{Kind::kInstant, track, name, at, at, 0});
 }
 
 void Trace::counter(std::string_view track, std::string_view name, TimePs at,
                     double value) {
-  if (!enabled_) return;
   counter(intern(track), intern(name), at, value);
 }
 
 void Trace::counter(StrId track, StrId name, TimePs at, double value) {
-  if (!enabled_) return;
   events_.push_back(Event{Kind::kCounter, track, name, at, at, value});
 }
 
@@ -122,17 +111,7 @@ std::string Trace::to_json() const {
 }
 
 Status Trace::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return {ErrorCode::kInvalidArgument, "cannot open trace file " + path};
-  }
-  const std::string json = to_json();
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return {ErrorCode::kInternal, "short write to " + path};
-  }
-  return Status::ok();
+  return write_file(path, to_json());
 }
 
 }  // namespace tca

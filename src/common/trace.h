@@ -1,19 +1,21 @@
 // Event tracing with chrome://tracing (Perfetto-compatible) JSON export.
 //
-// Opt-in and zero-cost when disabled: instrumentation sites check
-// Trace::enabled() before formatting anything. Tracks map to simulator
-// components (one "thread" per chip/engine/link), durations to DMA
-// descriptors / TLP serializations / driver operations, instants to
-// interrupts and notifications. Load the JSON in chrome://tracing or
-// ui.perfetto.dev to see a transfer's anatomy on the simulated timeline.
+// A Trace belongs to one simulation: the caller owns it and attaches it to
+// its scheduler (`sched.set_trace(&trace)`), and every instrumentation site
+// records into `sched.trace()`, which is null when the simulation is not
+// traced. Two simulations in one process therefore never share a timeline.
+// Tracks map to simulator components (one "thread" per chip/engine/link),
+// durations to DMA descriptors / TLP serializations / driver operations,
+// instants to interrupts and notifications. Load the JSON in chrome://tracing
+// or ui.perfetto.dev to see a transfer's anatomy on the simulated timeline.
 //
 // Track and name strings are interned: each distinct string is stored once
 // in an id table and events carry two 32-bit ids, so recording an event is a
 // 40-byte append instead of two std::string copies (which heap-allocated for
-// every non-SSO name and made enabling tracing measurably perturb long
-// runs). The string_view API is a drop-in for the old std::string one;
-// hot sites may also pre-intern and record by StrId. JSON output is
-// byte-identical to the pre-interning format.
+// every non-SSO name and made tracing measurably perturb long runs). Hot
+// sites may also pre-intern and record by StrId. The JSON names tracks by
+// content and numbers them by first appearance, so it does not depend on
+// the interning order.
 #pragma once
 
 #include <cstdint>
@@ -29,16 +31,8 @@ namespace tca {
 
 class Trace {
  public:
-  /// Index into the interned-string table; stable for the process lifetime
-  /// (clear() drops events, not strings).
+  /// Index into the interned-string table; stable for the trace's lifetime.
   using StrId = std::uint32_t;
-
-  /// Process-wide recorder (the simulator is single-threaded).
-  static Trace& instance();
-
-  void enable() { enabled_ = true; }
-  void disable() { enabled_ = false; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Returns the id for `s`, copying it into the table on first sight.
   StrId intern(std::string_view s);
@@ -58,7 +52,6 @@ class Trace {
   void counter(StrId track, StrId name, TimePs at, double value);
 
   [[nodiscard]] std::size_t event_count() const { return events_.size(); }
-  void clear() { events_.clear(); }
 
   /// Serializes the Trace Event Format JSON (returns it; write_json saves).
   [[nodiscard]] std::string to_json() const;
@@ -82,36 +75,36 @@ class Trace {
     }
   };
 
-  bool enabled_ = false;
   std::vector<Event> events_;
   std::vector<std::string> strings_;
   std::unordered_map<std::string, StrId, TransparentHash, std::equal_to<>>
       index_;
 };
 
-/// Span helper: records `name` on `track` from the `begin` time given at
-/// construction to the time passed to end(); both are the caller's
-/// simulated time. No-op when tracing is disabled.
+/// Span helper: records `name` on `track` of `trace` from the `begin` time
+/// given at construction to the time passed to end(); both are the caller's
+/// simulated time. No-op when `trace` is null (tracing off).
 class TraceSpan {
  public:
-  TraceSpan(std::string_view track, std::string_view name, TimePs begin)
-      : active_(Trace::instance().enabled()), begin_(begin) {
-    if (active_) {
-      track_ = Trace::instance().intern(track);
-      name_ = Trace::instance().intern(name);
+  TraceSpan(Trace* trace, std::string_view track, std::string_view name,
+            TimePs begin)
+      : trace_(trace), begin_(begin) {
+    if (trace_ != nullptr) {
+      track_ = trace_->intern(track);
+      name_ = trace_->intern(name);
     }
   }
 
   /// Explicit completion with the end timestamp.
   void end(TimePs end_time) {
-    if (active_) {
-      Trace::instance().duration(track_, name_, begin_, end_time);
-      active_ = false;
+    if (trace_ != nullptr) {
+      trace_->duration(track_, name_, begin_, end_time);
+      trace_ = nullptr;
     }
   }
 
  private:
-  bool active_;
+  Trace* trace_;
   Trace::StrId track_ = 0;
   Trace::StrId name_ = 0;
   TimePs begin_;

@@ -293,12 +293,12 @@ sim::Task<TimePs> Peach2Driver::run_chain(
   dma_in_flight_[ch] = false;
   ++chains_run_;
   if (obs::sampling_enabled()) chain_latency_.add_time(elapsed);
-  if (Trace::instance().enabled()) {
+  if (Trace* trace = node_.cpu().scheduler().trace()) {
     const std::string what =
         source == Source::kTable
             ? "run_chain[" + std::to_string(chain.size()) + "]"
             : std::string("run_immediate");
-    Trace::instance().duration(
+    trace->duration(
         "driver/node" + std::to_string(chip_.node_id()),
         what + (polled ? "+poll" : "") + "@ch" + std::to_string(channel), t0,
         t0 + elapsed);

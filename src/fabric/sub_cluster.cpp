@@ -310,8 +310,8 @@ void SubCluster::arm_failover() {
                      std::string(up ? "failback" : "failover") + ": cable " +
                          std::to_string(cable) + (up ? " up, " : " down, ") +
                          std::to_string(changed) + " routes rewritten");
-          if (Trace::instance().enabled()) {
-            Trace::instance().instant(
+          if (Trace* trace = sched_.trace()) {
+            trace->instant(
                 "fabric",
                 std::string(up ? "failback" : "failover") + " cable " +
                     std::to_string(cable),

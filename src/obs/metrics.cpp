@@ -179,18 +179,6 @@ bool MetricRegistry::has_histogram(std::string_view name) const {
   return histograms_.find(name) != histograms_.end();
 }
 
-void MetricRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
-void MetricRegistry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 MetricsSnapshot MetricRegistry::snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();
@@ -266,20 +254,10 @@ std::string MetricRegistry::to_json() const {
 }
 
 Status MetricRegistry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    return {ErrorCode::kInvalidArgument,
-            "cannot open metrics output file: " + path};
-  }
-  const std::string json = to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return Status::ok();
+  return write_file(path, to_json());
 }
 
-void MetricRegistry::emit_trace_counters(TimePs at) const {
-  Trace& trace = Trace::instance();
-  if (!trace.enabled()) return;
+void MetricRegistry::emit_trace_counters(Trace& trace, TimePs at) const {
   const Trace::StrId track = trace.intern("metrics");
   for (const auto& [name, c] : counters_) {
     trace.counter(track, trace.intern(name), at,

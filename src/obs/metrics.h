@@ -30,9 +30,15 @@
 #include "common/stats.h"
 #include "common/units.h"
 
+namespace tca {
+class Trace;
+}  // namespace tca
+
 namespace tca::obs {
 
 namespace detail {
+// tcabench toggles the gate between ops; it moves with a benchmark change.
+// tca-lint: allow(det-shard-shared-state): set by the benchmark driver
 inline bool g_sampling_enabled = false;
 }  // namespace detail
 
@@ -50,7 +56,6 @@ class Counter {
   void add(std::uint64_t n = 1) { value_ += n; }
   void set(std::uint64_t v) { value_ = v; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -61,7 +66,6 @@ class Gauge {
  public:
   void set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   double value_ = 0;
@@ -87,7 +91,6 @@ class Histogram {
   [[nodiscard]] double percentile(double p) const {
     return samples_.percentile(p);
   }
-  void reset() { *this = Histogram{}; }
 
  private:
   RunningStats stats_;
@@ -138,12 +141,6 @@ class MetricRegistry {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
 
-  /// Zeroes every value but keeps the registered names (so a long-running
-  /// harness can diff intervals without re-registering).
-  void reset();
-  /// Drops everything.
-  void clear();
-
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Serializes the snapshot as a JSON document:
@@ -152,9 +149,9 @@ class MetricRegistry {
   [[nodiscard]] std::string to_json() const;
   Status write_json(const std::string& path) const;
 
-  /// Emits one chrome://tracing counter event per counter/gauge at simulated
-  /// time `at`, riding the interned Trace (no-op when tracing is disabled).
-  void emit_trace_counters(TimePs at) const;
+  /// Records one chrome://tracing counter event per counter/gauge into
+  /// `trace` at simulated time `at`, on the "metrics" track.
+  void emit_trace_counters(Trace& trace, TimePs at) const;
 
  private:
   // std::map: stable references (node-based) + sorted deterministic dumps.

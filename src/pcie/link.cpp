@@ -133,8 +133,9 @@ void LinkPort::try_transmit() {
   }
   head_replay_count_ = 0;
 
-  if (Trace::instance().enabled() && !cfg_->name.empty()) {
-    Trace::instance().duration(
+  if (Trace* trace = sched_->trace();
+      trace != nullptr && !cfg_->name.empty()) {
+    trace->duration(
         cfg_->name,
         std::string(to_string(tlp.type)) + " " +
             units::format_size(tlp.payload.empty() ? wb
@@ -181,8 +182,9 @@ void LinkPort::on_link_down() {
     wire_busy_ = false;
   }
   head_replay_count_ = 0;
-  if (dropped > 0 && Trace::instance().enabled() && !cfg_->name.empty()) {
-    Trace::instance().instant(
+  if (Trace* trace = sched_->trace();
+      trace != nullptr && dropped > 0 && !cfg_->name.empty()) {
+    trace->instant(
         cfg_->name, "link-down: " + std::to_string(dropped) + " TLPs dropped",
         sched_->now());
   }
@@ -200,8 +202,9 @@ std::size_t LinkPort::abandon_queued() {
   for (const Tlp& t : tx_queue_) tx_queued_ -= t.wire_bytes();
   tx_queue_.clear();
   abandoned_tlps_ += n;
-  if (n > 0 && Trace::instance().enabled() && !cfg_->name.empty()) {
-    Trace::instance().instant(
+  if (Trace* trace = sched_->trace();
+      trace != nullptr && n > 0 && !cfg_->name.empty()) {
+    trace->instant(
         cfg_->name,
         "failover: " + std::to_string(n) + " held TLPs abandoned",
         sched_->now());

@@ -173,11 +173,11 @@ sim::Task<> DmaController::exec_one(DmaDescriptor d) {
     case DmaDirection::kRead: co_await exec_read(d); break;
     case DmaDirection::kPipelined: co_await exec_pipelined(d); break;
   }
-  if (Trace::instance().enabled()) {
+  if (Trace* trace = sched_.trace()) {
     const char* kind = d.direction == DmaDirection::kWrite      ? "write"
                        : d.direction == DmaDirection::kRead     ? "read"
                                                                 : "pipelined";
-    Trace::instance().duration(
+    trace->duration(
         "dmac/node" + std::to_string(chip_.node_id()),
         std::string(kind) + " " + units::format_size(d.length), begin,
         sched_.now());
@@ -198,8 +198,8 @@ sim::Task<> DmaController::complete_chain() {
 
   status_ = (status_ & kStatusError) | kStatusDone;
   ++chains_done_;
-  if (Trace::instance().enabled()) {
-    Trace::instance().instant(
+  if (Trace* trace = sched_.trace()) {
+    trace->instant(
         "dmac/node" + std::to_string(chip_.node_id()),
         writeback_addr_ != 0 ? "writeback" : "interrupt", sched_.now());
   }

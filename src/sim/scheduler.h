@@ -24,6 +24,10 @@
 #include "sim/event_fn.h"
 #include "sim/indexed_queue.h"
 
+namespace tca {
+class Trace;
+}  // namespace tca
+
 namespace tca::sim {
 
 class Scheduler {
@@ -96,6 +100,12 @@ class Scheduler {
   /// during event execution recycle through it).
   [[nodiscard]] FrameArena& arena() { return arena_; }
 
+  /// Attaches the caller-owned trace this simulation records into, which
+  /// must outlive its events; null (the default) turns tracing off.
+  /// Recording never schedules an event, so tracing moves no result.
+  void set_trace(Trace* trace) { trace_ = trace; }
+  [[nodiscard]] Trace* trace() const { return trace_; }
+
  private:
   static constexpr TimePs kNoLimit = std::numeric_limits<TimePs>::max();
 
@@ -123,6 +133,7 @@ class Scheduler {
   // arena is still alive.
   FrameArena arena_;
   IndexedQueue queue_;
+  Trace* trace_ = nullptr;
 };
 
 }  // namespace tca::sim

@@ -111,15 +111,6 @@ class Semaphore {
   [[nodiscard]] std::int64_t available() const { return permits_; }
   [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
-  /// Non-blocking acquire; returns false if no permit is available.
-  bool try_acquire() {
-    if (permits_ > 0 && waiters_.empty()) {
-      --permits_;
-      return true;
-    }
-    return false;
-  }
-
   auto acquire() {
     struct Awaiter {
       Semaphore& sem;

@@ -727,29 +727,23 @@ TEST(Recovery, CollAllreduceSurfacesTimedOutWithoutFailover) {
 // One traced collective campaign under a link flap: allreduce on 4 ranks
 // while cable 0 goes down for 100us. Returns the trace JSON.
 std::string run_traced_campaign() {
-  Trace::instance().clear();
-  Trace::instance().enable();
-  std::string json;
-  {
-    constexpr std::uint32_t kRanks = 4;
-    constexpr std::uint64_t kCount = 8192;
-    sim::Scheduler sched;
-    auto config = cluster_of(kRanks);
-    config.fault_plan.flap(0, us(5), us(100));
-    api::Runtime rt(sched, config);
-    auto comm = Communicator::create(
-        rt, CollConfig{.sync = {.max_attempts = 4, .timeout_ps = us(300)},
-                       .flag_timeout_ps = ms(50)});
-    EXPECT_TRUE(comm.is_ok());
-    auto bufs =
-        load_inputs(rt, make_inputs(0x7ace, kRanks, kCount), /*host=*/true);
-    const auto st = run_allreduce(sched, comm.value(), bufs, kCount);
-    for (const Status& s : st) EXPECT_TRUE(s.is_ok()) << s.to_string();
-    json = Trace::instance().to_json();
-  }
-  Trace::instance().disable();
-  Trace::instance().clear();
-  return json;
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::uint64_t kCount = 8192;
+  Trace trace;
+  sim::Scheduler sched;
+  sched.set_trace(&trace);
+  auto config = cluster_of(kRanks);
+  config.fault_plan.flap(0, us(5), us(100));
+  api::Runtime rt(sched, config);
+  auto comm = Communicator::create(
+      rt, CollConfig{.sync = {.max_attempts = 4, .timeout_ps = us(300)},
+                     .flag_timeout_ps = ms(50)});
+  EXPECT_TRUE(comm.is_ok());
+  auto bufs =
+      load_inputs(rt, make_inputs(0x7ace, kRanks, kCount), /*host=*/true);
+  const auto st = run_allreduce(sched, comm.value(), bufs, kCount);
+  for (const Status& s : st) EXPECT_TRUE(s.is_ok()) << s.to_string();
+  return trace.to_json();
 }
 
 TEST(Determinism, CollectiveCampaignUnderFaultsReplaysIdentically) {

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -101,6 +102,17 @@ TEST(Result, Error) {
   Result<int> r(Status{ErrorCode::kBusy, "channel active"});
   ASSERT_FALSE(r.is_ok());
   EXPECT_EQ(r.status().code(), ErrorCode::kBusy);
+}
+
+// Checked in every build type: the error is what the caller needs to see,
+// not whatever an empty value happens to hold.
+TEST(Result, ValueOfAnErrorAbortsWithItsStatus) {
+  Result<int> r(Status{ErrorCode::kResourceExhausted, "GDDR exhausted"});
+  const Result<int>& cr = r;
+  EXPECT_DEATH((void)r.value(), "RESOURCE_EXHAUSTED: GDDR exhausted");
+  EXPECT_DEATH((void)cr.value(), "RESOURCE_EXHAUSTED: GDDR exhausted");
+  EXPECT_DEATH((void)std::move(r).value(),
+               "RESOURCE_EXHAUSTED: GDDR exhausted");
 }
 
 TEST(Rng, Deterministic) {

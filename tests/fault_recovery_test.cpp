@@ -338,9 +338,9 @@ TEST(Recovery, StuckDoorbellIsRiddenOutByWatchdogAndBackoff) {
 // One full campaign: flap + BER burst while a reliable chain runs. Returns
 // the trace JSON of the run.
 std::string run_traced_campaign() {
-  Trace::instance().clear();
-  Trace::instance().enable();
+  Trace trace;
   sim::Scheduler sched;
+  sched.set_trace(&trace);
   auto config = cluster_of(2);
   config.fault_plan.flap(0, us(5), us(100)).ber_burst(1, 0, ms(1), 1e-6);
   SubCluster tca(sched, config);
@@ -357,10 +357,7 @@ std::string run_traced_campaign() {
   EXPECT_TRUE(t.done());
   EXPECT_TRUE(t.result().status.is_ok()) << t.result().status.to_string();
 
-  std::string json = Trace::instance().to_json();
-  Trace::instance().disable();
-  Trace::instance().clear();
-  return json;
+  return trace.to_json();
 }
 
 TEST(Determinism, SameFaultPlanSameSeedProducesIdenticalTraces) {

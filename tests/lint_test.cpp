@@ -117,8 +117,9 @@ TEST(LintDeterminism, KeyedLookupAndOrderedIterationPass) {
 
 TEST(LintDeterminism, ShardSharedStateFlagged) {
   const auto fs = lint_file("det_shard_shared_state_bad.cpp");
-  // namespace-scope static and function-local static
-  EXPECT_EQ(count_rule(fs, "det-shard-shared-state"), 2u);
+  // namespace-scope static, namespace-scope inline variable and
+  // function-local static
+  EXPECT_EQ(count_rule(fs, "det-shard-shared-state"), 3u);
   EXPECT_TRUE(only_rules(fs, {"det-shard-shared-state"}));
 }
 

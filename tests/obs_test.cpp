@@ -4,7 +4,10 @@
 // overhead on a 4-node ring transfer.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "api/tca.h"
+#include "common/trace.h"
 #include "obs/metrics.h"
 
 namespace tca::obs {
@@ -53,24 +56,6 @@ TEST(MetricRegistry, HistogramMomentsAndPercentiles) {
   EXPECT_TRUE(reg.has_histogram("lat"));
 }
 
-TEST(MetricRegistry, ResetZeroesButKeepsNames) {
-  MetricRegistry reg;
-  reg.counter("c").add(9);
-  reg.gauge("g").set(3.5);
-  reg.histogram("h").record(42);
-  const std::size_t before = reg.size();
-  reg.reset();
-  EXPECT_EQ(reg.size(), before);
-  EXPECT_TRUE(reg.has_counter("c"));
-  EXPECT_EQ(reg.counter_value("c"), 0u);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("g"), 0.0);
-  EXPECT_EQ(reg.histogram("h").count(), 0u);
-
-  reg.clear();
-  EXPECT_EQ(reg.size(), 0u);
-  EXPECT_FALSE(reg.has_counter("c"));
-}
-
 TEST(MetricRegistry, JsonRoundTripsThroughSnapshot) {
   MetricRegistry reg;
   reg.counter("pcie.cable.0-1.fwd.wire_bytes").set(8960);
@@ -96,6 +81,32 @@ TEST(MetricRegistry, JsonRoundTripsThroughSnapshot) {
   const MetricsSnapshot direct = reg.snapshot();
   EXPECT_EQ(direct.counters, snap.counters);
   EXPECT_EQ(direct.gauges, snap.gauges);
+}
+
+// A full device: buffered output fails only when it is flushed at close.
+TEST(MetricRegistry, WriteJsonReportsAFailedWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  MetricRegistry reg;
+  reg.counter("fabric.tlps").set(32);
+  EXPECT_FALSE(reg.write_json("/dev/full").is_ok());
+}
+
+TEST(MetricRegistry, EmitTraceCountersRecordsEachCounterAndGauge) {
+  MetricRegistry reg;
+  reg.counter("fabric.tlps").set(32);
+  reg.gauge("fabric.node_count").set(4);
+  reg.histogram("api.memcpy.latency_ps").record(1000);  // not mirrored
+  Trace trace;
+  reg.emit_trace_counters(trace, units::ns(7));
+  EXPECT_EQ(trace.to_json(),
+            "{\"traceEvents\":[\n"
+            "{\"name\":\"fabric.tlps\",\"ph\":\"C\",\"pid\":1,\"tid\":1,"
+            "\"ts\":0.007,\"args\":{\"value\":32}},\n"
+            "{\"name\":\"fabric.node_count\",\"ph\":\"C\",\"pid\":1,"
+            "\"tid\":1,\"ts\":0.007,\"args\":{\"value\":4}},\n"
+            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,"
+            "\"args\":{\"name\":\"metrics\"}}\n"
+            "]}\n");
 }
 
 TEST(MetricsSnapshot, FromJsonRejectsMalformedDocuments) {

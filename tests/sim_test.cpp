@@ -407,15 +407,6 @@ TEST(Semaphore, LimitsConcurrency) {
   EXPECT_EQ(sem.available(), 2);
 }
 
-TEST(Semaphore, TryAcquire) {
-  Scheduler sched;
-  Semaphore sem(sched, 1);
-  EXPECT_TRUE(sem.try_acquire());
-  EXPECT_FALSE(sem.try_acquire());
-  sem.release();
-  EXPECT_TRUE(sem.try_acquire());
-}
-
 TEST(Semaphore, FifoFairness) {
   Scheduler sched;
   Semaphore sem(sched, 0);

@@ -21,19 +21,8 @@ using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 using units::us;
 
-struct TraceGuard {
-  TraceGuard() {
-    Trace::instance().clear();
-    Trace::instance().enable();
-  }
-  ~TraceGuard() {
-    Trace::instance().disable();
-    Trace::instance().clear();
-  }
-};
-
-/// Small per-node backing stores: mem::Dram allocates eagerly, so a 16-node
-/// torus with the default sizes would reserve real gigabytes.
+/// Small per-node backing stores: a 16-node torus with the default sizes
+/// would map gigabytes of address space and touch its staged bytes.
 SubClusterConfig small_cluster(TopologySpec spec) {
   return SubClusterConfig{
       .spec = spec,
@@ -198,8 +187,9 @@ INSTANTIATE_TEST_SUITE_P(Tori, DimensionOrderRouting,
 /// trace JSON, our strongest equality witness: it captures cable names,
 /// per-TLP routing, and timestamps.
 std::string trace_of(const TopologySpec& spec) {
-  TraceGuard guard;
+  Trace trace;
   sim::Scheduler sched;
+  sched.set_trace(&trace);
   SubCluster tca(sched, small_cluster(spec));
   std::vector<std::byte> data(8 << 10);
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -213,7 +203,7 @@ std::string trace_of(const TopologySpec& spec) {
                      .direction = DmaDirection::kWrite}});
   sched.run();
   EXPECT_TRUE(t.done());
-  return Trace::instance().to_json();
+  return trace.to_json();
 }
 
 TEST(TorusDegenerateCase, OneDimensionalTorusMatchesRingByteForByte) {

@@ -1,6 +1,8 @@
-// Tests for the trace subsystem: zero-cost when disabled, event capture
-// when enabled, and chrome://tracing JSON structure.
+// Tests for the trace subsystem: event capture, chrome://tracing JSON
+// structure, and one trace per simulation.
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "common/trace.h"
 #include "fabric/sub_cluster.h"
@@ -13,35 +15,43 @@ using fabric::SubClusterConfig;
 using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 
-/// The recorder is process-global; each test starts from a clean slate.
-struct TraceGuard {
-  TraceGuard() {
-    Trace::instance().clear();
-    Trace::instance().enable();
-  }
-  ~TraceGuard() {
-    Trace::instance().disable();
-    Trace::instance().clear();
-  }
-};
+SubClusterConfig two_nodes() {
+  return SubClusterConfig{.spec = fabric::TopologySpec::ring(2),
+                          .node_config = {.gpu_count = 2,
+                                          .host_backing_bytes = 8 << 20,
+                                          .gpu_backing_bytes = 4 << 20}};
+}
 
-TEST(Trace, DisabledByDefaultRecordsNothing) {
-  Trace::instance().clear();
-  ASSERT_FALSE(Trace::instance().enabled());
-  Trace::instance().duration("t", "x", 0, 100);
-  Trace::instance().instant("t", "y", 50);
-  EXPECT_EQ(Trace::instance().event_count(), 0u);
+/// One write chain of `length` bytes from node 0's internal RAM to node 1's
+/// host memory.
+sim::Task<TimePs> write_chain(SubCluster& tca, std::uint32_t length) {
+  return tca.driver(0).run_chain(
+      {DmaDescriptor{.src = tca.driver(0).internal_global(0),
+                     .dst = tca.global_host(1, 0),
+                     .length = length,
+                     .direction = DmaDirection::kWrite}});
+}
+
+/// Runs one write chain alone in its own simulation, recording into `trace`
+/// unless it is null; returns the chain's elapsed time.
+TimePs run_write_chain(Trace* trace, std::uint32_t length) {
+  sim::Scheduler sched;
+  sched.set_trace(trace);
+  SubCluster tca(sched, two_nodes());
+  auto t = write_chain(tca, length);
+  sched.run();
+  EXPECT_TRUE(t.done());
+  return t.result();
 }
 
 TEST(Trace, RecordsAllEventKinds) {
-  TraceGuard guard;
-  Trace::instance().duration("track-a", "span", units::ns(10),
-                             units::ns(20));
-  Trace::instance().instant("track-a", "tick", units::ns(15));
-  Trace::instance().counter("track-b", "queue", units::ns(15), 3.0);
-  EXPECT_EQ(Trace::instance().event_count(), 3u);
+  Trace trace;
+  trace.duration("track-a", "span", units::ns(10), units::ns(20));
+  trace.instant("track-a", "tick", units::ns(15));
+  trace.counter("track-b", "queue", units::ns(15), 3.0);
+  EXPECT_EQ(trace.event_count(), 3u);
 
-  const std::string json = Trace::instance().to_json();
+  const std::string json = trace.to_json();
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
@@ -50,29 +60,17 @@ TEST(Trace, RecordsAllEventKinds) {
 }
 
 TEST(Trace, EscapesQuotesInNames) {
-  TraceGuard guard;
-  Trace::instance().instant("t", "say \"hi\"", 0);
-  const std::string json = Trace::instance().to_json();
+  Trace trace;
+  trace.instant("t", "say \"hi\"", 0);
+  const std::string json = trace.to_json();
   EXPECT_NE(json.find("say \\\"hi\\\""), std::string::npos);
 }
 
 TEST(Trace, DmaChainProducesSpans) {
-  TraceGuard guard;
-  sim::Scheduler sched;
-  SubCluster tca(sched, SubClusterConfig{
-                            .spec = fabric::TopologySpec::ring(2),
-                            .node_config = {.gpu_count = 2,
-                                            .host_backing_bytes = 8 << 20,
-                                            .gpu_backing_bytes = 4 << 20}});
-  auto t = tca.driver(0).run_chain(
-      {DmaDescriptor{.src = tca.driver(0).internal_global(0),
-                     .dst = tca.global_host(1, 0),
-                     .length = 4096,
-                     .direction = DmaDirection::kWrite}});
-  sched.run();
-
-  EXPECT_GT(Trace::instance().event_count(), 10u);  // TLPs + spans
-  const std::string json = Trace::instance().to_json();
+  Trace trace;
+  run_write_chain(&trace, 4096);
+  EXPECT_GT(trace.event_count(), 10u);  // TLPs + spans
+  const std::string json = trace.to_json();
   EXPECT_NE(json.find("dmac/node0"), std::string::npos);
   EXPECT_NE(json.find("driver/node0"), std::string::npos);
   EXPECT_NE(json.find("cable/0-1"), std::string::npos);
@@ -80,11 +78,37 @@ TEST(Trace, DmaChainProducesSpans) {
   EXPECT_NE(json.find("interrupt"), std::string::npos);
 }
 
+// Two simulations in one process, stepped event by event in turn: the
+// traced one records exactly the timeline it records when run alone, and
+// nothing of the untraced one reaches it.
+TEST(Trace, EachSimulationRecordsIntoItsOwnTrace) {
+  Trace alone;
+  run_write_chain(&alone, 4096);
+
+  Trace trace;
+  sim::Scheduler traced;
+  sim::Scheduler untraced;
+  traced.set_trace(&trace);
+  SubCluster a(traced, two_nodes());
+  SubCluster b(untraced, two_nodes());
+  auto ta = write_chain(a, 4096);
+  auto tb = write_chain(b, 16384);
+  for (bool pending = true; pending;) {
+    const bool a_ran = traced.step();
+    const bool b_ran = untraced.step();
+    pending = a_ran || b_ran;
+  }
+  ASSERT_TRUE(ta.done());
+  ASSERT_TRUE(tb.done());
+  EXPECT_EQ(untraced.trace(), nullptr);
+  EXPECT_EQ(trace.to_json(), alone.to_json());
+}
+
 TEST(Trace, WriteJsonRoundTrips) {
-  TraceGuard guard;
-  Trace::instance().duration("t", "x", 0, units::ns(5));
+  Trace trace;
+  trace.duration("t", "x", 0, units::ns(5));
   const std::string path = ::testing::TempDir() + "/tcasim_trace.json";
-  ASSERT_TRUE(Trace::instance().write_json(path).is_ok());
+  ASSERT_TRUE(trace.write_json(path).is_ok());
 
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -92,34 +116,21 @@ TEST(Trace, WriteJsonRoundTrips) {
   const std::size_t n = std::fread(content.data(), 1, content.size(), f);
   std::fclose(f);
   content.resize(n);
-  EXPECT_EQ(content, Trace::instance().to_json());
+  EXPECT_EQ(content, trace.to_json());
+}
+
+// A full device: a trace smaller than the stdio buffer fails only when it
+// is flushed at close.
+TEST(Trace, WriteJsonReportsAFailedWrite) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Trace trace;
+  trace.instant("t", "x", 0);
+  EXPECT_FALSE(trace.write_json("/dev/full").is_ok());
 }
 
 TEST(Trace, TracingDoesNotPerturbTiming) {
-  auto measure = [](bool traced) {
-    Trace::instance().clear();
-    if (traced) {
-      Trace::instance().enable();
-    } else {
-      Trace::instance().disable();
-    }
-    sim::Scheduler sched;
-    SubCluster tca(sched, SubClusterConfig{
-                              .spec = fabric::TopologySpec::ring(2),
-                              .node_config = {.gpu_count = 2,
-                                              .host_backing_bytes = 8 << 20,
-                                              .gpu_backing_bytes = 4 << 20}});
-    auto t = tca.driver(0).run_chain(
-        {DmaDescriptor{.src = tca.driver(0).internal_global(0),
-                       .dst = tca.global_host(1, 0),
-                       .length = 16384,
-                       .direction = DmaDirection::kWrite}});
-    sched.run();
-    Trace::instance().disable();
-    Trace::instance().clear();
-    return t.result();
-  };
-  EXPECT_EQ(measure(false), measure(true));
+  Trace trace;
+  EXPECT_EQ(run_write_chain(nullptr, 16384), run_write_chain(&trace, 16384));
 }
 
 }  // namespace

@@ -140,9 +140,6 @@ void handle_failure(const chaos::CampaignSpec& spec, const Options& opt,
   }
 }
 
-void handle_failure(const chaos::CampaignSpec& spec, const Options& opt,
-                    int index);
-
 int run_corpus(const Options& opt) {
   std::vector<std::filesystem::path> files;
   std::error_code ec;

@@ -181,14 +181,60 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
+/// The run summary both modes end with: the fault-plan recovery line, the
+/// --stats/--stats-out metrics export and the --trace file. `reg` holds the
+/// run's metrics, whose fabric roll-ups the recovery line reads. Returns 1
+/// when an output file cannot be written, else 0.
+int report_run(const Options& opt, const sim::Scheduler& sched,
+               const obs::MetricRegistry& reg) {
+  if (!opt.fault_plan.empty()) {
+    auto count = [&reg](const char* name) {
+      return static_cast<unsigned long long>(reg.counter_value(name));
+    };
+    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
+    std::printf(
+        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
+        "replays=%llu error_irqs=%llu watchdog_timeouts=%llu retries=%llu\n",
+        count("fabric.failovers"), count("fabric.failbacks"),
+        count("fabric.link_dropped_tlps"), count("fabric.replays"),
+        count("fabric.error_irqs"), count("fabric.driver.watchdog_timeouts"),
+        count("fabric.driver.retries"));
+  }
+
+  Trace* trace = sched.trace();
+  if (opt.stats || !opt.stats_path.empty()) {
+    if (trace != nullptr) reg.emit_trace_counters(*trace, sched.now());
+    if (!opt.stats_path.empty()) {
+      const Status st = reg.write_json(opt.stats_path);
+      if (!st.is_ok()) {
+        std::fprintf(stderr, "stats: %s\n", st.to_string().c_str());
+        return 1;
+      }
+      std::printf("stats: %zu metrics -> %s\n", reg.size(),
+                  opt.stats_path.c_str());
+    }
+    if (opt.stats) std::printf("\n%s", reg.to_json().c_str());
+  }
+
+  if (trace != nullptr) {
+    const Status st = trace->write_json(opt.trace_path);
+    if (!st.is_ok()) {
+      std::fprintf(stderr, "trace: %s\n", st.to_string().c_str());
+      return 1;
+    }
+    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
+                trace->event_count(), opt.trace_path.c_str());
+  }
+  return 0;
+}
+
 /// --workload mode: drive one tca::coll collective (GPU-resident) over the
 /// api::Runtime instead of raw driver chains, composing with --nodes,
 /// --topology, --fault-plan, --no-failover, --deadline, --attempts,
 /// --stats and --trace. A healthy run exits non-zero on verification
 /// failure; under a fault campaign the printed outcome IS the experiment,
 /// so the run exits zero either way.
-int run_workload(const Options& opt) {
-  sim::Scheduler sched;
+int run_workload(const Options& opt, sim::Scheduler& sched) {
   const api::TcaConfig config{
       .spec = opt.spec,
       .node_config = {.gpu_count = 2,
@@ -353,54 +399,9 @@ int run_workload(const Options& opt) {
               static_cast<unsigned long long>(m.host_carry_bytes),
               static_cast<unsigned long long>(m.put_retries));
 
-  if (!opt.fault_plan.empty()) {
-    fabric::SubCluster& tca = rt.cluster();
-    std::uint64_t dropped = 0, replays = 0;
-    for (std::size_t k = 0; k < tca.cable_count(); ++k) {
-      dropped += tca.cable(k).end_a().dropped_tlps() +
-                 tca.cable(k).end_b().dropped_tlps();
-      replays +=
-          tca.cable(k).end_a().replays() + tca.cable(k).end_b().replays();
-    }
-    std::uint64_t error_irqs = 0;
-    for (std::uint32_t n = 0; n < opt.nodes; ++n) {
-      error_irqs += tca.chip(n).error_interrupts();
-    }
-    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
-    std::printf(
-        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
-        "replays=%llu error_irqs=%llu\n",
-        static_cast<unsigned long long>(tca.failovers()),
-        static_cast<unsigned long long>(tca.failbacks()),
-        static_cast<unsigned long long>(dropped),
-        static_cast<unsigned long long>(replays),
-        static_cast<unsigned long long>(error_irqs));
-  }
-
-  if (opt.stats || !opt.stats_path.empty()) {
-    obs::MetricRegistry reg;
-    comm.export_metrics(reg);
-    if (Trace::instance().enabled()) reg.emit_trace_counters(sched.now());
-    if (!opt.stats_path.empty()) {
-      const Status s = reg.write_json(opt.stats_path);
-      if (!s.is_ok()) {
-        std::fprintf(stderr, "stats: %s\n", s.to_string().c_str());
-        return 1;
-      }
-      std::printf("stats: %zu metrics -> %s\n", reg.size(),
-                  opt.stats_path.c_str());
-    }
-    if (opt.stats) std::printf("\n%s", reg.to_json().c_str());
-  }
-  if (!opt.trace_path.empty()) {
-    const Status s = Trace::instance().write_json(opt.trace_path);
-    if (!s.is_ok()) {
-      std::fprintf(stderr, "trace: %s\n", s.to_string().c_str());
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
-                Trace::instance().event_count(), opt.trace_path.c_str());
-  }
+  obs::MetricRegistry reg;
+  comm.export_metrics(reg);
+  if (const int rc = report_run(opt, sched, reg); rc != 0) return rc;
   if (all_ok && verified) return 0;
   return opt.fault_plan.empty() ? 1 : 0;
 }
@@ -409,13 +410,17 @@ int run_workload(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (!opt.trace_path.empty()) Trace::instance().enable();
   // Stats requested: also record latency samples (histograms in the JSON).
   if (opt.stats || !opt.stats_path.empty()) obs::set_sampling_enabled(true);
 
-  if (!opt.workload.empty()) return run_workload(opt);
-
+  // Declared before the scheduler so it outlives every event; attached
+  // before the fabric is built, so the whole run is on the timeline.
+  Trace trace;
   sim::Scheduler sched;
+  if (!opt.trace_path.empty()) sched.set_trace(&trace);
+
+  if (!opt.workload.empty()) return run_workload(opt, sched);
+
   fabric::SubCluster tca(
       sched, fabric::SubClusterConfig{
                  .spec = opt.spec,
@@ -524,57 +529,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  if (!opt.fault_plan.empty()) {
-    std::uint64_t dropped = 0, replays = 0;
-    for (std::size_t k = 0; k < tca.cable_count(); ++k) {
-      dropped += tca.cable(k).end_a().dropped_tlps() +
-                 tca.cable(k).end_b().dropped_tlps();
-      replays +=
-          tca.cable(k).end_a().replays() + tca.cable(k).end_b().replays();
-    }
-    std::uint64_t error_irqs = 0;
-    for (std::uint32_t n = 0; n < opt.nodes; ++n) {
-      error_irqs += tca.chip(n).error_interrupts();
-    }
-    std::printf("fault-plan: %s\n", opt.fault_plan.to_string().c_str());
-    std::printf(
-        "recovery: failovers=%llu failbacks=%llu dropped_tlps=%llu "
-        "replays=%llu error_irqs=%llu watchdog_timeouts=%llu retries=%llu\n",
-        static_cast<unsigned long long>(tca.failovers()),
-        static_cast<unsigned long long>(tca.failbacks()),
-        static_cast<unsigned long long>(dropped),
-        static_cast<unsigned long long>(replays),
-        static_cast<unsigned long long>(error_irqs),
-        static_cast<unsigned long long>(drv.watchdog_timeouts()),
-        static_cast<unsigned long long>(drv.chain_retries()));
-  }
-
-  if (opt.stats || !opt.stats_path.empty()) {
-    obs::MetricRegistry reg;
-    tca.export_metrics(reg);
-    if (Trace::instance().enabled()) reg.emit_trace_counters(sched.now());
-    if (!opt.stats_path.empty()) {
-      const Status st = reg.write_json(opt.stats_path);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "stats: %s\n", st.to_string().c_str());
-        return 1;
-      }
-      std::printf("stats: %zu metrics -> %s\n", reg.size(),
-                  opt.stats_path.c_str());
-    }
-    if (opt.stats) {
-      std::printf("\n%s", reg.to_json().c_str());
-    }
-  }
-
-  if (!opt.trace_path.empty()) {
-    const Status st = Trace::instance().write_json(opt.trace_path);
-    if (!st.is_ok()) {
-      std::fprintf(stderr, "trace: %s\n", st.to_string().c_str());
-      return 1;
-    }
-    std::printf("trace: %zu events -> %s (open in chrome://tracing)\n",
-                Trace::instance().event_count(), opt.trace_path.c_str());
-  }
-  return 0;
+  obs::MetricRegistry reg;
+  tca.export_metrics(reg);
+  return report_run(opt, sched, reg);
 }

@@ -189,7 +189,7 @@ std::vector<Finding> run_lint(const Options& opts) {
       scope.check_magic_mmio = path_contains(p, "src/driver/") ||
                                path_contains(p, "src/peach2/") ||
                                path_contains(p, "tests/");
-      scope.check_shard_state = path_contains(p, "src/sim/");
+      scope.check_shard_state = path_contains(p, "src/");
       // Protocol annotations live in src/; tests construct protocol
       // messages legitimately and tools/ documents the grammar, so neither
       // registers effects nor gets lifecycle-checked.

@@ -27,12 +27,13 @@
 //                            is implementation-defined, so anything it
 //                            feeds (trace, metrics, free lists) diverges
 //                            across platforms.
-//    det-shard-shared-state  mutable static in the event core (src/sim):
-//                            simulation state must be per-simulation, not
-//                            process-global, so independent simulations
-//                            can share a process or a thread pool; a
-//                            static that is not const/std::atomic/
-//                            thread_local leaks between them and races.
+//    det-shard-shared-state  mutable static or inline variable in the
+//                            simulator (src/): simulation state must be
+//                            per-simulation, not process-global, so
+//                            independent simulations can share a process
+//                            or a thread pool; a global that is not const/
+//                            std::atomic/thread_local leaks between them
+//                            and races.
 //
 //  register map (src/peach2/registers.h + MMIO call sites)
 //    reg-magic-mmio          write_register/read_register/dma_bank called
@@ -147,7 +148,7 @@ struct FileScope {
   bool allow_wall_clock = false;   // bench/ measures real time
   bool allow_raw_rand = false;     // common/rng wraps the generator
   bool check_magic_mmio = true;    // driver/, peach2/, tests/ + fixtures
-  bool check_shard_state = true;   // src/sim (event core) + fixtures
+  bool check_shard_state = true;   // src/ (the simulator) + fixtures
   bool check_protocol = true;      // src/ (annotated subsystems) + fixtures
 };
 

@@ -69,21 +69,25 @@ void collect_unordered_names(const LexedFile& f, Context& ctx) {
 
 namespace {
 
-/// det-shard-shared-state: a mutable `static` in the event core (src/sim).
-/// Simulation state must belong to one simulation, not the process: two
-/// simulations sharing a process — or running side by side on a thread
-/// pool — would otherwise leak state into each other and race, so any
-/// static that is not const/constexpr, std::atomic, or thread_local is both
-/// a data race and a replay hazard.
-/// Token heuristic: scan the declaration from `static` to the first
-/// top-level `;`, `=`, `{` or `(`; a `(` first means a function declaration
-/// (never state), and any const/constexpr/atomic/thread_local/mutex token
-/// means the state is immutable, synchronized, or per-thread.
+/// det-shard-shared-state: a mutable `static` or `inline` variable in the
+/// simulator (src/). Simulation state must belong to one simulation, not the
+/// process: two simulations sharing a process — or running side by side on
+/// a thread pool — would otherwise leak state into each other and race, so
+/// any static or namespace-scope inline variable that is not const/
+/// constexpr, std::atomic, or thread_local is both a data race and a replay
+/// hazard.
+/// Token heuristic: scan the declaration from `static` or `inline` to the
+/// first top-level `;`, `=`, `{` or `(`; a `(` first means a function
+/// declaration (never state), and any const/constexpr/atomic/thread_local/
+/// mutex token means the state is immutable, synchronized, or per-thread.
 void check_shard_statics(const std::string& path, const LexedFile& f,
                          std::vector<Finding>& out) {
   const std::vector<Tok>& toks = f.toks;
   for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent || toks[i].text != "static") continue;
+    if (toks[i].kind != TokKind::kIdent ||
+        (toks[i].text != "static" && toks[i].text != "inline")) {
+      continue;
+    }
     // `thread_local static` / `const static` spellings: look one token back.
     if (i > 0 && toks[i - 1].kind == TokKind::kIdent &&
         (toks[i - 1].text == "thread_local" || toks[i - 1].text == "const" ||
@@ -117,8 +121,8 @@ void check_shard_statics(const std::string& path, const LexedFile& f,
     if (safe || is_function || name.empty()) continue;
     out.push_back(
         {path, toks[i].line, "det-shard-shared-state",
-         "mutable static `" + name +
-             "` in the event core: process-global simulation state leaks "
+         "mutable " + toks[i].text + " `" + name +
+             "` in the simulator: process-global simulation state leaks "
              "between simulations sharing a process and races when they "
              "run on a thread pool, so replay stops depending on the seed "
              "alone — use std::atomic, thread_local, const, or state owned "
