@@ -204,42 +204,38 @@ int run(bool smoke, const std::string& json_path) {
   }
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    check.expect(f != nullptr, "write " + json_path);
-    if (f != nullptr) {
-      // Smallest 8-node size from which tca::coll stays ahead — the
-      // crossover the sweep exists to locate.
-      std::uint64_t crossover = 0;
-      for (const Row& r : rows) {
-        if (r.ranks != 8) continue;
-        if (r.p.mpi_ps > r.p.tca_ps) {
-          if (crossover == 0) crossover = r.bytes;
-        } else {
-          crossover = 0;
-        }
+    // Smallest 8-node size from which tca::coll stays ahead — the
+    // crossover the sweep exists to locate.
+    std::uint64_t crossover = 0;
+    for (const Row& r : rows) {
+      if (r.ranks != 8) continue;
+      if (r.p.mpi_ps > r.p.tca_ps) {
+        if (crossover == 0) crossover = r.bytes;
+      } else {
+        crossover = 0;
       }
-      std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-      std::fprintf(f, "  \"bitwise_match\": %s,\n",
-                   all_bitwise ? "true" : "false");
-      std::fprintf(f, "  \"crossover_bytes_8node\": %llu,\n",
-                   static_cast<unsigned long long>(crossover));
-      std::fprintf(f, "  \"sweep\": [\n");
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"nodes\": %u, \"bytes\": %llu, \"coll_ps\": %lld, "
-            "\"mpi_ps\": %lld, \"speedup\": %.3f}%s\n",
-            r.ranks, static_cast<unsigned long long>(r.bytes),
-            static_cast<long long>(r.p.tca_ps),
-            static_cast<long long>(r.p.mpi_ps),
-            static_cast<double>(r.p.mpi_ps) / static_cast<double>(r.p.tca_ps),
-            i + 1 < rows.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-      std::printf("\nwrote %s\n", json_path.c_str());
     }
+    std::string json;
+    bench::appendf(json, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
+    bench::appendf(json, "  \"bitwise_match\": %s,\n",
+                   all_bitwise ? "true" : "false");
+    bench::appendf(json, "  \"crossover_bytes_8node\": %llu,\n",
+                   static_cast<unsigned long long>(crossover));
+    bench::appendf(json, "  \"sweep\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      bench::appendf(
+          json,
+          "    {\"nodes\": %u, \"bytes\": %llu, \"coll_ps\": %lld, "
+          "\"mpi_ps\": %lld, \"speedup\": %.3f}%s\n",
+          r.ranks, static_cast<unsigned long long>(r.bytes),
+          static_cast<long long>(r.p.tca_ps),
+          static_cast<long long>(r.p.mpi_ps),
+          static_cast<double>(r.p.mpi_ps) / static_cast<double>(r.p.tca_ps),
+          i + 1 < rows.size() ? "," : "");
+    }
+    bench::appendf(json, "  ]\n}\n");
+    check.expect_written(json_path, json);
   }
   return check.finish();
 }

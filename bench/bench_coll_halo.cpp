@@ -208,29 +208,26 @@ int run(bool smoke, const std::string& json_path) {
                    TablePrinter::cell(worst_ratio, 2) + "x)");
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    check.expect(f != nullptr, "write " + json_path);
-    if (f != nullptr) {
-      std::fprintf(f, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
-      std::fprintf(f, "  \"nodes\": %u,\n", kNodes);
-      std::fprintf(f, "  \"verified\": %s,\n", all_verified ? "true" : "false");
-      std::fprintf(f, "  \"sweep\": [\n");
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const Row& r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"row_bytes\": %llu, \"coll_ps\": %lld, \"mpi_ps\": %lld, "
-            "\"speedup\": %.3f}%s\n",
-            static_cast<unsigned long long>(r.bytes),
-            static_cast<long long>(r.p.tca_ps),
-            static_cast<long long>(r.p.mpi_ps),
-            static_cast<double>(r.p.mpi_ps) / static_cast<double>(r.p.tca_ps),
-            i + 1 < rows.size() ? "," : "");
-      }
-      std::fprintf(f, "  ]\n}\n");
-      std::fclose(f);
-      std::printf("\nwrote %s\n", json_path.c_str());
+    std::string json;
+    bench::appendf(json, "{\n  \"smoke\": %s,\n", smoke ? "true" : "false");
+    bench::appendf(json, "  \"nodes\": %u,\n", kNodes);
+    bench::appendf(json, "  \"verified\": %s,\n",
+                   all_verified ? "true" : "false");
+    bench::appendf(json, "  \"sweep\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const Row& r = rows[i];
+      bench::appendf(
+          json,
+          "    {\"row_bytes\": %llu, \"coll_ps\": %lld, \"mpi_ps\": %lld, "
+          "\"speedup\": %.3f}%s\n",
+          static_cast<unsigned long long>(r.bytes),
+          static_cast<long long>(r.p.tca_ps),
+          static_cast<long long>(r.p.mpi_ps),
+          static_cast<double>(r.p.mpi_ps) / static_cast<double>(r.p.tca_ps),
+          i + 1 < rows.size() ? "," : "");
     }
+    bench::appendf(json, "  ]\n}\n");
+    check.expect_written(json_path, json);
   }
   return check.finish();
 }

@@ -321,27 +321,24 @@ int run(bool smoke, const std::string& json_path) {
                "(fire-order hash)");
 
   if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    check.expect(f != nullptr, "write " + json_path);
-    if (f == nullptr) return check.finish(), 1;
-    std::fprintf(f, "{\n  \"bench\": \"sim_core\",\n");
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    std::string json;
+    appendf(json, "{\n  \"bench\": \"sim_core\",\n");
+    appendf(json, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     for (const Measurement* m : {&timer, &timer_small, &churn, &resched}) {
-      std::fprintf(f,
-                   "  \"%s\": {\"baseline_events_per_sec\": %.0f, "
-                   "\"indexed_events_per_sec\": %.0f, \"speedup\": %.3f},\n",
-                   m->name, m->baseline_eps, m->indexed_eps, m->speedup());
+      appendf(json,
+              "  \"%s\": {\"baseline_events_per_sec\": %.0f, "
+              "\"indexed_events_per_sec\": %.0f, \"speedup\": %.3f},\n",
+              m->name, m->baseline_eps, m->indexed_eps, m->speedup());
     }
-    std::fprintf(f, "  \"headline_speedup\": %.3f,\n", churn.speedup());
-    std::fprintf(f, "  \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "  \"backends_equivalent\": %s,\n",
-                 impl_equivalent ? "true" : "false");
-    std::fprintf(f, "  \"eventfn_heap_fallbacks_steady_state\": %llu\n",
-                 static_cast<unsigned long long>(heap_delta));
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
+    appendf(json, "  \"headline_speedup\": %.3f,\n", churn.speedup());
+    appendf(json, "  \"deterministic\": %s,\n",
+            deterministic ? "true" : "false");
+    appendf(json, "  \"backends_equivalent\": %s,\n",
+            impl_equivalent ? "true" : "false");
+    appendf(json, "  \"eventfn_heap_fallbacks_steady_state\": %llu\n",
+            static_cast<unsigned long long>(heap_delta));
+    appendf(json, "}\n");
+    check.expect_written(json_path, json);
   }
 
   return check.finish();

@@ -6,10 +6,13 @@
 // doubles as a regression gate for the reproduction.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/units.h"
@@ -43,6 +46,16 @@ class ShapeCheck {
     expect(r >= lo && r <= hi, buf);
   }
 
+  /// Writes a bench's JSON report to `path` as one more check, so a write
+  /// that fails (a full disk, an unwritable path) fails the run instead of
+  /// leaving a truncated report behind a passing RESULT line.
+  void expect_written(const std::string& path, std::string_view text) {
+    const Status st = write_file(path, text);
+    expect(st.is_ok(),
+           "write " + path + (st.is_ok() ? "" : " (" + st.to_string() + ")"));
+    if (st.is_ok()) std::printf("\nwrote %s\n", path.c_str());
+  }
+
   /// Prints the checks; returns the process exit code.
   int finish() const {
     std::printf("\nShape checks:\n");
@@ -57,6 +70,25 @@ class ShapeCheck {
   std::vector<std::pair<bool, std::string>> results_;
   bool failed_ = false;
 };
+
+/// printf into the end of `out`: builds a JSON report for
+/// ShapeCheck::expect_written.
+[[gnu::format(printf, 2, 3)]] inline void appendf(std::string& out,
+                                                 const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list sizing;
+  va_copy(sizing, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, sizing);
+  va_end(sizing);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt, args);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(args);
+}
 
 /// Standard 2-node rig used by the DMA benches.
 struct DmaRig {

@@ -5,8 +5,9 @@
 # installed), full test suite (soak label excluded — run `ctest -L soak` for
 # the long fault campaigns; the `repro` label diffs every full-simulator
 # bench against tests/golden/), a sanitizer pass over the fault, collective,
-# memory and event-queue suites, a ~1 s bench_sim_core smoke run (scheduler
-# speedup tripwire + allocation, determinism and seed-equivalence checks),
+# memory, event-queue, poller and link suites, a ~1 s bench_sim_core smoke
+# run (scheduler speedup tripwire + allocation, determinism and
+# seed-equivalence checks),
 # collective bench smoke runs, a chaos smoke (seeded campaigns with
 # same-seed replay check + committed corpus replay), and tca_explore smoke
 # invocations (--stats, --workload and --trace).
@@ -32,15 +33,18 @@ scripts/clang_tidy.sh "$BUILD"
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
 
-echo "== fault, collective, memory and event-queue suites under ASan/UBSan =="
+echo "== fault, collective, memory, event-queue, poller and link suites under ASan/UBSan =="
 # memory_test runs instrumented so the Dram mapping's ownership code and
 # its bounds-check death tests are covered: the mapping has no redzones.
 # indexed_queue_test runs instrumented because a broken list link in the
 # calendar ring reads a recycled slot long before a fire order goes wrong.
+# sim_test's PollUntil and pcie_test's ZeroFlightLink suites run
+# instrumented because a poller that outlives its coroutine frame, or a
+# zero-flight hop's one event cancelled twice, shows up here first.
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
-  coll_test memory_test indexed_queue_test
+  coll_test memory_test indexed_queue_test sim_test pcie_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="

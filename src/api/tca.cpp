@@ -473,18 +473,24 @@ sim::Task<Status> Runtime::wait_flag_ge(Buffer host_flag, std::uint64_t offset,
                                         std::uint32_t expected,
                                         TimePs timeout_ps) {
   TCA_ASSERT(host_flag.is_host());
+  TCA_ASSERT(validate(host_flag, offset, 4).is_ok());
   ++metrics_.wait_flag_ops;
+  const std::span<const std::byte> word =
+      cluster_->node(host_flag.node)
+          .host_dram()
+          .view(host_flag.block_offset + offset, 4);
+  const auto value = [word] {
+    std::uint32_t v = 0;
+    std::memcpy(&v, word.data(), sizeof v);
+    return v;
+  };
   const TimePs deadline = timeout_ps > 0 ? sched_.now() + timeout_ps : 0;
-  for (;;) {
-    std::uint32_t now_value = 0;
-    read(host_flag, offset,
-         std::as_writable_bytes(std::span(&now_value, 1)));
-    if (now_value >= expected) co_return Status::ok();
-    if (deadline > 0 && sched_.now() >= deadline) {
-      co_return Status{ErrorCode::kTimedOut, "flag wait deadline expired"};
-    }
-    co_await sim::Delay(sched_, calib::kCpuPollIterationPs);
-  }
+  co_await sim::PollUntil(sched_, calib::kCpuPollIterationPs, [&] {
+    return value() >= expected || (deadline > 0 && sched_.now() >= deadline);
+  });
+  // A flag that lands on the deadline's own tick still counts.
+  if (value() >= expected) co_return Status::ok();
+  co_return Status{ErrorCode::kTimedOut, "flag wait deadline expired"};
 }
 
 sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,

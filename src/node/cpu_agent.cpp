@@ -73,16 +73,14 @@ void CpuAgent::on_completion(pcie::Tlp cpl) {
 
 sim::Task<TimePs> CpuAgent::poll_host_until_change(std::uint64_t offset,
                                                    std::uint32_t initial) {
-  for (;;) {
+  co_await sim::PollUntil(sched_, kCpuPollIterationPs, [this, offset, initial] {
     ++poll_iterations_;
     std::uint32_t now_value = 0;
     host_dram_.read(offset, std::as_writable_bytes(std::span(&now_value, 1)));
-    if (now_value != initial) {
-      co_await sim::Delay(sched_, kCpuPollDetectPs);  // TSC read + compare
-      co_return sched_.now();
-    }
-    co_await sim::Delay(sched_, kCpuPollIterationPs);
-  }
+    return now_value != initial;
+  });
+  co_await sim::Delay(sched_, kCpuPollDetectPs);  // TSC read + compare
+  co_return sched_.now();
 }
 
 }  // namespace tca::node

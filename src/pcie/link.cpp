@@ -142,22 +142,38 @@ void LinkPort::try_transmit() {
                                                    : tlp.payload.size()),
         sched_->now(), sched_->now() + serialize);
   }
-  wire_done_event_ = sched_->schedule_after(serialize, [this] {
-    wire_done_event_ = sim::Scheduler::kInvalidEvent;
-    wire_busy_ = false;
-    try_transmit();
-    if (tx_ready_) tx_ready_();
-  });
   // Track the delivery event so a surprise-down can pull the TLP off the
   // wire. Deliveries fire in FIFO order (the serializer forbids overtaking),
   // so the handler always consumes the front element.
   in_flight_.push_back(InFlight{sim::Scheduler::kInvalidEvent, std::move(tlp)});
+  if (cfg_->propagation_ps == 0) {
+    // Zero flight: as two events, the wire-done and the delivery would fall
+    // on the same picosecond with consecutive seqs, so no event could fire
+    // between them. One event at the first one's key runs both, in that
+    // order, and every other event keeps its place in the fire order.
+    wire_done_event_ = sched_->schedule_after(serialize, [this] {
+      wire_done();
+      deliver_front();
+    });
+    in_flight_.back().event = wire_done_event_;
+    return;
+  }
+  wire_done_event_ = sched_->schedule_after(serialize, [this] { wire_done(); });
   in_flight_.back().event = sched_->schedule_after(
-      serialize + cfg_->propagation_ps, [this] {
-        Tlp t = std::move(in_flight_.front().tlp);
-        in_flight_.pop_front();
-        peer_->deliver(std::move(t));
-      });
+      serialize + cfg_->propagation_ps, [this] { deliver_front(); });
+}
+
+void LinkPort::wire_done() {
+  wire_done_event_ = sim::Scheduler::kInvalidEvent;
+  wire_busy_ = false;
+  try_transmit();
+  if (tx_ready_) tx_ready_();
+}
+
+void LinkPort::deliver_front() {
+  Tlp t = std::move(in_flight_.front().tlp);
+  in_flight_.pop_front();
+  peer_->deliver(std::move(t));
 }
 
 void LinkPort::on_link_down() {
@@ -177,7 +193,9 @@ void LinkPort::on_link_down() {
     in_flight_.pop_back();
   }
   if (wire_done_event_ != sim::Scheduler::kInvalidEvent) {
-    TCA_ASSERT(sched_->cancel(wire_done_event_));
+    // A zero-flight hop's one event is also its TLP's delivery, cancelled
+    // above.
+    if (cfg_->propagation_ps > 0) TCA_ASSERT(sched_->cancel(wire_done_event_));
     wire_done_event_ = sim::Scheduler::kInvalidEvent;
     wire_busy_ = false;
   }

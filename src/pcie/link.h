@@ -170,10 +170,13 @@ class LinkPort {
       : sched_(&sched), cfg_(&cfg), rx_free_(cfg.rx_buffer_bytes) {}
 
   void try_transmit();
+  void wire_done();
+  void deliver_front();
   void deliver(Tlp tlp);
   void on_link_down();
 
   /// A TLP past the serializer but not yet at the peer (propagation delay).
+  /// On a zero-propagation link `event` is also the wire-done event.
   struct InFlight {
     sim::Scheduler::EventId event;
     Tlp tlp;

@@ -12,8 +12,9 @@
 //    ~4.2 us horizon). An event whose bucket lies within one horizon of
 //    `now` joins that bucket's list, doubly linked through the slots
 //    themselves and kept in (time, seq) order. Nearly all of the
-//    simulator's traffic lands here: zero-delay wakes, poll iterations,
-//    and the 25-131 ns cable, link and DMA steps that make up most events.
+//    simulator's traffic lands here: zero-delay wakes and the 25-131 ns
+//    cable, link and DMA steps that make up most events. (CPU poll
+//    iterations are not queue events; the Scheduler ticks them itself.)
 //    That traffic also files in near-FIFO order, so the sorted insert is
 //    an append at the tail, a pop unlinks the head, and a cancel unlinks in
 //    place: the ring never holds a stale entry and never sifts. A cursor

@@ -1,8 +1,8 @@
 // Discrete-event scheduler.
 //
 // Deterministic: events fire in (time, insertion-order) order, so two runs
-// with the same inputs produce identical traces. All coroutine resumptions
-// in the simulator are routed through this queue, which keeps call stacks
+// with the same inputs produce identical traces. Coroutine resumptions in
+// the simulator are routed through this queue, which keeps call stacks
 // shallow and event ordering well-defined even when a component fires a
 // trigger from inside another component's callback.
 //
@@ -12,11 +12,27 @@
 // Event fires run under the scheduler's FrameArena, so coroutine frames
 // spawned inside events recycle through pooled memory instead of the
 // global heap (see arena.h).
+//
+// Poll loops are the exception: they are not queue events. A CPU spinning
+// on a memory word (sim::PollUntil) would otherwise file, pop and resume
+// one event per iteration, most of the events on a latency path. Instead
+// the scheduler keeps each armed poller beside the queue, keyed by the
+// (time, seq) that the loop's next `co_await Delay(period)` event would
+// have had, and fires whichever of the queue head and the earliest poller
+// sorts first. A failing tick re-keys its poller to (time + period, next
+// seq), taking its seq exactly where the loop's rescheduling did; a passing
+// tick disarms it and resumes the waiter inline, at the tick's own key,
+// where that event would have resumed it. So every queue event keeps its
+// place in the fire order, and each tick takes the place of the event it
+// replaces, to the picosecond.
 #pragma once
 
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/units.h"
@@ -29,6 +45,16 @@ class Trace;
 }  // namespace tca
 
 namespace tca::sim {
+
+/// A coroutine parked in a poll loop: the record sim::PollUntil shares with
+/// the scheduler while it is armed. `test` evaluates the polled condition.
+/// It may read and write simulation state, but must not arm or disarm a
+/// poller.
+struct PollWaiter {
+  bool (*test)(PollWaiter&) = nullptr;
+  std::coroutine_handle<> waiter;
+  bool armed = false;
+};
 
 class Scheduler {
  public:
@@ -71,13 +97,38 @@ class Scheduler {
         static_cast<std::uint32_t>(lo - 1), static_cast<std::uint32_t>(id >> 32)});
   }
 
-  /// Runs the earliest pending event. Returns false if the queue is empty.
+  /// Parks `w` until `w.test` holds, testing it every `period` (> 0) of
+  /// simulated time from now; the first tick takes the next seq, as a
+  /// `Delay(period)` filed here would. Used by sim::PollUntil.
+  void arm_poll(PollWaiter& w, TimePs period) {
+    TCA_ASSERT(period > 0 && !w.armed);
+    w.armed = true;
+    pollers_.push_back(Poller{now_ + period, seq_++, period, &w});
+    if (detail::earlier(pollers_.back(), pollers_[next_poll_])) {
+      next_poll_ = pollers_.size() - 1;
+    }
+  }
+
+  /// Drops `w`'s poller if it is still armed (its frame is going away).
+  void disarm_poll(PollWaiter& w) {
+    if (!w.armed) return;
+    for (std::size_t i = 0; i < pollers_.size(); ++i) {
+      if (pollers_[i].waiter == &w) {
+        remove_poller(i);
+        return;
+      }
+    }
+    TCA_ASSERT(false && "armed PollWaiter not found");
+  }
+
+  /// Runs the earliest pending event or poll tick. Returns false if there
+  /// is none.
   bool step() {
     ArenaScope scope(&arena_);
     return fire_next(kNoLimit);
   }
 
-  /// Runs events until the queue is empty.
+  /// Runs events and poll ticks until none is pending.
   void run() {
     // One arena scope spans the whole drain: two thread-local writes total
     // instead of two per event (step() keeps the per-event scope).
@@ -86,14 +137,19 @@ class Scheduler {
     }
   }
 
-  /// Runs all events with time <= `t`, then advances now to `t`.
+  /// Runs all events and poll ticks with time <= `t`, then advances now to
+  /// `t`.
   void run_until(TimePs t);
 
   /// Runs all events within the next `duration` of simulated time.
   void run_for(TimePs duration) { run_until(now_ + duration); }
 
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  /// True when no event is queued and no poller is armed.
+  [[nodiscard]] bool empty() const {
+    return queue_.empty() && pollers_.empty();
+  }
 
+  /// Queue events fired. Poll ticks are not queue events and do not count.
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   /// The frame arena (coroutine frames and EventFn heap fallbacks allocated
@@ -109,12 +165,26 @@ class Scheduler {
  private:
   static constexpr TimePs kNoLimit = std::numeric_limits<TimePs>::max();
 
-  /// Fires the earliest live event iff its time <= `limit`. The caller must
-  /// hold an ArenaScope on the scheduler's arena.
+  /// An armed PollWaiter keyed by its next tick.
+  struct Poller {
+    TimePs time;
+    std::uint64_t seq;
+    TimePs period;
+    PollWaiter* waiter;
+  };
+
+  /// Fires the earliest live event or poll tick iff its time <= `limit`.
+  /// The caller must hold an ArenaScope on the scheduler's arena.
   bool fire_next(TimePs limit) {
     IndexedQueue::Key k;
-    if (!queue_.peek(now_, &k)) return false;
-    if (k.time > limit) return false;
+    const bool queued = queue_.peek(now_, &k);
+    if (!pollers_.empty() &&
+        (!queued || detail::earlier(pollers_[next_poll_], k))) {
+      if (pollers_[next_poll_].time > limit) return false;
+      fire_poll();
+      return true;
+    }
+    if (!queued || k.time > limit) return false;
     TCA_ASSERT(k.time >= now_);
     EventFn fn;
     queue_.pop_min(&fn);
@@ -124,6 +194,41 @@ class Scheduler {
     return true;
   }
 
+  /// Runs the earliest poller's tick (see the file comment).
+  void fire_poll() {
+    Poller& p = pollers_[next_poll_];
+    TCA_ASSERT(p.time >= now_);
+    now_ = p.time;
+    PollWaiter& w = *p.waiter;
+    if (!w.test(w)) {
+      p.time += p.period;
+      p.seq = seq_++;
+      find_next_poll();
+      return;
+    }
+    remove_poller(next_poll_);
+    w.waiter.resume();
+  }
+
+  void remove_poller(std::size_t i) {
+    pollers_[i].waiter->armed = false;
+    pollers_[i] = pollers_.back();
+    pollers_.pop_back();
+    find_next_poll();
+  }
+
+  /// Points next_poll_ at the earliest armed poller (0 when none is). A
+  /// linear scan: a simulation arms a few dozen pollers at most, one per
+  /// spinning CPU thread.
+  void find_next_poll() {
+    next_poll_ = 0;
+    for (std::size_t i = 1; i < pollers_.size(); ++i) {
+      if (detail::earlier(pollers_[i], pollers_[next_poll_])) next_poll_ = i;
+    }
+  }
+
+  std::vector<Poller> pollers_;
+  std::size_t next_poll_ = 0;
   TimePs now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t seq_ = 0;

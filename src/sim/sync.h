@@ -1,13 +1,16 @@
 // Synchronization primitives for simulated processes.
 //
-// All resumptions are deferred through the Scheduler queue (never inline), so
-// firing a trigger from inside another component's event keeps deterministic
-// FIFO ordering and bounded stack depth.
+// Trigger, Barrier and Semaphore defer every resumption through the
+// Scheduler queue (never inline), so firing a trigger from inside another
+// component's event keeps deterministic FIFO ordering and bounded stack
+// depth. PollUntil resumes its waiter from a scheduler poll tick, which
+// fires at the key the equivalent Delay event would have had.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -151,6 +154,40 @@ class Semaphore {
   std::int64_t permits_;
   std::int64_t granted_ = 0;  // permits pre-consumed for scheduled waiters
   std::deque<std::coroutine_handle<>> waiters_;
+};
+
+/// Awaitable CPU poll loop: completes once `ready()` holds, testing it
+/// inline first and then every `period` (> 0) of simulated time. It is
+/// exactly the loop `while (!ready()) co_await Delay(sched, period);`:
+/// each later test runs at the (time, seq) that loop's Delay event would
+/// have had, as a scheduler poll tick rather than a queue event (see
+/// scheduler.h), so replacing such a loop moves no simulated result.
+/// `ready` must not arm or disarm a poller. Destroying the awaiting frame
+/// while it is parked disarms the poller.
+template <typename Ready>
+class PollUntil : private PollWaiter {
+ public:
+  PollUntil(Scheduler& sched, TimePs period, Ready ready)
+      : sched_(sched), period_(period), ready_(std::move(ready)) {
+    test = [](PollWaiter& w) {
+      return static_cast<PollUntil&>(w).ready_();
+    };
+  }
+  PollUntil(const PollUntil&) = delete;
+  PollUntil& operator=(const PollUntil&) = delete;
+  ~PollUntil() { sched_.disarm_poll(*this); }
+
+  bool await_ready() { return ready_(); }
+  void await_suspend(std::coroutine_handle<> h) {
+    waiter = h;
+    sched_.arm_poll(*this, period_);
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Scheduler& sched_;
+  TimePs period_;
+  Ready ready_;
 };
 
 }  // namespace tca::sim

@@ -4,14 +4,15 @@
 // naturally written as sequential processes that wait for simulated time or
 // for events. Task<T> is an *eagerly started* coroutine bound to a Scheduler:
 // constructing one runs its body until the first suspension point, and every
-// resumption is routed through the Scheduler queue so event ordering stays
+// resumption is routed through the Scheduler so event ordering stays
 // deterministic.
 //
 // Lifetime contract: a Task owns its coroutine frame. Destroying an
 // unfinished Task is allowed (it tears the process down), but the Scheduler
 // must not run again afterwards if the task was waiting on a Delay or
-// Trigger — standard teardown order (components before scheduler, no run
-// after teardown begins) satisfies this.
+// Trigger, and must still be alive if it was parked in a PollUntil (whose
+// destructor disarms its poller) — standard teardown order (components
+// before scheduler, no run after teardown begins) satisfies this.
 #pragma once
 
 #include <coroutine>

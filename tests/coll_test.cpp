@@ -13,6 +13,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/tca.h"
@@ -191,11 +192,19 @@ TEST(Coll, AlgorithmSelectionFollowsSizeAndResidency) {
 
 // --- Allreduce vs the conventional stack (bitwise) ---------------------------
 
+// No padding, for a ctest name that is the same in every build (see
+// CopyCase in api_test.cpp).
 struct AllreduceCase {
+  AllreduceCase(std::uint32_t ranks_in, std::uint64_t count_in, bool host_in)
+      : ranks(ranks_in), count(count_in), host(host_in) {}
+
   std::uint32_t ranks;
+  std::uint32_t zero0 = 0;
   std::uint64_t count;  // doubles per rank (divisible by ranks)
   bool host;
+  std::uint8_t zero1[7] = {};
 };
+static_assert(std::has_unique_object_representations_v<AllreduceCase>);
 
 class AllreduceVsBaseline : public ::testing::TestWithParam<AllreduceCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "calib/calibration.h"
@@ -351,6 +352,65 @@ TEST(Link, SustainedThroughputMatchesPaperPeak) {
 
   const double gbps = units::gbytes_per_second(kTotal, sched.now());
   EXPECT_NEAR(gbps, 3.657, 0.02);  // the paper's theoretical peak
+}
+
+// --- Zero-flight links: one event per hop ----------------------------------
+
+/// Sink that logs each delivery into a shared order log and returns its
+/// credits at once.
+class LoggingSink : public TlpSink {
+ public:
+  explicit LoggingSink(std::vector<std::string>& log) : log_(log) {}
+  void on_tlp(Tlp tlp, LinkPort& port) override {
+    log_.push_back("deliver");
+    port.release_rx(tlp.wire_bytes());
+  }
+
+ private:
+  std::vector<std::string>& log_;
+};
+
+TEST(ZeroFlightLink, TxReadyThenDeliveryInOneEventAheadOfLaterWork) {
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8});
+  std::vector<std::string> log;
+  LoggingSink sink(log);
+  link.end_b().set_sink(&sink);
+  link.end_a().set_tx_ready([&] {
+    log.push_back("tx_ready");
+    sched.schedule_after(0, [&] { log.push_back("woken by tx_ready"); });
+  });
+  sched.schedule_at(ns(70), [&] { log.push_back("filed before send"); });
+  link.end_a().send(Tlp::mem_write(0, make_payload(256)));  // 0-70 ns
+  sched.schedule_at(ns(70), [&] { log.push_back("filed after send"); });
+  sched.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"filed before send", "tx_ready",
+                                           "deliver", "filed after send",
+                                           "woken by tx_ready"}));
+  EXPECT_EQ(sched.now(), ns(70));
+  EXPECT_EQ(sched.events_processed(), 4u);  // the hop is one of them
+}
+
+TEST(ZeroFlightLink, SurpriseDownMidHopRequeuesForRetrain) {
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8});
+  RecordingSink sink(sched);
+  link.end_b().set_sink(&sink);
+  const auto first = make_payload(256, 3);
+  const auto second = make_payload(256, 4);
+  link.end_a().send(Tlp::mem_write(0x100, first));  // on the wire 0-70 ns
+  link.end_a().send(Tlp::mem_write(0x200, second));  // queued behind it
+  sched.schedule_at(ns(30), [&] { link.set_up(false); });
+  sched.schedule_at(us(1), [&] { link.set_up(true); });
+  sched.run();
+  EXPECT_EQ(link.end_a().dropped_tlps(), 1u);
+  ASSERT_EQ(sink.received.size(), 2u);
+  EXPECT_EQ(sink.received[0].address, 0x100u);
+  EXPECT_EQ(sink.received[0].payload, first);
+  EXPECT_EQ(sink.received[1].payload, second);
+  EXPECT_EQ(sink.arrival_times,
+            (std::vector<TimePs>{us(1) + ns(70), us(1) + ns(140)}));
+  EXPECT_TRUE(link.end_a().tx_idle());
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Unit tests for the discrete-event core: Scheduler, coroutine Tasks,
-// Trigger and Semaphore.
+// Trigger, Semaphore and PollUntil.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -439,6 +441,230 @@ TEST(Semaphore, ReleaseManyWakesMany) {
   sched.run();
   EXPECT_EQ(woke, 3);
   EXPECT_EQ(sem.available(), 0);
+}
+
+// --- PollUntil: key for key the Delay loop it replaces ---------------------
+//
+// Each scenario runs twice, once with PollUntil and once with the reference
+// loop `while (!ready()) co_await Delay(sched, period);`, and the two runs
+// must agree on every recorded step. A tick filed at any other (time, seq)
+// than that loop's Delay event shows up as a different resume time, test
+// count or order against same-picosecond events.
+
+constexpr TimePs kPeriod = ns(50);
+
+/// What one waiter did.
+struct PollRecord {
+  TimePs resumed_at = -1;
+  int tests = 0;
+  bool timed_out = false;
+  bool operator==(const PollRecord&) const = default;
+};
+
+/// Waits until `flag` is set or `deadline` (0 = none) passes, the way
+/// Runtime::wait_flag_ge does, and logs "waiter" on resuming.
+Task<> wait_for(Scheduler& sched, bool use_poller, bool& flag, TimePs deadline,
+                PollRecord& rec, std::vector<std::string>& log) {
+  auto ready = [&] {
+    ++rec.tests;
+    return flag || (deadline > 0 && sched.now() >= deadline);
+  };
+  if (use_poller) {
+    co_await PollUntil(sched, kPeriod, ready);
+  } else {
+    while (!ready()) co_await Delay(sched, kPeriod);
+  }
+  rec.resumed_at = sched.now();
+  rec.timed_out = !flag;
+  log.push_back("waiter");
+}
+
+/// The flag lands at 120 ns, between the ticks at 100 and 150 ns. Two
+/// competitors are due at the success tick: one filed at 100 ns by an event
+/// that fires before the 100 ns tick, one filed at 100 ns by an event that
+/// fires after it.
+struct FlagScenario {
+  PollRecord rec;
+  std::vector<std::string> log;
+  std::uint64_t events = 0;
+
+  explicit FlagScenario(bool use_poller, TimePs deadline = 0,
+                        TimePs flag_at = ns(120)) {
+    Scheduler sched;
+    bool flag = false;
+    if (flag_at >= 0) sched.schedule_at(flag_at, [&] { flag = true; });
+    sched.schedule_at(ns(100), [&] {
+      sched.schedule_at(ns(150), [&] { log.push_back("filed before tick"); });
+    });
+    Task<> waiter = wait_for(sched, use_poller, flag, deadline, rec, log);
+    // Filed after the 50 ns tick keyed the 100 ns one, so it fires after it.
+    sched.schedule_at(ns(60), [&] {
+      sched.schedule_at(ns(100), [&] {
+        sched.schedule_at(ns(150), [&] { log.push_back("filed after tick"); });
+      });
+    });
+    sched.run();
+    EXPECT_TRUE(waiter.done());
+    events = sched.events_processed();
+  }
+};
+
+TEST(PollUntil, ResumesAtTheDelayLoopsPicosecondAfterAsManyTests) {
+  const FlagScenario loop(false);
+  const FlagScenario poll(true);
+  EXPECT_EQ(poll.rec, loop.rec);
+  EXPECT_EQ(poll.rec.resumed_at, ns(150));
+  EXPECT_EQ(poll.rec.tests, 4);  // inline, then the 50, 100 and 150 ns ticks
+  EXPECT_FALSE(poll.rec.timed_out);
+  // The three ticks were queue events of the loop and are none of PollUntil.
+  EXPECT_EQ(poll.events, loop.events - 3);
+}
+
+TEST(PollUntil, OrdersLikeTheDelayLoopAgainstSamePicosecondEvents) {
+  const FlagScenario loop(false);
+  const FlagScenario poll(true);
+  const std::vector<std::string> want{"filed before tick", "waiter",
+                                      "filed after tick"};
+  EXPECT_EQ(loop.log, want);
+  EXPECT_EQ(poll.log, want);
+}
+
+TEST(PollUntil, TimesOutOnTheDelayLoopsTick) {
+  const FlagScenario loop(false, ns(130), /*flag_at=*/-1);
+  const FlagScenario poll(true, ns(130), /*flag_at=*/-1);
+  EXPECT_EQ(poll.rec, loop.rec);
+  EXPECT_EQ(poll.rec.resumed_at, ns(150));  // first tick at or past 130 ns
+  EXPECT_TRUE(poll.rec.timed_out);
+  EXPECT_EQ(poll.log, loop.log);
+}
+
+TEST(PollUntil, ReadyConditionCompletesWithoutSuspending) {
+  Scheduler sched;
+  PollRecord rec;
+  std::vector<std::string> log;
+  bool flag = true;
+  Task<> waiter = wait_for(sched, true, flag, 0, rec, log);
+  EXPECT_TRUE(waiter.done());
+  EXPECT_EQ(rec.tests, 1);
+  EXPECT_EQ(rec.resumed_at, 0);
+  EXPECT_TRUE(sched.empty());
+}
+
+TEST(PollUntil, RunUntilFiresNoTickPastItsLimit) {
+  Scheduler sched;
+  PollRecord rec;
+  std::vector<std::string> log;
+  bool flag = false;
+  // The deadline only bounds the test if ticks ever run past a limit.
+  Task<> waiter = wait_for(sched, true, flag, ns(400), rec, log);
+  sched.run_until(ns(100));  // a tick due at the limit fires
+  EXPECT_EQ(rec.tests, 3);
+  sched.run_until(ns(149));
+  EXPECT_EQ(rec.tests, 3);
+  EXPECT_EQ(sched.now(), ns(149));
+  flag = true;
+  sched.run_until(ns(150));
+  EXPECT_EQ(rec.tests, 4);
+  EXPECT_EQ(rec.resumed_at, ns(150));
+  EXPECT_TRUE(waiter.done());
+}
+
+TEST(PollUntil, ArmedPollerKeepsTheSchedulerNonEmpty) {
+  Scheduler sched;
+  PollRecord rec;
+  std::vector<std::string> log;
+  bool flag = false;
+  Task<> waiter = wait_for(sched, true, flag, 0, rec, log);
+  EXPECT_FALSE(sched.empty());
+  EXPECT_TRUE(sched.step());  // a failing tick
+  EXPECT_EQ(sched.now(), kPeriod);
+  EXPECT_FALSE(sched.empty());
+  flag = true;
+  EXPECT_TRUE(sched.step());  // the passing tick
+  EXPECT_TRUE(waiter.done());
+  EXPECT_TRUE(sched.empty());
+  EXPECT_FALSE(sched.step());
+  EXPECT_EQ(sched.events_processed(), 0u);
+}
+
+TEST(PollUntil, DestroyingAParkedWaiterDisarmsIt) {
+  Scheduler sched;
+  PollRecord kept, dropped;
+  std::vector<std::string> log;
+  bool flag = false;
+  Task<> keeper = wait_for(sched, true, flag, ns(400), kept, log);
+  {
+    Task<> parked = wait_for(sched, true, flag, ns(400), dropped, log);
+    sched.run_until(ns(60));
+  }
+  sched.schedule_at(ns(120), [&] { flag = true; });
+  sched.run();
+  EXPECT_EQ(dropped.tests, 2);  // inline and the 50 ns tick, nothing after
+  EXPECT_EQ(dropped.resumed_at, -1);
+  EXPECT_EQ(kept.resumed_at, ns(150));
+  EXPECT_TRUE(keeper.done());
+  EXPECT_TRUE(sched.empty());
+}
+
+/// A waiter for scrambled_waiters(): polls its own flag with its own
+/// period. Each test also files a probe due with the next tick, which the
+/// Delay loop files before that tick's event, so it must run first.
+Task<> wait_and_log(Scheduler& sched, bool use_poller, TimePs period,
+                    bool& flag, int id, std::vector<std::string>& log) {
+  auto ready = [&] {
+    const std::string tag = std::to_string(id) + " @" +
+                            std::to_string(sched.now());
+    log.push_back("test " + tag);
+    sched.schedule_after(period,
+                         [&log, tag] { log.push_back("probe " + tag); });
+    return flag;
+  };
+  if (use_poller) {
+    co_await PollUntil(sched, period, ready);
+  } else {
+    while (!ready()) co_await Delay(sched, period);
+  }
+  log.push_back("resume " + std::to_string(id));
+}
+
+/// Many waiters with clashing periods, flags set by random events, and
+/// random zero-delay chatter: the whole log, every test and resume in
+/// order, must match the Delay loops'.
+std::vector<std::string> scrambled_waiters(bool use_poller,
+                                           std::uint64_t seed) {
+  constexpr std::size_t kWaiters = 12;
+  Scheduler sched;
+  Rng rng(seed);
+  std::vector<std::string> log;
+  std::deque<bool> flags(kWaiters, false);
+  std::vector<Task<>> waiters;
+  for (std::size_t i = 0; i < kWaiters; ++i) {
+    const TimePs at = ns(static_cast<std::int64_t>(rng.next_below(400)));
+    const TimePs period = ns(static_cast<std::int64_t>(rng.next_in(1, 3)) * 25);
+    sched.schedule_at(at, [&, i, period] {
+      waiters.push_back(wait_and_log(sched, use_poller, period, flags[i],
+                                     static_cast<int>(i), log));
+    });
+    sched.schedule_at(ns(static_cast<std::int64_t>(rng.next_below(2000))),
+                      [&, i] { flags[i] = true; });
+  }
+  for (int e = 0; e < 200; ++e) {
+    sched.schedule_at(ns(static_cast<std::int64_t>(rng.next_below(2000))),
+                      [&, e] {
+                        sched.schedule_after(0, [&, e] {
+                          log.push_back("chatter " + std::to_string(e));
+                        });
+                      });
+  }
+  sched.run();
+  return log;
+}
+
+TEST(PollUntil, ManyWaitersMatchTheDelayLoopsStepForStep) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    EXPECT_EQ(scrambled_waiters(true, seed), scrambled_waiters(false, seed))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace
