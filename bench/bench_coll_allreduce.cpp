@@ -29,6 +29,7 @@
 #include "baseline/mpi_lite.h"
 #include "bench/bench_util.h"
 #include "coll/communicator.h"
+#include "common/rng.h"
 
 using namespace tca;
 

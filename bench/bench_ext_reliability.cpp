@@ -6,6 +6,7 @@
 // and shows the data-link-layer replay keeping every transfer correct while
 // bandwidth degrades gracefully with the error rate.
 #include "bench/bench_util.h"
+#include "common/rng.h"
 
 using namespace tca;
 using peach2::DmaDirection;

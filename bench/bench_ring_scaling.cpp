@@ -87,7 +87,6 @@ int main() {
   rings.print();
 
   // --- Dual-ring cross-traffic -------------------------------------------------
-  bench::DmaRig dual(8);  // rebuilt as dual-ring below
   sim::Scheduler dsched;
   fabric::SubCluster dual_ring(
       dsched, fabric::SubClusterConfig{

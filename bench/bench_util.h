@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "driver/peach2_driver.h"
@@ -98,24 +97,14 @@ struct DmaRig {
                            .node_config = {.gpu_count = 2,
                                            .host_backing_bytes = 64ull << 20,
                                            .gpu_backing_bytes = 8ull << 20}}) {
-    // Stage recognizable data in node 0's internal RAM and host memory,
-    // and pin a window on every GPU we might address.
-    Rng rng(42);
-    auto& ram = cluster.chip(0).internal_ram();
-    std::vector<std::byte> fill(ram.size());
-    rng.fill(fill);
-    ram.write(0, fill);
-    std::vector<std::byte> hostfill(4 << 20);
-    rng.fill(hostfill);
+    // Pin a window on every GPU we might address. The benches time
+    // transfers and never read the bytes back, so no source data is staged.
     for (std::uint32_t n = 0; n < nodes; ++n) {
-      cluster.node(n).host_dram().write(0, hostfill);
       for (int g = 0; g < 2; ++g) {
-        auto& gpu = cluster.node(n).gpu(g);
-        auto ptr = gpu.mem_alloc(4 << 20);
+        auto ptr = cluster.node(n).gpu(g).mem_alloc(4 << 20);
         TCA_ASSERT(ptr.is_ok());
         TCA_ASSERT(cluster.driver(n).p2p().pin(g, ptr.value(), 4 << 20)
                        .is_ok());
-        gpu.poke(ptr.value(), hostfill);
       }
     }
   }

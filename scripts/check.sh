@@ -93,13 +93,15 @@ TCA_LOG=error "$BUILD"/tools/tca_chaos --seed 1 --campaigns 25 --replay-check
 TCA_LOG=error "$BUILD"/tools/tca_chaos --corpus tests/chaos
 
 echo "== tca_explore torus smoke =="
-# 2D torus, dimension-order routed: a cross-dimension DMA plus a collective
-# riding the boustrophedon ring order (allreduce verifies the result). The
-# collective also writes its --trace, which must parse with events in it.
+# 2D torus, dimension-order routed: a cross-dimension DMA plus collectives
+# riding the boustrophedon ring order (allreduce verifies the result, halo
+# each rank's rows from its ring neighbors). The allreduce also writes its
+# --trace, which must parse with events in it.
 TRACE_JSON=$(mktemp)
 trap 'rm -f "$METRICS_JSON" "$TRACE_JSON"' EXIT
 "$BUILD"/tools/tca_explore --topology torus:4x4 --op pipelined \
   --target remote-host --dest 5 --burst 8 --sizes 4096
+"$BUILD"/tools/tca_explore --topology torus:4x4 --workload halo --size 2048
 "$BUILD"/tools/tca_explore --topology torus:4x4 --workload allreduce \
   --size 65536 --trace "$TRACE_JSON"
 if command -v python3 > /dev/null 2>&1; then

@@ -12,6 +12,15 @@ using peach2::DmaDescriptor;
 using peach2::DmaDirection;
 using peach2::TcaTarget;
 
+namespace {
+
+// The task of a copy call its prologue settled before any traffic. Calls
+// with nothing left to do once the chain completes return submit()'s task
+// directly instead of awaiting it in a coroutine frame of their own.
+sim::Task<Status> settled(Status st) { co_return st; }
+
+}  // namespace
+
 Status Runtime::validate_config(const TcaConfig& config) {
   // Per-topology shape rules (ring [2, 16], torus extents/route capacity)
   // live with the spec itself.
@@ -140,6 +149,35 @@ Status Runtime::check_reachable(std::uint32_t from, std::uint32_t to) const {
               ": every dimension-order route crosses a dead cable"};
 }
 
+Status Runtime::check_copy(const CopyOp& op, std::uint64_t dst_stride,
+                           std::uint64_t src_stride,
+                           std::uint32_t count) const {
+  if (Status st =
+          validate_blocks(op.dst, op.dst_off, dst_stride, op.bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
+  if (Status st =
+          validate_blocks(op.src, op.src_off, src_stride, op.bytes, count);
+      !st.is_ok()) {
+    return st;
+  }
+  return check_reachable(op.src.node, op.dst.node);
+}
+
+void Runtime::count_copy(std::uint64_t bytes, bool pio) {
+  ++metrics_.memcpy_ops;
+  metrics_.memcpy_bytes += bytes;
+  ++(pio ? metrics_.pio_ops : metrics_.dma_ops);
+}
+
+DmaDescriptor Runtime::descriptor(const CopyOp& op) const {
+  return DmaDescriptor{.src = global_addr(op.src, op.src_off),
+                       .dst = global_addr(op.dst, op.dst_off),
+                       .length = static_cast<std::uint32_t>(op.bytes),
+                       .direction = DmaDirection::kPipelined};
+}
+
 void Runtime::write(const Buffer& buf, std::uint64_t offset,
                     std::span<const std::byte> data) {
   TCA_ASSERT(validate(buf, offset, data.size()).is_ok());
@@ -168,78 +206,32 @@ void Runtime::read(const Buffer& buf, std::uint64_t offset,
 sim::Task<Status> Runtime::memcpy_peer(Buffer dst, std::uint64_t dst_off,
                                        Buffer src, std::uint64_t src_off,
                                        std::uint64_t bytes) {
-  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = check_reachable(src.node, dst.node); !st.is_ok()) {
-    co_return st;
-  }
-  if (bytes == 0) co_return Status::ok();
-
-  ++metrics_.memcpy_ops;
-  metrics_.memcpy_bytes += bytes;
-  const TimePs t0 = sched_.now();
-  driver::Peach2Driver& drv = cluster_->driver(src.node);
-
-  // Short host-sourced messages: PIO store through the mmapped window.
+  // Short host-sourced messages: PIO stores through the mmapped window.
   if (src.is_host() && bytes <= kPioThreshold) {
-    ++metrics_.pio_ops;
-    std::vector<std::byte> staged(bytes);
-    read(src, src_off, staged);
-    co_await drv.pio_store(global_addr(dst, dst_off), staged);
-    if (obs::sampling_enabled()) {
-      metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
-    }
-    co_return Status::ok();
+    return memcpy_pio(dst, dst_off, src, src_off, bytes);
   }
-  ++metrics_.dma_ops;
-
   // Everything else: one pipelined DMA descriptor driven by the source
-  // node's PEACH2 (local source requirement == put-only fabric). Channels
-  // are auto-acquired, so concurrent memcpy_peer calls on one node overlap
-  // across the chip's independent DMA engines.
-  std::vector<DmaDescriptor> chain{
-      DmaDescriptor{.src = global_addr(src, src_off),
-                    .dst = global_addr(dst, dst_off),
-                    .length = static_cast<std::uint32_t>(bytes),
-                    .direction = DmaDirection::kPipelined}};
-  const driver::ChainResult result =
-      co_await drv.run_chain_reliable(std::move(chain));
+  // node's PEACH2 (local source requirement == put-only fabric).
+  return memcpy_dma(CopyOp{.dst = dst,
+                           .dst_off = dst_off,
+                           .src = src,
+                           .src_off = src_off,
+                           .bytes = bytes});
+}
+
+sim::Task<Status> Runtime::memcpy_dma(CopyOp op) {
+  if (Status st = check_copy(op); !st.is_ok()) co_return st;
+  if (op.bytes == 0) co_return Status::ok();
+  count_copy(op.bytes, /*pio=*/false);
+  const TimePs t0 = sched_.now();
+  std::vector<DmaDescriptor> chain{descriptor(op)};
+  const Status st =
+      co_await submit(op.src.node, std::move(chain), {}, driver::Source::kTable,
+                      driver::Completion::kInterrupt, nullptr);
   if (obs::sampling_enabled()) {
     metrics_.memcpy_latency_ps.add_time(sched_.now() - t0);
   }
-  co_return result.status;
-}
-
-Status Runtime::build_batch_chain(
-    std::uint32_t driving_node, const std::vector<CopyOp>& ops,
-    std::vector<peach2::DmaDescriptor>* chain) const {
-  if (ops.size() > calib::kMaxDescriptors) {
-    return {ErrorCode::kInvalidArgument,
-            "batch exceeds descriptor-chain capacity"};
-  }
-  chain->reserve(ops.size());
-  for (const CopyOp& op : ops) {
-    if (Status st = validate(op.src, op.src_off, op.bytes); !st.is_ok()) {
-      return st;
-    }
-    if (Status st = validate(op.dst, op.dst_off, op.bytes); !st.is_ok()) {
-      return st;
-    }
-    if (op.src.node != driving_node) {
-      return {ErrorCode::kPermissionDenied,
-              "put-only fabric: batch sources must be local to the "
-              "driving node"};
-    }
-    if (Status st = check_reachable(driving_node, op.dst.node); !st.is_ok()) {
-      return st;
-    }
-    chain->push_back(
-        DmaDescriptor{.src = global_addr(op.src, op.src_off),
-                      .dst = global_addr(op.dst, op.dst_off),
-                      .length = static_cast<std::uint32_t>(op.bytes),
-                      .direction = DmaDirection::kPipelined});
-  }
-  return Status::ok();
+  co_return st;
 }
 
 sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
@@ -247,13 +239,65 @@ sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
                                              driver::RetryPolicy policy,
                                              std::uint32_t* retries_out) {
   if (retries_out != nullptr) *retries_out = 0;
-  if (ops.empty()) co_return Status::ok();
-  std::vector<DmaDescriptor> chain;
-  if (Status st = build_batch_chain(driving_node, ops, &chain); !st.is_ok()) {
-    co_return st;
+  if (ops.size() > calib::kMaxDescriptors) {
+    return settled(Status{ErrorCode::kInvalidArgument,
+                          "batch exceeds descriptor-chain capacity"});
   }
+  std::vector<DmaDescriptor> chain;
+  chain.reserve(ops.size());
+  for (const CopyOp& op : ops) {
+    if (op.src.node != driving_node) {
+      return settled(Status{ErrorCode::kPermissionDenied,
+                            "put-only fabric: batch sources must be local "
+                            "to the driving node"});
+    }
+    if (Status st = check_copy(op); !st.is_ok()) return settled(st);
+    if (op.bytes > 0) chain.push_back(descriptor(op));
+  }
+  if (chain.empty()) return settled(Status::ok());
   ++metrics_.batches;
-  metrics_.batch_ops += ops.size();
+  metrics_.batch_ops += chain.size();
+  return submit(driving_node, std::move(chain), policy,
+                driver::Source::kTable, driver::Completion::kInterrupt,
+                retries_out);
+}
+
+sim::Task<Status> Runtime::memcpy_block_stride(
+    Buffer dst, std::uint64_t dst_off, std::uint64_t dst_stride, Buffer src,
+    std::uint64_t src_off, std::uint64_t src_stride,
+    std::uint64_t block_bytes, std::uint32_t count) {
+  if (count > calib::kMaxDescriptors) {
+    return settled(Status{ErrorCode::kInvalidArgument,
+                          "block count exceeds descriptor-chain capacity"});
+  }
+  CopyOp block{.dst = dst,
+               .dst_off = dst_off,
+               .src = src,
+               .src_off = src_off,
+               .bytes = block_bytes};
+  if (Status st = check_copy(block, dst_stride, src_stride, count);
+      !st.is_ok()) {
+    return settled(st);
+  }
+  if (count == 0 || block_bytes == 0) return settled(Status::ok());
+  ++metrics_.block_stride_ops;
+  std::vector<DmaDescriptor> chain;
+  chain.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    chain.push_back(descriptor(block));
+    block.dst_off += dst_stride;
+    block.src_off += src_stride;
+  }
+  return submit(src.node, std::move(chain), {}, driver::Source::kTable,
+                driver::Completion::kInterrupt, nullptr);
+}
+
+sim::Task<Status> Runtime::submit(std::uint32_t node,
+                                  std::vector<DmaDescriptor> chain,
+                                  driver::RetryPolicy policy,
+                                  driver::Source source,
+                                  driver::Completion completion,
+                                  std::uint32_t* retries_out) {
   // Between attempts, ask the fabric manager whether every destination is
   // still dimension-order reachable: a partition that forms mid-transfer
   // then surfaces as kUnreachable after the current attempt's deadline
@@ -262,60 +306,24 @@ sim::Task<Status> Runtime::memcpy_peer_batch(std::uint32_t driving_node,
   std::function<Status()> abort_check;
   if (policy.max_attempts > 1) {
     std::vector<std::uint32_t> dst_nodes;
-    for (const CopyOp& op : ops) {
-      if (std::find(dst_nodes.begin(), dst_nodes.end(), op.dst.node) ==
+    for (const DmaDescriptor& d : chain) {
+      const std::uint32_t dst = cluster_->layout().decode(d.dst)->node;
+      if (std::find(dst_nodes.begin(), dst_nodes.end(), dst) ==
           dst_nodes.end()) {
-        dst_nodes.push_back(op.dst.node);
+        dst_nodes.push_back(dst);
       }
     }
-    abort_check = [this, driving_node,
-                   dst_nodes = std::move(dst_nodes)]() -> Status {
+    abort_check = [this, node, dst_nodes = std::move(dst_nodes)]() -> Status {
       for (const std::uint32_t dst : dst_nodes) {
-        if (Status st = check_reachable(driving_node, dst); !st.is_ok()) {
-          return st;
-        }
+        if (Status st = check_reachable(node, dst); !st.is_ok()) return st;
       }
       return Status::ok();
     };
   }
   const driver::ChainResult result =
-      co_await cluster_->driver(driving_node).run_chain_reliable(
-          std::move(chain), policy, driver::Source::kTable,
-          driver::Completion::kInterrupt, std::move(abort_check));
+      co_await cluster_->driver(node).run_chain_reliable(
+          std::move(chain), policy, source, completion, std::move(abort_check));
   if (retries_out != nullptr) *retries_out = result.attempts - 1;
-  co_return result.status;
-}
-
-sim::Task<Status> Runtime::memcpy_block_stride(
-    Buffer dst, std::uint64_t dst_off, std::uint64_t dst_stride, Buffer src,
-    std::uint64_t src_off, std::uint64_t src_stride,
-    std::uint64_t block_bytes, std::uint32_t count) {
-  if (count == 0 || block_bytes == 0) co_return Status::ok();
-  if (count > calib::kMaxDescriptors) {
-    co_return Status{ErrorCode::kInvalidArgument,
-                     "block count exceeds descriptor-chain capacity"};
-  }
-  if (Status st = validate_blocks(src, src_off, src_stride, block_bytes, count);
-      !st.is_ok()) {
-    co_return st;
-  }
-  if (Status st = validate_blocks(dst, dst_off, dst_stride, block_bytes, count);
-      !st.is_ok()) {
-    co_return st;
-  }
-
-  std::vector<DmaDescriptor> chain;
-  chain.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    chain.push_back(
-        DmaDescriptor{.src = global_addr(src, src_off + i * src_stride),
-                      .dst = global_addr(dst, dst_off + i * dst_stride),
-                      .length = static_cast<std::uint32_t>(block_bytes),
-                      .direction = DmaDirection::kPipelined});
-  }
-  ++metrics_.block_stride_ops;
-  const driver::ChainResult result =
-      co_await cluster_->driver(src.node).run_chain_reliable(std::move(chain));
   co_return result.status;
 }
 
@@ -334,130 +342,6 @@ void Runtime::export_metrics(obs::MetricRegistry& reg) const {
         .record_series(metrics_.memcpy_latency_ps);
   }
   cluster_->export_metrics(reg);
-}
-
-Status Stream::enqueue_copy(Buffer dst, std::uint64_t dst_off, Buffer src,
-                            std::uint64_t src_off, std::uint64_t bytes) {
-  if (Status st = rt_.validate(dst, dst_off, bytes); !st.is_ok()) return st;
-  if (Status st = rt_.validate(src, src_off, bytes); !st.is_ok()) return st;
-  if (bytes == 0) return Status::ok();
-  ops_.push_back(Runtime::CopyOp{.dst = dst,
-                                 .dst_off = dst_off,
-                                 .src = src,
-                                 .src_off = src_off,
-                                 .bytes = bytes});
-  return Status::ok();
-}
-
-Status Stream::enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
-                                    std::uint64_t dst_stride, Buffer src,
-                                    std::uint64_t src_off,
-                                    std::uint64_t src_stride,
-                                    std::uint64_t block_bytes,
-                                    std::uint32_t count) {
-  if (count == 0 || block_bytes == 0) return Status::ok();
-  if (Status st =
-          rt_.validate_blocks(src, src_off, src_stride, block_bytes, count);
-      !st.is_ok()) {
-    return st;
-  }
-  if (Status st =
-          rt_.validate_blocks(dst, dst_off, dst_stride, block_bytes, count);
-      !st.is_ok()) {
-    return st;
-  }
-
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ops_.push_back(Runtime::CopyOp{.dst = dst,
-                                   .dst_off = dst_off + i * dst_stride,
-                                   .src = src,
-                                   .src_off = src_off + i * src_stride,
-                                   .bytes = block_bytes});
-  }
-  return Status::ok();
-}
-
-sim::Task<SyncReport> Stream::synchronize(driver::RetryPolicy policy) {
-  SyncReport report;
-  if (ops_.empty()) co_return report;
-  std::vector<Runtime::CopyOp> ops = std::move(ops_);
-  ops_.clear();
-
-  // Group by source node, preserving enqueue order within each group and
-  // remembering every op's enqueue index so outcomes can be attributed.
-  struct IndexedOp {
-    std::size_t index;
-    Runtime::CopyOp op;
-  };
-  std::vector<std::vector<IndexedOp>> by_node(rt_.node_count());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    by_node[ops[i].src.node].push_back(IndexedOp{i, std::move(ops[i])});
-  }
-
-  // One batch per source node, all nodes concurrently. A group larger than
-  // the descriptor-chain capacity splits into consecutive batches. Each
-  // group coroutine writes only its own ops' slots in op_status (disjoint
-  // index sets), so no synchronization is needed beyond the trigger.
-  std::vector<Status> op_status(ops.size());
-  std::vector<std::uint32_t> op_retries(ops.size(), 0);
-  sim::Trigger all_done(rt_.sched_);
-  std::size_t remaining = 0;
-  for (std::uint32_t n = 0; n < rt_.node_count(); ++n) {
-    if (!by_node[n].empty()) ++remaining;
-  }
-  const std::size_t total_groups = remaining;
-
-  for (std::uint32_t n = 0; n < rt_.node_count(); ++n) {
-    if (by_node[n].empty()) continue;
-    sim::spawn([](Runtime& rt, std::uint32_t node,
-                  std::vector<IndexedOp> group,
-                  driver::RetryPolicy batch_policy,
-                  std::vector<Status>& statuses,
-                  std::vector<std::uint32_t>& retry_counts,
-                  std::size_t& left, sim::Trigger& done) -> sim::Task<> {
-      Status status = Status::ok();
-      std::size_t i = 0;
-      while (i < group.size()) {
-        if (!status.is_ok()) {
-          // An earlier batch failed; the chain for these ops never ran.
-          for (; i < group.size(); ++i) {
-            statuses[group[i].index] =
-                Status{ErrorCode::kAborted,
-                       "not attempted: earlier batch on this node failed"};
-          }
-          break;
-        }
-        const std::size_t count = std::min<std::size_t>(
-            group.size() - i, calib::kMaxDescriptors);
-        std::vector<Runtime::CopyOp> batch;
-        batch.reserve(count);
-        for (std::size_t j = i; j < i + count; ++j) {
-          batch.push_back(group[j].op);
-        }
-        std::uint32_t retries = 0;
-        status = co_await rt.memcpy_peer_batch(node, std::move(batch),
-                                               batch_policy, &retries);
-        for (std::size_t j = i; j < i + count; ++j) {
-          statuses[group[j].index] = status;
-          retry_counts[group[j].index] = retries;
-        }
-        i += count;
-      }
-      if (--left == 0) done.fire();
-    }(rt_, n, std::move(by_node[n]), policy, op_status, op_retries,
-      remaining, all_done));
-  }
-  if (total_groups > 0) co_await all_done.wait();
-
-  report.ops.reserve(op_status.size());
-  for (std::size_t i = 0; i < op_status.size(); ++i) {
-    if (!op_status[i].is_ok() && report.status.is_ok()) {
-      report.status = op_status[i];
-    }
-    report.ops.push_back(
-        SyncReport::OpStatus{i, std::move(op_status[i]), op_retries[i]});
-  }
-  co_return report;
 }
 
 sim::Task<> Runtime::notify(std::uint32_t from_node, Buffer host_flag,
@@ -496,19 +380,20 @@ sim::Task<Status> Runtime::wait_flag_ge(Buffer host_flag, std::uint64_t offset,
 sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,
                                       Buffer src, std::uint64_t src_off,
                                       std::uint64_t bytes) {
-  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
   if (!src.is_host()) {
     co_return Status{ErrorCode::kInvalidArgument,
                      "PIO stores source host memory (the CPU issues them)"};
   }
-  if (Status st = check_reachable(src.node, dst.node); !st.is_ok()) {
+  if (Status st = check_copy(CopyOp{.dst = dst,
+                                    .dst_off = dst_off,
+                                    .src = src,
+                                    .src_off = src_off,
+                                    .bytes = bytes});
+      !st.is_ok()) {
     co_return st;
   }
   if (bytes == 0) co_return Status::ok();
-  ++metrics_.memcpy_ops;
-  metrics_.memcpy_bytes += bytes;
-  ++metrics_.pio_ops;
+  count_copy(bytes, /*pio=*/true);
   const TimePs t0 = sched_.now();
   std::vector<std::byte> staged(bytes);
   read(src, src_off, staged);
@@ -525,28 +410,17 @@ sim::Task<Status> Runtime::memcpy_peer_reliable(
     std::uint64_t bytes, driver::RetryPolicy policy,
     std::uint32_t* retries_out) {
   if (retries_out != nullptr) *retries_out = 0;
-  if (bytes == 0) co_return Status::ok();
-  ++metrics_.memcpy_ops;
-  metrics_.memcpy_bytes += bytes;
-  ++metrics_.dma_ops;
-  if (Status st = validate(src, src_off, bytes); !st.is_ok()) co_return st;
-  if (Status st = validate(dst, dst_off, bytes); !st.is_ok()) co_return st;
-  const std::uint32_t from = src.node;
-  const std::uint32_t to = dst.node;
-  if (Status st = check_reachable(from, to); !st.is_ok()) co_return st;
-
-  std::vector<DmaDescriptor> chain{
-      DmaDescriptor{.src = global_addr(src, src_off),
-                    .dst = global_addr(dst, dst_off),
-                    .length = static_cast<std::uint32_t>(bytes),
-                    .direction = DmaDirection::kPipelined}};
-  const driver::ChainResult result =
-      co_await cluster_->driver(from).run_chain_reliable(
-          std::move(chain), policy, driver::Source::kImmediate,
-          driver::Completion::kWriteback,
-          [this, from, to] { return check_reachable(from, to); });
-  if (retries_out != nullptr) *retries_out = result.attempts - 1;
-  co_return result.status;
+  const CopyOp op{.dst = dst,
+                  .dst_off = dst_off,
+                  .src = src,
+                  .src_off = src_off,
+                  .bytes = bytes};
+  if (Status st = check_copy(op); !st.is_ok()) return settled(st);
+  if (bytes == 0) return settled(Status::ok());
+  count_copy(bytes, /*pio=*/false);
+  return submit(src.node, {descriptor(op)}, policy,
+                driver::Source::kImmediate, driver::Completion::kWriteback,
+                retries_out);
 }
 
 }  // namespace tca::api

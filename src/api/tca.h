@@ -70,8 +70,8 @@ struct Buffer {
 struct ApiMetrics {
   std::uint64_t memcpy_ops = 0;
   std::uint64_t memcpy_bytes = 0;
-  std::uint64_t pio_ops = 0;  ///< memcpy_peer calls routed to PIO
-  std::uint64_t dma_ops = 0;  ///< memcpy_peer calls routed to DMA
+  std::uint64_t pio_ops = 0;  ///< memcpy_pio and short memcpy_peer copies
+  std::uint64_t dma_ops = 0;  ///< memcpy_peer DMA and memcpy_peer_reliable
   std::uint64_t batches = 0;
   std::uint64_t batch_ops = 0;
   std::uint64_t block_stride_ops = 0;
@@ -146,10 +146,11 @@ class Runtime {
   /// Executes several peer copies as a single descriptor chain — one
   /// doorbell, one table fetch, one interrupt ("a series of bulk transfers
   /// ... are effective by using the chaining DMA mechanism"). All sources
-  /// must live on `driving_node`; destinations may be anywhere. `policy`
-  /// gives the per-attempt deadline and bounded retry (the default waits
-  /// forever on one attempt); between attempts a destination the fabric
-  /// manager reports partitioned away ends the retry with kUnreachable.
+  /// must live on `driving_node`; destinations may be anywhere. Zero-byte
+  /// copies are checked and left out of the chain. `policy` gives the
+  /// per-attempt deadline and bounded retry (the default waits forever on
+  /// one attempt); between attempts a destination the fabric manager
+  /// reports partitioned away ends the retry with kUnreachable.
   /// `retries_out`, when non-null, receives the doorbell re-rings needed.
   sim::Task<Status> memcpy_peer_batch(std::uint32_t driving_node,
                                       std::vector<CopyOp> ops,
@@ -214,13 +215,13 @@ class Runtime {
   void export_metrics(obs::MetricRegistry& reg) const;
 
  private:
-  friend class Stream;
   [[nodiscard]] std::uint64_t global_addr(const Buffer& buf,
                                           std::uint64_t offset) const;
   Status validate(const Buffer& buf, std::uint64_t offset,
                   std::uint64_t bytes) const;
-  /// validate() for `count` (>= 1) blocks of `block_bytes`, `stride` apart
-  /// from `offset`: the block-stride extent, computed without wrapping.
+  /// validate() for `count` blocks of `block_bytes`, `stride` apart from
+  /// `offset` (the first block even when `count` is 0): the block-stride
+  /// extent, computed without wrapping.
   Status validate_blocks(const Buffer& buf, std::uint64_t offset,
                          std::uint64_t stride, std::uint64_t block_bytes,
                          std::uint32_t count) const;
@@ -229,10 +230,26 @@ class Runtime {
   /// transfer submission and between retry attempts, so a genuine
   /// partition surfaces promptly instead of as a full deadline timeout.
   Status check_reachable(std::uint32_t from, std::uint32_t to) const;
-  /// Validates a batch and serializes it into a descriptor chain.
-  Status build_batch_chain(std::uint32_t driving_node,
-                           const std::vector<CopyOp>& ops,
-                           std::vector<peach2::DmaDescriptor>* chain) const;
+  /// The prologue of every copy call, run before it counts or submits
+  /// anything: `count` blocks of `op.bytes` (`dst_stride`/`src_stride`
+  /// apart) inside both buffers, then `op.dst` reachable from `op.src`.
+  Status check_copy(const CopyOp& op, std::uint64_t dst_stride = 0,
+                    std::uint64_t src_stride = 0,
+                    std::uint32_t count = 1) const;
+  void count_copy(std::uint64_t bytes, bool pio);
+  [[nodiscard]] peach2::DmaDescriptor descriptor(const CopyOp& op) const;
+
+  /// memcpy_peer's DMA body: one descriptor, table-loaded and
+  /// interrupt-completed, with the latency sample the PIO body takes too.
+  sim::Task<Status> memcpy_dma(CopyOp op);
+  /// The one DMA submission every copy call makes: runs `chain` on
+  /// `node`'s driver under `policy`. A retrying policy ends early with
+  /// kUnreachable once a destination of the chain is partitioned away.
+  sim::Task<Status> submit(std::uint32_t node,
+                           std::vector<peach2::DmaDescriptor> chain,
+                           driver::RetryPolicy policy, driver::Source source,
+                           driver::Completion completion,
+                           std::uint32_t* retries_out);
 
   sim::Scheduler& sched_;
   // unique_ptr: the sub-cluster schedules fault events and NIOS listeners
@@ -241,73 +258,6 @@ class Runtime {
   std::unique_ptr<fabric::SubCluster> cluster_;
   std::vector<std::uint64_t> host_alloc_cursor_;
   ApiMetrics metrics_;
-};
-
-/// Result of Stream::synchronize(): the overall status plus one entry per
-/// enqueued op (in enqueue order) saying what happened to it. When a batch
-/// fails, every op in that batch carries the batch's error and later ops in
-/// the same source-node group report kAborted (never attempted); ops in
-/// other groups are unaffected.
-struct SyncReport {
-  /// First error in enqueue order; OK when every op succeeded.
-  Status status;
-
-  struct OpStatus {
-    std::size_t index = 0;  ///< position among the enqueued ops
-    Status status;
-    /// Doorbell re-rings this op's chain needed (0 = first attempt stuck).
-    std::uint32_t retries = 0;
-  };
-  std::vector<OpStatus> ops;
-
-  [[nodiscard]] bool ok() const { return status.is_ok(); }
-  /// True when the first failure was a deadline expiry (kTimedOut) — the
-  /// outcome a policy's timeout_ps guarantees instead of a hang.
-  [[nodiscard]] bool timed_out() const {
-    return status.code() == ErrorCode::kTimedOut;
-  }
-  /// Total doorbell re-rings across all chains this synchronize ran.
-  [[nodiscard]] std::uint64_t total_retries() const {
-    std::uint64_t total = 0;
-    for (const OpStatus& op : ops) total += op.retries;
-    return total;
-  }
-};
-
-
-/// Deferred command queue (CUDA-stream flavored).
-///
-/// enqueue_copy() only records; synchronize() coalesces the recorded copies
-/// into one descriptor chain per source node (the chaining amortization of
-/// Figures 8/9, applied automatically) and runs the chains concurrently
-/// across nodes. Copies on one stream respect enqueue order per source
-/// node (they land in one chain, which the DMAC executes in order).
-class Stream {
- public:
-  explicit Stream(Runtime& runtime) : rt_(runtime) {}
-
-  /// Records a copy; no traffic until synchronize().
-  Status enqueue_copy(Buffer dst, std::uint64_t dst_off, Buffer src,
-                      std::uint64_t src_off, std::uint64_t bytes);
-
-  /// Records a block-stride transfer as `count` copies (one descriptor
-  /// each), validated eagerly — parity with Runtime::memcpy_block_stride.
-  Status enqueue_block_stride(Buffer dst, std::uint64_t dst_off,
-                              std::uint64_t dst_stride, Buffer src,
-                              std::uint64_t src_off, std::uint64_t src_stride,
-                              std::uint64_t block_bytes, std::uint32_t count);
-
-  [[nodiscard]] std::size_t pending() const { return ops_.size(); }
-
-  /// Executes everything recorded so far and reports per-op outcomes.
-  /// `policy` adds fault tolerance: a per-attempt deadline (kTimedOut
-  /// instead of hanging) and bounded retry with backoff (retries surfaces
-  /// in each OpStatus).
-  sim::Task<SyncReport> synchronize(driver::RetryPolicy policy = {});
-
- private:
-  Runtime& rt_;
-  std::vector<Runtime::CopyOp> ops_;
 };
 
 }  // namespace tca::api

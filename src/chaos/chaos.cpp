@@ -292,7 +292,6 @@ bool clean_status(const Status& st) {
     case ErrorCode::kTimedOut:
     case ErrorCode::kLinkDown:
     case ErrorCode::kUnreachable:
-    case ErrorCode::kAborted:
       return true;
     default:
       return false;

@@ -15,7 +15,7 @@
 //    TLPs and 24-byte VendorMsg acks; replays increment all three
 //    consistently). Bytes are never created or destroyed by a fault.
 //  * No wedge — every spawned workload task either completes or returns a
-//    clean failure (kTimedOut / kLinkDown / kUnreachable / kAborted) before
+//    clean failure (kTimedOut / kLinkDown / kUnreachable) before
 //    the campaign horizon. Nothing hangs.
 //  * Route consistency — after the dust settles, every routing register
 //    agrees with what the failover logic would program for the firmware's

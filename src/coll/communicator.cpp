@@ -794,22 +794,30 @@ sim::Task<Status> Communicator::neighbor_exchange(std::uint32_t rank,
       off_prev = slot_stride_;
     }
     // Both rows ride one descriptor chain: one doorbell, one interrupt.
-    api::Stream stream(*rt_);
-    if (Status st = stream.enqueue_copy(states_[next].staging,
-                                        halo_slot_off(true), src_next,
-                                        off_next, spec.bytes);
-        !st.is_ok()) {
-      co_return st;
+    std::vector<api::Runtime::CopyOp> rows{
+        {.dst = states_[next].staging,
+         .dst_off = halo_slot_off(true),
+         .src = src_next,
+         .src_off = off_next,
+         .bytes = spec.bytes},
+        {.dst = states_[prev].staging,
+         .dst_off = halo_slot_off(false),
+         .src = src_prev,
+         .src_off = off_prev,
+         .bytes = spec.bytes}};
+    const TimePs submitted = rt_->scheduler().now();
+    std::uint32_t retries = 0;
+    const Status st = co_await rt_->memcpy_peer_batch(rank, std::move(rows),
+                                                      cfg_.sync, &retries);
+    // A batch that went to the driver resumes the exchange one zero-delay
+    // event after its completion, the order every halo schedule and chaos
+    // trace was recorded in; a batch refused up front returns inline.
+    if (rt_->scheduler().now() != submitted) {
+      co_await sim::Delay(rt_->scheduler(), 0);
     }
-    if (Status st = stream.enqueue_copy(states_[prev].staging,
-                                        halo_slot_off(false), src_prev,
-                                        off_prev, spec.bytes);
-        !st.is_ok()) {
-      co_return st;
-    }
-    const api::SyncReport report = co_await stream.synchronize(cfg_.sync);
-    metrics_.put_retries += report.total_retries();
-    if (!report.ok()) co_return report.status;
+    // Each re-ring re-sends both rows.
+    metrics_.put_retries += 2 * retries;
+    if (!st.is_ok()) co_return st;
   }
   metrics_.bytes += 2 * spec.bytes;
   co_await signal(rank, next, kHaloDataPrevWord, h);

@@ -150,6 +150,16 @@ class Communicator {
   [[nodiscard]] std::uint32_t ranks() const { return ranks_; }
   [[nodiscard]] const CollConfig& config() const { return cfg_; }
 
+  /// `rank`'s successor and predecessor in the logical ring every ring
+  /// collective and halo exchange rides (see ring_pos): rank +- 1 on a ring,
+  /// a boustrophedon walk on a torus.
+  [[nodiscard]] std::uint32_t ring_next(std::uint32_t rank) const {
+    return rank_at(ring_pos_[rank] + 1);
+  }
+  [[nodiscard]] std::uint32_t ring_prev(std::uint32_t rank) const {
+    return rank_at(ring_pos_[rank] + ranks_ - 1);
+  }
+
   /// The size-based path choice, identical on every rank for matching
   /// arguments: eager needs a host-resident payload at or below the
   /// threshold (PIO stores cannot source GPU memory); everything else
@@ -310,12 +320,6 @@ class Communicator {
   }
   [[nodiscard]] std::uint32_t rank_at(std::uint32_t pos) const {
     return ring_order_[pos % ranks_];
-  }
-  [[nodiscard]] std::uint32_t ring_next(std::uint32_t rank) const {
-    return rank_at(ring_pos_[rank] + 1);
-  }
-  [[nodiscard]] std::uint32_t ring_prev(std::uint32_t rank) const {
-    return rank_at(ring_pos_[rank] + ranks_ - 1);
   }
 
   api::Runtime* rt_;

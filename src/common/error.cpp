@@ -13,7 +13,6 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
     case ErrorCode::kNotPinned: return "NOT_PINNED";
     case ErrorCode::kBusy: return "BUSY";
-    case ErrorCode::kAborted: return "ABORTED";
     case ErrorCode::kInternal: return "INTERNAL";
     case ErrorCode::kTimedOut: return "TIMED_OUT";
     case ErrorCode::kLinkDown: return "LINK_DOWN";

@@ -28,7 +28,6 @@ enum class ErrorCode {
   kResourceExhausted, ///< descriptor slots, tags, buffer space
   kNotPinned,         ///< GPUDirect access to an unpinned page
   kBusy,              ///< DMA channel already active
-  kAborted,           ///< op not attempted because an earlier op failed
   kInternal,
   kTimedOut,          ///< completion/chain deadline expired
   kLinkDown,          ///< port dead: TLPs held in the replay buffer

@@ -123,11 +123,6 @@ class SubCluster {
       CableId k) const {
     return cable_ends_.at(k);
   }
-  /// Torus dimension cable `k` runs along (0 for ring cables; the South
-  /// cross-links of the dual ring report dimension 1).
-  [[nodiscard]] std::uint32_t cable_dim(CableId k) const {
-    return cable_dim_.at(k);
-  }
 
   /// Firmware's view of cable `k` (false once a NIOS has serviced its down
   /// event; the routing tables reflect this view, not the wire state).

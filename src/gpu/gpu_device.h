@@ -56,7 +56,6 @@ class GpuDevice : public pcie::TlpSink {
   [[nodiscard]] pcie::DeviceId id() const { return id_; }
   [[nodiscard]] const GpuConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t bar1_base() const { return cfg_.bar1_base; }
-  [[nodiscard]] std::uint64_t bar1_size() const { return gddr_.size(); }
 
   /// Attaches the device side of the PCIe link toward the root complex.
   void attach(pcie::LinkPort& port);

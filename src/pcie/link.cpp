@@ -7,57 +7,32 @@
 
 namespace tca::pcie {
 
-// The serializer/replay completions below capture [this, Tlp]; they must fit
-// EventFn's inline buffer so steady-state transmission never heap-allocates.
-static_assert(sizeof(Tlp) + sizeof(LinkPort*) <= sim::EventFn::kInlineBytes,
-              "LinkPort transmit captures must stay inline in EventFn");
+namespace {
 
-void LinkConfig::seal() const {
-  double raw = custom_bytes_per_sec;
-  if (raw <= 0) {
-    // Per-lane byte rates after line encoding:
-    //   Gen1: 2.5 GT/s * 8/10 = 250 MB/s   Gen2: 5 GT/s * 8/10 = 500 MB/s
-    //   Gen3: 8 GT/s * 128/130 = 984.6 MB/s
-    double per_lane = 0.0;
-    switch (gen) {
-      case 1: per_lane = 250e6; break;
-      case 2: per_lane = 500e6; break;
-      case 3: per_lane = 8e9 * 128.0 / 130.0 / 8.0; break;
-      default: TCA_ASSERT(false && "unsupported PCIe generation");
-    }
-    raw = per_lane * lanes;
-  }
-  rate_cache_.raw_bytes_per_sec = raw;
-  rate_cache_.ps_per_byte = 1e12 / raw;
-  rate_cache_.gen = gen;
-  rate_cache_.lanes = lanes;
-  rate_cache_.custom_bytes_per_sec = custom_bytes_per_sec;
+TimePs serialize_time(std::uint64_t wire_bytes, double ps_per_byte) {
+  return static_cast<TimePs>(
+      std::llround(static_cast<double>(wire_bytes) * ps_per_byte));
 }
 
-void LinkConfig::seal_check() const {
-  if (rate_cache_.ps_per_byte == 0) {
-    seal();
-    return;
-  }
-  TCA_ASSERT(rate_cache_.gen == gen && rate_cache_.lanes == lanes &&
-             rate_cache_.custom_bytes_per_sec == custom_bytes_per_sec &&
-             "LinkConfig rate parameters mutated after first use");
-}
+}  // namespace
 
 double LinkConfig::raw_bytes_per_sec() const {
-  seal_check();
-  return rate_cache_.raw_bytes_per_sec;
-}
-
-double LinkConfig::ps_per_byte() const {
-  seal_check();
-  return rate_cache_.ps_per_byte;
+  if (custom_bytes_per_sec > 0) return custom_bytes_per_sec;
+  // Per-lane byte rates after line encoding:
+  //   Gen1: 2.5 GT/s * 8/10 = 250 MB/s   Gen2: 5 GT/s * 8/10 = 500 MB/s
+  //   Gen3: 8 GT/s * 128/130 = 984.6 MB/s
+  double per_lane = 0.0;
+  switch (gen) {
+    case 1: per_lane = 250e6; break;
+    case 2: per_lane = 500e6; break;
+    case 3: per_lane = 8e9 * 128.0 / 130.0 / 8.0; break;
+    default: TCA_ASSERT(false && "unsupported PCIe generation");
+  }
+  return per_lane * lanes;
 }
 
 TimePs LinkConfig::serialize_ps(std::uint64_t wire_bytes) const {
-  seal_check();
-  return static_cast<TimePs>(std::llround(static_cast<double>(wire_bytes) *
-                                          rate_cache_.ps_per_byte));
+  return serialize_time(wire_bytes, ps_per_byte());
 }
 
 bool LinkPort::can_send(const Tlp& tlp) const {
@@ -102,7 +77,7 @@ void LinkPort::try_transmit() {
   wire_sent_ += wb;
   data_sent_ += tlp.payload.size();
 
-  const TimePs serialize = cfg_->serialize_ps(wb);
+  const TimePs serialize = serialize_time(wb, ps_per_byte_);
 
   // Data-link-layer reliability: a corrupted TLP fails its LCRC at the
   // receiver, which NAKs; the sender retransmits from the replay buffer.
@@ -119,15 +94,9 @@ void LinkPort::try_transmit() {
       }
       // The wire stays busy until the retry is requeued: replay-buffer
       // ordering forbids later TLPs overtaking the failed one.
-      sched_->schedule_after(
-          serialize + calib::kReplayDelayPs,
-          [this, t = std::move(tlp)]() mutable {
-            wire_busy_ = false;
-            peer_->rx_free_ += t.wire_bytes();  // re-reserved on the retry
-            tx_queued_ += t.wire_bytes();
-            tx_queue_.push_front(std::move(t));
-            try_transmit();
-          });
+      replay_ = std::move(tlp);
+      wire_done_event_ = sched_->schedule_after(
+          serialize + calib::kReplayDelayPs, [this] { replay_done(); });
       return;
     }
   }
@@ -170,6 +139,20 @@ void LinkPort::wire_done() {
   if (tx_ready_) tx_ready_();
 }
 
+void LinkPort::replay_done() {
+  wire_done_event_ = sim::Scheduler::kInvalidEvent;
+  wire_busy_ = false;
+  requeue(std::move(*replay_));  // credits re-reserved on the retry
+  replay_.reset();
+  try_transmit();
+}
+
+void LinkPort::requeue(Tlp tlp) {
+  peer_->rx_free_ += tlp.wire_bytes();
+  tx_queued_ += tlp.wire_bytes();
+  tx_queue_.push_front(std::move(tlp));
+}
+
 void LinkPort::deliver_front() {
   Tlp t = std::move(in_flight_.front().tlp);
   in_flight_.pop_front();
@@ -177,21 +160,27 @@ void LinkPort::deliver_front() {
 }
 
 void LinkPort::on_link_down() {
-  // Surprise-down: TLPs in flight never reach the peer. The data-link layer
-  // never received their ack DLLPs, so they go back to the head of the
-  // replay buffer (front of the egress queue, newest pushed first to keep
-  // original order) and their reserved receiver credits are returned. Count
-  // and trace every drop — silent TLP loss is how fault bugs hide.
-  const std::size_t dropped = in_flight_.size();
+  // Surprise-down: TLPs in flight never reach the peer, and a TLP held for
+  // LCRC replay is never retransmitted on this training. The data-link
+  // layer never received their ack DLLPs, so they go back to the head of
+  // the replay buffer (front of the egress queue) in their original order,
+  // newest pushed first, and their reserved receiver credits are returned.
+  // Count and trace every drop — silent TLP loss is how fault bugs hide.
+  const std::size_t dropped = in_flight_.size() + (replay_ ? 1 : 0);
+  if (replay_) {
+    TCA_ASSERT(sched_->cancel(wire_done_event_));
+    wire_done_event_ = sim::Scheduler::kInvalidEvent;
+    wire_busy_ = false;
+    requeue(std::move(*replay_));
+    replay_.reset();
+  }
   while (!in_flight_.empty()) {
     InFlight& f = in_flight_.back();
     TCA_ASSERT(sched_->cancel(f.event));
-    ++dropped_tlps_;
-    peer_->rx_free_ += f.tlp.wire_bytes();
-    tx_queued_ += f.tlp.wire_bytes();
-    tx_queue_.push_front(std::move(f.tlp));
+    requeue(std::move(f.tlp));
     in_flight_.pop_back();
   }
+  dropped_tlps_ += dropped;
   if (wire_done_event_ != sim::Scheduler::kInvalidEvent) {
     // A zero-flight hop's one event is also its TLP's delivery, cancelled
     // above.

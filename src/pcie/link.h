@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -48,31 +49,12 @@ struct LinkConfig {
   [[nodiscard]] double raw_bytes_per_sec() const;
 
   /// Picoseconds to place one byte on the wire.
-  [[nodiscard]] double ps_per_byte() const;
+  [[nodiscard]] double ps_per_byte() const {
+    return 1e12 / raw_bytes_per_sec();
+  }
 
-  /// Serialization time for a whole TLP. Hot path: called once or twice per
-  /// TLP, so the rate is computed once and sealed (see RateCache) rather
-  /// than re-derived from gen/lanes with a switch + divide per call.
+  /// Serialization time for a whole TLP.
   [[nodiscard]] TimePs serialize_ps(std::uint64_t wire_bytes) const;
-
-  /// Rate cache, sealed on first rate query. Public only because LinkConfig
-  /// must stay an aggregate (designated initializers at every call site);
-  /// treat as internal and never set it. The sealed copies of the rate
-  /// parameters let seal_check() assert the config is immutable after first
-  /// use — mutating gen/lanes/custom_bytes_per_sec once traffic has flowed
-  /// would silently desynchronize every cached timing.
-  struct RateCache {
-    double ps_per_byte = 0;  ///< 0 = not sealed yet
-    double raw_bytes_per_sec = 0;
-    int gen = 0;
-    int lanes = 0;
-    double custom_bytes_per_sec = 0;
-  };
-  mutable RateCache rate_cache_;
-
- private:
-  void seal() const;
-  void seal_check() const;
 };
 
 class LinkPort;
@@ -146,11 +128,12 @@ class LinkPort {
   [[nodiscard]] std::uint64_t payload_bytes_sent() const { return data_sent_; }
   /// LCRC-failed transmissions retried from the replay buffer.
   [[nodiscard]] std::uint64_t replays() const { return replays_; }
-  /// TLPs that were in flight when the link went down. Each one is returned
-  /// to the replay buffer (front of the egress queue) for retransmission
-  /// after retrain, so data is delayed, not lost — but the drop is counted
-  /// and traced rather than silently absorbed. If a failover reroutes away
-  /// from this cable before retrain, abandon_queued() discards them instead.
+  /// TLPs that were in flight, or held for LCRC replay, when the link went
+  /// down. Each one is returned to the replay buffer (front of the egress
+  /// queue, in transmit order) for retransmission after retrain, so data is
+  /// delayed, not lost — but the drop is counted and traced rather than
+  /// silently absorbed. If a failover reroutes away from this cable before
+  /// retrain, abandon_queued() discards them instead.
   [[nodiscard]] std::uint64_t dropped_tlps() const { return dropped_tlps_; }
   /// TLPs discarded by abandon_queued() — held traffic a route failover
   /// declared undeliverable on this path.
@@ -161,16 +144,22 @@ class LinkPort {
   /// receiver credits — the per-link backpressure figure the APEnet+ paper
   /// tunes against.
   [[nodiscard]] TimePs credit_stall_ps() const { return credit_stall_ps_; }
-  [[nodiscard]] std::uint64_t tx_queued_bytes() const { return tx_queued_; }
   [[nodiscard]] const LinkConfig& config() const { return *cfg_; }
 
  private:
   friend class PcieLink;
   LinkPort(sim::Scheduler& sched, const LinkConfig& cfg)
-      : sched_(&sched), cfg_(&cfg), rx_free_(cfg.rx_buffer_bytes) {}
+      : sched_(&sched),
+        cfg_(&cfg),
+        ps_per_byte_(cfg.ps_per_byte()),
+        rx_free_(cfg.rx_buffer_bytes) {}
 
   void try_transmit();
   void wire_done();
+  void replay_done();
+  /// Returns a transmitted TLP to the head of the egress queue, with the
+  /// receiver credits it reserved.
+  void requeue(Tlp tlp);
   void deliver_front();
   void deliver(Tlp tlp);
   void on_link_down();
@@ -184,6 +173,7 @@ class LinkPort {
 
   sim::Scheduler* sched_;
   const LinkConfig* cfg_;
+  double ps_per_byte_;  ///< the config's rate, computed once
   LinkPort* peer_ = nullptr;
   const bool* link_up_ = nullptr;
   std::function<void(bool)> link_state_cb_;
@@ -196,6 +186,10 @@ class LinkPort {
   std::function<void()> replay_threshold_cb_;
   sim::Scheduler::EventId wire_done_event_ = sim::Scheduler::kInvalidEvent;
   std::deque<InFlight> in_flight_;  // FIFO: front is oldest
+  /// The TLP that failed its LCRC, held until wire_done_event_ requeues it
+  /// for retransmission. It is the newest TLP past the serializer: the
+  /// wire stays busy while it waits.
+  std::optional<Tlp> replay_;
   std::uint32_t head_replay_count_ = 0;  // consecutive replays of head TLP
 
   // Receive side.
@@ -235,8 +229,8 @@ class PcieLink {
   [[nodiscard]] bool is_up() const { return up_; }
 
   /// Fault injection: change the bit error rate at runtime (BER burst
-  /// windows in a FaultPlan). Safe to mutate — the rate cache seals only
-  /// the gen/lanes/custom-rate timing parameters.
+  /// windows in a FaultPlan). The ports read it per TLP; the byte rate they
+  /// took once, at construction.
   void set_bit_error_rate(double ber) { cfg_.bit_error_rate = ber; }
 
  private:

@@ -83,10 +83,6 @@ struct Tlp {
   /// using the overhead terms of the paper's peak-bandwidth formula.
   [[nodiscard]] std::uint64_t wire_bytes() const;
 
-  [[nodiscard]] bool carries_data() const {
-    return type == TlpType::kMemWrite || type == TlpType::kCompletion;
-  }
-
   /// Builders -------------------------------------------------------------
 
   static Tlp mem_write(std::uint64_t address, std::span<const std::byte> data,

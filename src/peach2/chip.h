@@ -32,10 +32,6 @@ namespace tca::peach2 {
 class DmaController;
 class NiosController;
 
-/// S-port role: a PCIe link needs one RC and one EP end; the paper swaps
-/// FPGA images to choose, we make it a construction parameter.
-enum class PortRole : std::uint8_t { kEndpoint, kRootComplex };
-
 struct Peach2Config {
   pcie::DeviceId device_id = 0;
   std::uint32_t node_id = 0;
@@ -50,8 +46,6 @@ struct Peach2Config {
   std::uint64_t local_gpu0_base = 0;
   std::uint64_t local_gpu1_base = 0;
   std::uint64_t local_host_base = 0;
-
-  PortRole south_role = PortRole::kEndpoint;
 
   /// Per-output-port egress FIFO capacity. Deliberately small: the DMA
   /// engine's descriptor pacing emerges from egress backpressure tracking
@@ -105,8 +99,6 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   /// Latches `bits` into the error-status register and fires the error
   /// interrupt for any unmasked ones.
   void raise_error(std::uint64_t bits);
-  [[nodiscard]] std::uint64_t error_status() const { return err_status_; }
-  [[nodiscard]] std::uint64_t error_mask() const { return err_mask_; }
 
   /// Global address of this chip's internal block (mailbox at offset 0,
   /// internal RAM window right after it).

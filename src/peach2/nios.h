@@ -52,7 +52,6 @@ class NiosController {
   }
   [[nodiscard]] std::uint64_t event_count() const { return events_.size(); }
   [[nodiscard]] TimePs uptime() const;
-  [[nodiscard]] std::uint64_t ping_count() const { return pings_; }
 
   /// Firmware's latched view of a port's link state (updated after the
   /// service delay).

@@ -325,105 +325,75 @@ TEST(Runtime, BatchRejectsNonLocalSources) {
   EXPECT_EQ(t.result().code(), ErrorCode::kPermissionDenied);
 }
 
-TEST(Stream, CoalescesCopiesIntoOneChainPerNode) {
+TEST(Runtime, EmptyCopiesAreValidatedNoOps) {
   sim::Scheduler sched;
   Runtime rt(sched, small_config());
-  auto src = rt.alloc_host(0, 64 << 10).value();
-  auto dst = rt.alloc_host(1, 64 << 10).value();
-
-  Stream stream(rt);
-  std::vector<std::vector<std::byte>> blobs;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    blobs.push_back(pattern(2048, static_cast<std::uint8_t>(40 + i)));
-    rt.write(src, i * 4096, blobs.back());
-    ASSERT_TRUE(
-        stream.enqueue_copy(dst, i * 4096, src, i * 4096, 2048).is_ok());
-  }
-  EXPECT_EQ(stream.pending(), 6u);
-
-  std::uint64_t chains0 = 0;
-  for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
-    chains0 += rt.cluster().chip(0).dmac(ch).chains_completed();
-  }
-  auto t = stream.synchronize();
+  auto a = rt.alloc_host(0, 4096).value();
+  auto b = rt.alloc_host(1, 4096).value();
+  std::vector<Runtime::CopyOp> zero{
+      {.dst = b, .dst_off = 0, .src = a, .src_off = 0, .bytes = 0}};
+  std::vector<Runtime::CopyOp> bad{
+      {.dst = b, .dst_off = 4000, .src = a, .src_off = 0, .bytes = 1024}};
+  auto empty_batch = rt.memcpy_peer_batch(0, {});
+  auto zero_batch = rt.memcpy_peer_batch(0, std::move(zero));
+  auto zero_blocks = rt.memcpy_block_stride(b, 0, 1024, a, 0, 1024, 512, 0);
+  auto bad_batch = rt.memcpy_peer_batch(0, std::move(bad));
+  auto bad_empty = rt.memcpy_peer(b, 4097, a, 0, 0);  // starts past the end
   sched.run();
-  const SyncReport report = t.result();
-  ASSERT_TRUE(report.ok()) << report.status.to_string();
-  EXPECT_EQ(report.ops.size(), 6u);
-  EXPECT_EQ(stream.pending(), 0u);
-
-  std::uint64_t chains1 = 0;
-  for (int ch = 0; ch < calib::kDmaChannels; ++ch) {
-    chains1 += rt.cluster().chip(0).dmac(ch).chains_completed();
-  }
-  EXPECT_EQ(chains1, chains0 + 1);  // six copies, ONE chain
-
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    std::vector<std::byte> out(2048);
-    rt.read(dst, i * 4096, out);
-    EXPECT_EQ(out, blobs[i]) << i;
-  }
-}
-
-TEST(Stream, MultiSourceNodesRunConcurrently) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto buf0 = rt.alloc_host(0, 32 << 10).value();
-  auto buf1 = rt.alloc_host(1, 32 << 10).value();
-  auto a = pattern(8192, 60), b = pattern(8192, 61);
-  rt.write(buf0, 0, a);
-  rt.write(buf1, 0, b);
-
-  Stream stream(rt);
-  // Opposite directions in one stream: exchanged concurrently.
-  ASSERT_TRUE(stream.enqueue_copy(buf1, 16 << 10, buf0, 0, 8192).is_ok());
-  ASSERT_TRUE(stream.enqueue_copy(buf0, 16 << 10, buf1, 0, 8192).is_ok());
-  auto t = stream.synchronize();
-  sched.run();
-  ASSERT_TRUE(t.result().ok());
-
-  std::vector<std::byte> out(8192);
-  rt.read(buf1, 16 << 10, out);
-  EXPECT_EQ(out, a);
-  rt.read(buf0, 16 << 10, out);
-  EXPECT_EQ(out, b);
-}
-
-TEST(Stream, EnqueueValidatesEagerly) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto buf = rt.alloc_host(0, 4096).value();
-  Stream stream(rt);
-  EXPECT_FALSE(stream.enqueue_copy(buf, 4000, buf, 0, 1024).is_ok());
-  EXPECT_EQ(stream.pending(), 0u);
-  // Zero-byte copies are accepted and dropped.
-  EXPECT_TRUE(stream.enqueue_copy(buf, 0, buf, 0, 0).is_ok());
-  EXPECT_EQ(stream.pending(), 0u);
-}
-
-TEST(Stream, EnqueueBlockStrideRejectsExtentsThatWrap) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto buf = rt.alloc_host(0, 8192).value();
-  Stream stream(rt);
-  EXPECT_EQ(stream
-                .enqueue_block_stride(buf, 0, 1ull << 63, buf, 4096, 512, 512,
-                                      3)
-                .code(),
-            ErrorCode::kOutOfRange);
-  EXPECT_EQ(stream.pending(), 0u);
-}
-
-TEST(Stream, EmptySynchronizeIsCheap) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  Stream stream(rt);
-  auto t = stream.synchronize();
-  sched.run();
-  const SyncReport report = t.result();
-  EXPECT_TRUE(report.ok());
-  EXPECT_TRUE(report.ops.empty());
+  EXPECT_TRUE(empty_batch.result().is_ok());
+  EXPECT_TRUE(zero_batch.result().is_ok());
+  EXPECT_TRUE(zero_blocks.result().is_ok());
+  EXPECT_EQ(bad_batch.result().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(bad_empty.result().code(), ErrorCode::kOutOfRange);
+  // Nothing reached the fabric and nothing was counted.
   EXPECT_EQ(sched.now(), 0);
+  EXPECT_EQ(rt.api_metrics().batches, 0u);
+  EXPECT_EQ(rt.api_metrics().block_stride_ops, 0u);
+}
+
+TEST(Runtime, RejectedCopiesCountNothing) {
+  sim::Scheduler sched;
+  Runtime rt(sched, small_config());
+  auto a = rt.alloc_host(0, 4096).value();
+  auto b = rt.alloc_host(1, 4096).value();
+  auto peer = rt.memcpy_peer(b, 4000, a, 0, 1024);  // DMA-sized
+  auto reliable = rt.memcpy_peer_reliable(b, 4000, a, 0, 1024, {});
+  sched.run();
+  EXPECT_EQ(peer.result().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(reliable.result().code(), ErrorCode::kOutOfRange);
+  const ApiMetrics& m = rt.api_metrics();
+  EXPECT_EQ(m.memcpy_ops, 0u);
+  EXPECT_EQ(m.memcpy_bytes, 0u);
+  EXPECT_EQ(m.pio_ops, 0u);
+  EXPECT_EQ(m.dma_ops, 0u);
+}
+
+TEST(Runtime, EveryCopyCallRefusesAPartitionedNode) {
+  // Cables 1 and 2 are node 2's two ring links: with both cut, no
+  // dimension-order route from node 0 reaches it, and each copy call says
+  // so instead of submitting a chain that can never complete.
+  sim::Scheduler sched;
+  TcaConfig config = small_config(4);
+  config.fault_plan.cut(1, us(1));
+  config.fault_plan.cut(2, us(1));
+  Runtime rt(sched, config);
+  auto src = rt.alloc_host(0, 8192).value();
+  auto dst = rt.alloc_host(2, 8192).value();
+  sched.run_until(us(20));  // both failovers serviced
+
+  std::vector<Runtime::CopyOp> ops{
+      {.dst = dst, .dst_off = 0, .src = src, .src_off = 0, .bytes = 4096}};
+  auto peer = rt.memcpy_peer(dst, 0, src, 0, 4096);
+  auto pio = rt.memcpy_pio(dst, 0, src, 0, 4096);
+  auto reliable = rt.memcpy_peer_reliable(dst, 0, src, 0, 4096, {});
+  auto batch = rt.memcpy_peer_batch(0, std::move(ops));
+  auto strided = rt.memcpy_block_stride(dst, 0, 1024, src, 0, 1024, 512, 4);
+  sched.run();
+  for (const sim::Task<Status>* t : {&peer, &pio, &reliable, &batch, &strided}) {
+    ASSERT_TRUE(t->done());
+    EXPECT_EQ(t->result().code(), ErrorCode::kUnreachable)
+        << t->result().to_string();
+  }
 }
 
 TEST(Runtime, NotifyAndWaitFlagSynchronize) {
@@ -737,83 +707,6 @@ TEST(Buffer, GpuIndexIsEmptyForHostBuffers) {
   EXPECT_EQ(*g0.gpu_index(), 0);
   ASSERT_TRUE(g1.gpu_index().has_value());
   EXPECT_EQ(*g1.gpu_index(), 1);
-}
-
-TEST(Stream, BlockStrideEnqueuesOnePerBlock) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto src = rt.alloc_host(0, 64 << 10).value();
-  auto dst = rt.alloc_host(1, 64 << 10).value();
-
-  // Gather: 4 blocks of 2 KiB strided by 8 KiB at the source, packed
-  // contiguously (stride == block size) at the destination.
-  std::vector<std::vector<std::byte>> blobs;
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    blobs.push_back(pattern(2048, static_cast<std::uint8_t>(70 + i)));
-    rt.write(src, i * 8192, blobs.back());
-  }
-  Stream stream(rt);
-  ASSERT_TRUE(stream
-                  .enqueue_block_stride(dst, 0, 2048, src, 0, 8192,
-                                        /*block_bytes=*/2048, /*count=*/4)
-                  .is_ok());
-  EXPECT_EQ(stream.pending(), 4u);
-  auto t = stream.synchronize();
-  sched.run();
-  const SyncReport report = t.result();
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.ops.size(), 4u);
-  for (const auto& op : report.ops) EXPECT_TRUE(op.status.is_ok());
-
-  for (std::uint32_t i = 0; i < 4; ++i) {
-    std::vector<std::byte> out(2048);
-    rt.read(dst, i * 2048, out);
-    EXPECT_EQ(out, blobs[i]) << i;
-  }
-}
-
-TEST(Stream, BlockStrideValidatesExtents) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto src = rt.alloc_host(0, 16 << 10).value();
-  auto dst = rt.alloc_host(1, 16 << 10).value();
-  Stream stream(rt);
-  // Last source block would end at 3*8192 + 2048 > 16 KiB.
-  EXPECT_FALSE(
-      stream.enqueue_block_stride(dst, 0, 2048, src, 0, 8192, 2048, 4)
-          .is_ok());
-  EXPECT_EQ(stream.pending(), 0u);
-  // Zero-count / zero-size are accepted no-ops.
-  EXPECT_TRUE(
-      stream.enqueue_block_stride(dst, 0, 2048, src, 0, 8192, 2048, 0)
-          .is_ok());
-  EXPECT_TRUE(
-      stream.enqueue_block_stride(dst, 0, 2048, src, 0, 8192, 0, 4).is_ok());
-  EXPECT_EQ(stream.pending(), 0u);
-}
-
-TEST(Stream, SyncReportCarriesPerOpStatuses) {
-  sim::Scheduler sched;
-  Runtime rt(sched, small_config());
-  auto a = rt.alloc_host(0, 32 << 10).value();
-  auto b = rt.alloc_host(1, 32 << 10).value();
-  rt.write(a, 0, pattern(4096, 80));
-  rt.write(b, 0, pattern(4096, 81));
-
-  Stream stream(rt);
-  ASSERT_TRUE(stream.enqueue_copy(b, 8192, a, 0, 4096).is_ok());
-  ASSERT_TRUE(stream.enqueue_copy(a, 8192, b, 0, 4096).is_ok());
-  ASSERT_TRUE(stream.enqueue_copy(b, 16 << 10, a, 0, 2048).is_ok());
-  auto t = stream.synchronize();
-  sched.run();
-  const SyncReport report = t.result();
-  EXPECT_TRUE(report.ok());
-  ASSERT_EQ(report.ops.size(), 3u);
-  // Per-op entries come back in enqueue order regardless of node grouping.
-  for (std::size_t i = 0; i < report.ops.size(); ++i) {
-    EXPECT_EQ(report.ops[i].index, i);
-    EXPECT_TRUE(report.ops[i].status.is_ok()) << i;
-  }
 }
 
 TEST(Runtime, ApiMetricsCountOpsAndPolicy) {

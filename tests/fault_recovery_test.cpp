@@ -3,10 +3,10 @@
 // failover via routing-register rewrite (the Fig. 5 mechanism applied to
 // fault handling).
 //
-// The acceptance pair lives here: a chain crossing a FaultPlan-killed cable
-// completes via failover + retry, and with failover disabled the same
-// scenario surfaces kTimedOut in the SyncReport within the configured
-// deadline instead of hanging the stream.
+// The acceptance pair lives here: a batch whose chain crosses a
+// FaultPlan-killed cable completes via failover + retry, and with failover
+// disabled the same batch returns kTimedOut within the configured deadline
+// instead of hanging the simulation.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -252,19 +252,21 @@ TEST(Recovery, ApiStreamRecoversWithRetriesVisibleInTheReport) {
   auto data = pattern(kBytes, 6);
   rt.write(src.value(), 0, data);
 
-  api::Stream stream(rt);
-  ASSERT_TRUE(stream.enqueue_copy(dst.value(), 0, src.value(), 0, kBytes)
-                  .is_ok());
-  auto t = stream.synchronize(
-      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(150)});
+  std::vector<api::Runtime::CopyOp> ops{{.dst = dst.value(),
+                                         .dst_off = 0,
+                                         .src = src.value(),
+                                         .src_off = 0,
+                                         .bytes = kBytes}};
+  std::uint32_t retries = 0;
+  auto t = rt.memcpy_peer_batch(
+      0, std::move(ops),
+      driver::RetryPolicy{.max_attempts = 3, .timeout_ps = us(150)},
+      &retries);
   sched.run();
   ASSERT_TRUE(t.done());
 
-  const auto report = t.result();
-  EXPECT_TRUE(report.ok()) << report.status.to_string();
-  EXPECT_GE(report.total_retries(), 1u);
-  ASSERT_EQ(report.ops.size(), 1u);
-  EXPECT_GE(report.ops[0].retries, 1u);
+  EXPECT_TRUE(t.result().is_ok()) << t.result().to_string();
+  EXPECT_GE(retries, 1u);
   EXPECT_GE(rt.cluster().failovers(), 1u);
 
   std::vector<std::byte> out(kBytes);
@@ -285,20 +287,23 @@ TEST(Recovery, WithoutFailoverTheDeadlineSurfacesTimedOutInsteadOfHanging) {
   ASSERT_TRUE(src.is_ok() && dst.is_ok());
   rt.write(src.value(), 0, pattern(kBytes, 7));
 
-  api::Stream stream(rt);
-  ASSERT_TRUE(stream.enqueue_copy(dst.value(), 0, src.value(), 0, kBytes)
-                  .is_ok());
-  auto t = stream.synchronize(driver::RetryPolicy{.timeout_ps = us(500)});
+  std::vector<api::Runtime::CopyOp> ops{{.dst = dst.value(),
+                                         .dst_off = 0,
+                                         .src = src.value(),
+                                         .src_off = 0,
+                                         .bytes = kBytes}};
+  std::uint32_t retries = 0;
+  auto t = rt.memcpy_peer_batch(0, std::move(ops),
+                                driver::RetryPolicy{.timeout_ps = us(500)},
+                                &retries);
   sched.run();
 
-  // The whole point: the simulation ran dry (no hang) and the report says
+  // The whole point: the simulation ran dry (no hang) and the batch says
   // kTimedOut within deadline + ISR/teardown slack.
   ASSERT_TRUE(t.done());
-  const auto report = t.result();
-  EXPECT_TRUE(report.timed_out()) << report.status.to_string();
-  ASSERT_EQ(report.ops.size(), 1u);
-  EXPECT_EQ(report.ops[0].status.code(), ErrorCode::kTimedOut);
-  EXPECT_EQ(report.total_retries(), 0u);
+  EXPECT_EQ(t.result().code(), ErrorCode::kTimedOut)
+      << t.result().to_string();
+  EXPECT_EQ(retries, 0u);
   EXPECT_LE(sched.now(), us(700));
   EXPECT_EQ(rt.cluster().failovers(), 0u);
 }

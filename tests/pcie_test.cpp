@@ -329,6 +329,31 @@ TEST(Link, ReplaysCostTimeButNotData) {
   EXPECT_GT(noisy_time, clean_time);
 }
 
+TEST(Link, SurpriseDownDuringAReplayKeepsTheReplayBufferInOrder) {
+  // A leaves clean and is still on the 1 us cable when B, next on the wire,
+  // fails its LCRC and waits out its replay delay. The link drops inside
+  // that wait: both are dropped, and retrain resends A before B, as posted
+  // writes must never pass each other.
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8, .propagation_ps = us(1)});
+  RecordingSink sink(sched);
+  link.end_b().set_sink(&sink);
+  link.end_a().send(Tlp::mem_write(0xA00, make_payload(64, 1)));
+  link.set_bit_error_rate(1.0);  // B's transmission fails
+  link.end_a().send(Tlp::mem_write(0xB00, make_payload(64, 2)));
+  sched.schedule_at(ns(200), [&] {
+    link.set_up(false);
+    link.set_bit_error_rate(0);
+  });
+  sched.schedule_at(us(2), [&] { link.set_up(true); });
+  sched.run();
+  EXPECT_EQ(link.end_a().dropped_tlps(), 2u);
+  ASSERT_EQ(sink.received.size(), 2u);
+  EXPECT_EQ(sink.received[0].address, 0xA00u);
+  EXPECT_EQ(sink.received[1].address, 0xB00u);
+  EXPECT_TRUE(link.end_a().tx_idle());
+}
+
 TEST(Link, SustainedThroughputMatchesPaperPeak) {
   sim::Scheduler sched;
   PcieLink link(sched, {.gen = 2, .lanes = 8});

@@ -36,6 +36,7 @@
 #include "api/tca.h"
 #include "bench/bench_util.h"
 #include "coll/communicator.h"
+#include "common/rng.h"
 #include "common/trace.h"
 #include "fabric/fault_plan.h"
 #include "obs/metrics.h"
@@ -363,8 +364,8 @@ int run_workload(const Options& opt, sim::Scheduler& sched) {
 
     verified = true;
     for (std::uint32_t r = 0; r < opt.nodes; ++r) {
-      const std::uint32_t prev = (r + opt.nodes - 1) % opt.nodes;
-      const std::uint32_t next = (r + 1) % opt.nodes;
+      const std::uint32_t prev = comm.ring_prev(r);
+      const std::uint32_t next = comm.ring_next(r);
       std::vector<std::byte> got(row);
       rt.read(bufs[r], 0, got);  // from prev: prev's to_next row
       verified = verified &&
@@ -431,15 +432,9 @@ int main(int argc, char** argv) {
                  .enable_failover = opt.failover});
   driver::Peach2Driver& drv = tca.driver(0);
 
-  // Stage data and pin GPU windows.
-  Rng rng(1);
-  std::vector<std::byte> fill(tca.chip(0).internal_ram().size());
-  rng.fill(fill);
-  tca.chip(0).internal_ram().write(0, fill);
-  std::vector<std::byte> hostfill(4 << 20);
-  rng.fill(hostfill);
+  // Pin GPU windows. The ops time transfers and never read the bytes back,
+  // so no source data is staged.
   for (std::uint32_t n = 0; n < opt.nodes; ++n) {
-    tca.node(n).host_dram().write(0, hostfill);
     auto ptr = tca.node(n).gpu(0).mem_alloc(4 << 20);
     TCA_ASSERT(ptr.is_ok());
     TCA_ASSERT(tca.driver(n).p2p().pin(0, ptr.value(), 4 << 20).is_ok());
