@@ -85,7 +85,7 @@ std::pair<double, std::uint64_t> link_sweep(double ber) {
       pcie::Tlp tlp;
       tlp.type = pcie::TlpType::kMemWrite;
       tlp.length = 256;
-      tlp.payload = payload;
+      tlp.payload.assign(payload.begin(), payload.end());
       if (!link.end_a().can_send(tlp)) return;
       link.end_a().send(std::move(tlp));
       sent += 256;

@@ -37,7 +37,7 @@ double measure_link(std::uint32_t payload) {
       tlp.type = pcie::TlpType::kMemWrite;
       tlp.address = sent;
       tlp.length = payload;
-      tlp.payload = data;
+      tlp.payload.assign(data.begin(), data.end());
       if (!link.end_a().can_send(tlp)) return;
       link.end_a().send(std::move(tlp));
       sent += payload;

@@ -8,6 +8,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,17 +56,37 @@ class ShapeCheck {
     if (st.is_ok()) std::printf("\nwrote %s\n", path.c_str());
   }
 
-  /// Prints the checks; returns the process exit code.
+  /// Prints the checks; returns the process exit code. Also reports the
+  /// process's peak RSS on stderr (see report_peak_rss).
   int finish() const {
     std::printf("\nShape checks:\n");
     for (const auto& [ok, what] : results_) {
       std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
     }
     std::printf("%s\n", failed_ ? "RESULT: FAIL" : "RESULT: OK");
+    report_peak_rss();
     return failed_ ? 1 : 0;
   }
 
  private:
+  /// Copies this process's own peak RSS, the `VmHWM:` line of
+  /// /proc/self/status, to stderr (the goldens compare stdout only).
+  /// scripts/bench_perf.sh reads it: a child the python collector spawns
+  /// starts with the launcher's ru_maxrss high-water mark, so wait4 cannot
+  /// report a peak below the interpreter's own.
+  static void report_peak_rss() {
+    std::FILE* status = std::fopen("/proc/self/status", "r");
+    if (status == nullptr) return;
+    char line[256];
+    while (std::fgets(line, sizeof line, status) != nullptr) {
+      if (std::strncmp(line, "VmHWM:", 6) == 0) {
+        std::fputs(line, stderr);
+        break;
+      }
+    }
+    std::fclose(status);
+  }
+
   std::vector<std::pair<bool, std::string>> results_;
   bool failed_ = false;
 };

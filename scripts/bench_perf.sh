@@ -93,31 +93,41 @@ echo "== end-to-end host cost of every full-simulator bench =="
 for bench in $E2E_BENCHES; do
   require_in_repo "$OUT/$bench.e2e.txt"
 done
-# Each run's own wall, user and kernel time, minor faults and peak RSS come
-# from os.wait4 on that child (/usr/bin/time is not assumed installed).
+# Each run's own wall, user and kernel time and minor faults come from
+# os.wait4 on that child (/usr/bin/time is not assumed installed).
 # getrusage(RUSAGE_CHILDREN) would also count whatever the interpreter's
 # launcher ran before exec (a pyenv shim, say), and its max RSS is a
-# maximum over all of those. Repetitions are interleaved across benches, so
-# a slow phase of the box is spread over every bench.
+# maximum over all of those. Peak RSS is the `VmHWM:` line each bench
+# prints to stderr on exit (bench::ShapeCheck::finish): a posix_spawn'ed
+# child's ru_maxrss starts at the interpreter's own high-water mark, so it
+# never reads below it. ru_maxrss stands in when a bench prints no such
+# line. Repetitions are interleaved across benches, so a slow phase of the
+# box is spread over every bench.
 python3 - "$BUILD/bench" "$OUT" "$E2E_JSON" $E2E_BENCHES <<'EOF' || status=1
-import json, os, sys, time
+import json, os, re, sys, time
 bin_dir, out_dir, json_path, *benches = sys.argv[1:]
 REPS = 3
+HWM = re.compile(r"^VmHWM:\s+(\d+)\s+kB", re.M)
 runs = {name: [] for name in benches}
 for _ in range(REPS):
     for name in benches:
         binary = os.path.join(bin_dir, name)
-        with open(os.path.join(out_dir, name + ".e2e.txt"), "w") as out:
+        out_path = os.path.join(out_dir, name + ".e2e.txt")
+        with open(out_path, "w") as out:
             start = time.monotonic()
             pid = os.posix_spawn(binary, [binary], os.environ, file_actions=[
                 (os.POSIX_SPAWN_DUP2, out.fileno(), 1),
                 (os.POSIX_SPAWN_DUP2, out.fileno(), 2)])
             _, status, ru = os.wait4(pid, 0)
             wall = time.monotonic() - start
+        with open(out_path) as out:
+            hwm = HWM.search(out.read())
+        rss_kb = int(hwm.group(1)) if hwm else ru.ru_maxrss
         runs[name].append({
             "exit": os.waitstatus_to_exitcode(status), "wall_s": wall,
             "user_s": ru.ru_utime, "sys_s": ru.ru_stime,
-            "minor_faults": ru.ru_minflt, "max_rss_mb": ru.ru_maxrss / 1024})
+            "minor_faults": ru.ru_minflt, "max_rss_mb": rss_kb / 1024,
+            "rss_source": "VmHWM" if hwm else "ru_maxrss"})
 cpu = "unknown"
 with open("/proc/cpuinfo") as f:
     for line in f:
@@ -126,6 +136,8 @@ with open("/proc/cpuinfo") as f:
             break
 doc = {"host": {"cpu": cpu, "cpus": os.cpu_count()},
        "pick": f"median-wall run of {REPS}, all its fields from that one run",
+       "rss": "max_rss_mb is the bench's own VmHWM at exit (ru_maxrss "
+              "where rss_source says so)",
        "benches": {}}
 failed = [name for name, reps in runs.items()
           if any(r["exit"] != 0 for r in reps)]
@@ -140,6 +152,7 @@ for name, reps in runs.items():
         "sys_s": round(r["sys_s"], 3), "sys_share": round(share, 3),
         "minor_faults": r["minor_faults"],
         "max_rss_mb": round(r["max_rss_mb"], 1),
+        "rss_source": r["rss_source"],
         "wall_s_runs": sorted(round(x["wall_s"], 3) for x in reps)}
     print(f"{name:26} {r['wall_s']:7.3f} {r['user_s']:7.3f} {r['sys_s']:7.3f}"
           f" {100 * share:5.1f}% {r['minor_faults']:9d}"

@@ -33,7 +33,7 @@ scripts/clang_tidy.sh "$BUILD"
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
 
-echo "== fault, collective, memory, event-queue, poller and link suites under ASan/UBSan =="
+echo "== fault, collective, memory, event-queue, poller, link and TLP data-path suites under ASan/UBSan =="
 # memory_test runs instrumented so the Dram mapping's ownership code and
 # its bounds-check death tests are covered: the mapping has no redzones.
 # indexed_queue_test runs instrumented because a broken list link in the
@@ -41,10 +41,19 @@ echo "== fault, collective, memory, event-queue, poller and link suites under AS
 # sim_test's PollUntil and pcie_test's ZeroFlightLink suites run
 # instrumented because a poller that outlives its coroutine frame, or a
 # zero-flight hop's one event cancelled twice, shows up here first.
+# The TLP data path runs instrumented too (sim_test's Ring, pcie_test's
+# Tlp, Payload and Link, chip_test's Chip, gpu_test's GpuDevice, node_test's
+# RootComplex): under ASan FrameArena hands every payload block to the
+# heap, so a payload overrun, a payload used after its free, or a ring
+# element read from a buffer that growth has freed is reported here. A
+# payload that outlives its scheduler is the one fault this cannot see
+# (with no arena there is nothing to outlive); the arena's live-block
+# count fails a TCA_ASSERT on it in the uninstrumented test run above.
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
-  coll_test memory_test indexed_queue_test sim_test pcie_test
+  coll_test memory_test indexed_queue_test sim_test pcie_test chip_test \
+  gpu_test node_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="

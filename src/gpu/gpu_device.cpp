@@ -175,14 +175,13 @@ sim::Task<> GpuDevice::read_service_loop() {
       const std::uint32_t chunk = std::min(
           remaining, std::min(kGpuReadChunkBytes, calib::kMaxPayloadBytes));
       co_await sim::Delay(sched_, kGpuReadServicePs);
-      std::vector<std::byte> data(chunk);
+      pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
       if (dev) {
-        gddr_.read(*dev + (req.length - remaining), data);
+        gddr_.read(*dev + (req.length - remaining), cpl.payload);
       } else {
         ++access_errors_;
-        std::fill(data.begin(), data.end(), std::byte{0xFF});
+        std::fill(cpl.payload.begin(), cpl.payload.end(), std::byte{0xFF});
       }
-      pcie::Tlp cpl = pcie::Tlp::completion(req, data, remaining);
       // In-flight pipeline latency: delays delivery, does not occupy the
       // translation unit.
       sched_.schedule_after(kGpuReadLatencyPs,

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "common/error.h"
 #include "memory/dram.h"
 #include "pcie/link.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -128,11 +128,11 @@ class GpuDevice : public pcie::TlpSink {
   std::uint64_t alloc_cursor_ = 0;
   std::vector<bool> pinned_;  // one flag per kGpuPinPageBytes page
 
-  std::deque<pcie::Tlp> read_queue_;
+  sim::Ring<pcie::Tlp> read_queue_;
   sim::Trigger read_pending_;
   sim::Task<> read_task_;
 
-  std::deque<pcie::Tlp> tx_queue_;
+  sim::Ring<pcie::Tlp> tx_queue_;
 
   std::uint64_t access_errors_ = 0;
   std::uint64_t writes_rx_ = 0;

@@ -27,23 +27,28 @@ RootComplex::RootComplex(sim::Scheduler& sched, int socket,
 Status RootComplex::attach_device(
     pcie::DeviceId id, pcie::LinkPort& rc_port,
     const std::vector<std::pair<std::uint64_t, std::uint64_t>>& bars) {
+  const Attachment device{Attachment::Kind::kDevice, egress_.size()};
   for (const auto& [base, size] : bars) {
-    Status st =
-        map_.add(base, size, Attachment{Attachment::Kind::kDevice, &rc_port});
+    Status st = map_.add(base, size, device);
     if (!st.is_ok()) return st;
   }
-  requester_route_[id] = Attachment{Attachment::Kind::kDevice, &rc_port};
+  requester_route_[id] = device;
   rc_port.set_sink(this);
-  rc_port.set_tx_ready([this, port = &rc_port] { pump(port); });
-  egress_.emplace(&rc_port, std::deque<pcie::Tlp>{});
+  add_egress(rc_port);
   return Status::ok();
 }
 
 void RootComplex::connect_qpi(pcie::LinkPort& qpi_port) {
   qpi_port_ = &qpi_port;
   qpi_port.set_sink(this);
-  qpi_port.set_tx_ready([this, port = &qpi_port] { pump(port); });
-  egress_.emplace(&qpi_port, std::deque<pcie::Tlp>{});
+  qpi_egress_ = add_egress(qpi_port);
+}
+
+std::size_t RootComplex::add_egress(pcie::LinkPort& port) {
+  const std::size_t i = egress_.size();
+  egress_.push_back(Egress{&port, {}});
+  port.set_tx_ready([this, i] { pump(egress_[i]); });
+  return i;
 }
 
 void RootComplex::inject_from_cpu(pcie::Tlp tlp) {
@@ -70,7 +75,7 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
   if (range == nullptr) {
     // Not local to this socket: cross QPI once.
     if (!arrived_via_qpi && qpi_port_ != nullptr) {
-      forward(qpi_port_, std::move(tlp));
+      forward(qpi_egress_, std::move(tlp));
       return;
     }
     ++unroutable_;
@@ -89,10 +94,7 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
       }
       break;
     case Attachment::Kind::kDevice:
-      forward(range->value.port, std::move(tlp));
-      break;
-    case Attachment::Kind::kQpi:
-      forward(qpi_port_, std::move(tlp));
+      forward(range->value.egress, std::move(tlp));
       break;
   }
 }
@@ -118,9 +120,9 @@ void RootComplex::handle_host_read(pcie::Tlp tlp) {
     std::uint32_t remaining = req.length;
     while (remaining > 0) {
       const std::uint32_t chunk = std::min(remaining, kMaxPayloadBytes);
-      std::vector<std::byte> data(chunk);
-      host_dram_.read(offset + (req.length - remaining), data);
-      send_to_requester(pcie::Tlp::completion(req, data, remaining));
+      pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
+      host_dram_.read(offset + (req.length - remaining), cpl.payload);
+      send_to_requester(std::move(cpl));
       remaining -= chunk;
     }
   });
@@ -134,27 +136,26 @@ void RootComplex::send_to_requester(pcie::Tlp cpl) {
   }
   if (auto it = requester_route_.find(cpl.requester);
       it != requester_route_.end()) {
-    forward(it->second.port, std::move(cpl));
+    forward(it->second.egress, std::move(cpl));
     return;
   }
   if (qpi_port_ != nullptr) {
-    forward(qpi_port_, std::move(cpl));
+    forward(qpi_egress_, std::move(cpl));
     return;
   }
   ++unroutable_;
 }
 
-void RootComplex::forward(pcie::LinkPort* port, pcie::Tlp tlp) {
-  TCA_ASSERT(port != nullptr);
-  egress_[port].push_back(std::move(tlp));
-  pump(port);
+void RootComplex::forward(std::size_t egress, pcie::Tlp tlp) {
+  Egress& eg = egress_[egress];
+  eg.queue.push_back(std::move(tlp));
+  pump(eg);
 }
 
-void RootComplex::pump(pcie::LinkPort* port) {
-  auto& queue = egress_[port];
-  while (!queue.empty() && port->can_send(queue.front())) {
-    port->send(std::move(queue.front()));
-    queue.pop_front();
+void RootComplex::pump(Egress& eg) {
+  while (!eg.queue.empty() && eg.port->can_send(eg.queue.front())) {
+    eg.port->send(std::move(eg.queue.front()));
+    eg.queue.pop_front();
   }
 }
 

@@ -12,10 +12,9 @@
 //   * the CPU cores (MMIO stores/loads injected by CpuAgent).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "memory/dram.h"
 #include "memory/range_map.h"
 #include "pcie/link.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 
 namespace tca::node {
@@ -66,16 +66,25 @@ class RootComplex : public pcie::TlpSink {
 
  private:
   struct Attachment {
-    enum class Kind { kHostMemory, kDevice, kQpi } kind;
-    pcie::LinkPort* port = nullptr;  // for kDevice/kQpi
+    enum class Kind { kHostMemory, kDevice } kind;
+    std::size_t egress = 0;  // kDevice: index into egress_
+  };
+
+  /// One downstream port (or QPI) and the TLPs waiting for its credits.
+  struct Egress {
+    pcie::LinkPort* port = nullptr;
+    sim::Ring<pcie::Tlp> queue;
   };
 
   void route(pcie::Tlp tlp, bool arrived_via_qpi);
   void handle_host_write(pcie::Tlp tlp);
   void handle_host_read(pcie::Tlp tlp);
   void send_to_requester(pcie::Tlp cpl);
-  void forward(pcie::LinkPort* port, pcie::Tlp tlp);
-  void pump(pcie::LinkPort* port);
+  /// Adds an egress queue for `port`, pumped on its tx-ready; returns its
+  /// index.
+  std::size_t add_egress(pcie::LinkPort& port);
+  void forward(std::size_t egress, pcie::Tlp tlp);
+  void pump(Egress& eg);
 
   sim::Scheduler& sched_;
   int socket_;
@@ -85,12 +94,13 @@ class RootComplex : public pcie::TlpSink {
 
   mem::RangeMap<Attachment> map_;
   pcie::LinkPort* qpi_port_ = nullptr;
+  std::size_t qpi_egress_ = 0;  // valid when qpi_port_ is set
   std::unordered_map<pcie::DeviceId, Attachment> requester_route_;
   std::function<void(pcie::Tlp)> cpu_completion_;
 
-  // Per-port egress queues (the RC has ample internal buffering; inbound
-  // credits are returned on receipt).
-  std::map<pcie::LinkPort*, std::deque<pcie::Tlp>> egress_;
+  // Per-port egress queues, in attach order (the RC has ample internal
+  // buffering; inbound credits are returned on receipt).
+  std::vector<Egress> egress_;
 
   std::uint64_t host_wr_ = 0;
   std::uint64_t host_rd_ = 0;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -18,6 +17,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "pcie/tlp.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 
 namespace tca::pcie {
@@ -179,13 +179,13 @@ class LinkPort {
   std::function<void(bool)> link_state_cb_;
 
   // Transmit side.
-  std::deque<Tlp> tx_queue_;
+  sim::Ring<Tlp> tx_queue_;
   std::uint64_t tx_queued_ = 0;
   bool wire_busy_ = false;
   std::function<void()> tx_ready_;
   std::function<void()> replay_threshold_cb_;
   sim::Scheduler::EventId wire_done_event_ = sim::Scheduler::kInvalidEvent;
-  std::deque<InFlight> in_flight_;  // FIFO: front is oldest
+  sim::Ring<InFlight> in_flight_;  // FIFO: front is oldest
   /// The TLP that failed its LCRC, held until wire_done_event_ requeues it
   /// for retransmission. It is the newest TLP past the serializer: the
   /// wire stays busy while it waits.

@@ -1,7 +1,5 @@
 #include "pcie/tlp.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace tca::pcie {
@@ -32,13 +30,18 @@ std::uint64_t Tlp::wire_bytes() const {
 
 Tlp Tlp::mem_write(std::uint64_t address, std::span<const std::byte> data,
                    DeviceId requester) {
+  return mem_write(address, Payload(data.begin(), data.end()), requester);
+}
+
+Tlp Tlp::mem_write(std::uint64_t address, Payload&& data,
+                   DeviceId requester) {
   TCA_ASSERT(data.size() <= calib::kMaxPayloadBytes);
   Tlp tlp;
   tlp.type = TlpType::kMemWrite;
   tlp.address = address;
   tlp.length = static_cast<std::uint32_t>(data.size());
   tlp.requester = requester;
-  tlp.payload.assign(data.begin(), data.end());
+  tlp.payload = std::move(data);
   return tlp;
 }
 
@@ -55,17 +58,18 @@ Tlp Tlp::mem_read(std::uint64_t address, std::uint32_t length,
   return tlp;
 }
 
-Tlp Tlp::completion(const Tlp& request, std::span<const std::byte> data,
+Tlp Tlp::completion(const Tlp& request, std::uint32_t length,
                     std::uint32_t byte_count_remaining) {
   TCA_ASSERT(request.type == TlpType::kMemRead);
+  TCA_ASSERT(length <= byte_count_remaining);
   Tlp tlp;
   tlp.type = TlpType::kCompletion;
   tlp.address = request.address + (request.length - byte_count_remaining);
-  tlp.length = static_cast<std::uint32_t>(data.size());
+  tlp.length = length;
   tlp.requester = request.requester;
   tlp.tag = request.tag;
   tlp.byte_count_remaining = byte_count_remaining;
-  tlp.payload.assign(data.begin(), data.end());
+  tlp.payload.resize(length);
   return tlp;
 }
 

@@ -4,14 +4,29 @@
 // (posted), Memory Read Request (non-posted), Completion-with-Data, and a
 // vendor-defined message used by PEARL for end-to-end delivery notification.
 // TLPs carry *real payload bytes* so data integrity is checkable end-to-end.
+//
+// Payload ownership and lifetime: a TLP owns its bytes in a pcie::Payload,
+// a byte vector whose allocator takes its block from the running
+// scheduler's FrameArena when the TLP is built (or copied) inside an event,
+// and from the global heap otherwise (set-up code, main(), every allocation
+// under ASan). The steady-state TLP path therefore recycles pooled blocks
+// instead of calling malloc per TLP. The rule that follows is the one
+// coroutine frames already obey: a TLP built inside an event must not
+// outlive its scheduler. Components, sinks and test probes that keep TLPs
+// are declared after the scheduler they run on, so they are destroyed
+// first. The arena checks the rule when it dies (see arena.h): a payload
+// block still out fails a TCA_ASSERT.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "calib/calibration.h"
 #include "common/units.h"
+#include "sim/arena.h"
 
 namespace tca::pcie {
 
@@ -46,6 +61,27 @@ class CommitNotifier {
   ~CommitNotifier() = default;
 };
 
+/// Stateless allocator over sim::arena_alloc/arena_free (see the file
+/// comment).
+template <typename T>
+struct ArenaAllocator {
+  using value_type = T;
+  ArenaAllocator() noexcept = default;
+  template <typename U>
+  ArenaAllocator(const ArenaAllocator<U>& /*other*/) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(sim::arena_alloc(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    sim::arena_free(p, n * sizeof(T));
+  }
+  friend bool operator==(ArenaAllocator, ArenaAllocator) { return true; }
+};
+
+/// The bytes a TLP carries. Sizes above kMaxPayloadBytes are allowed (link
+/// benches and tests send oversized TLPs).
+using Payload = std::vector<std::byte, ArenaAllocator<std::byte>>;
+
 struct Tlp {
   TlpType type = TlpType::kMemWrite;
 
@@ -71,7 +107,7 @@ struct Tlp {
   /// CommitNotifier). Used by the DMAC's remote-write completion window.
   std::uint64_t ack_address = 0;
 
-  std::vector<std::byte> payload;
+  Payload payload;
 
   /// When non-null on a MemWrite, the committing endpoint calls
   /// `commit_notifier->on_write_commit(ack_address, tag)` at the simulated
@@ -87,9 +123,16 @@ struct Tlp {
 
   static Tlp mem_write(std::uint64_t address, std::span<const std::byte> data,
                        DeviceId requester = 0);
+  /// The same, taking over `data`'s block instead of copying it (the
+  /// pipelined DMAC forwards a read completion's bytes this way).
+  static Tlp mem_write(std::uint64_t address, Payload&& data,
+                       DeviceId requester = 0);
   static Tlp mem_read(std::uint64_t address, std::uint32_t length,
                       DeviceId requester, std::uint8_t tag);
-  static Tlp completion(const Tlp& request, std::span<const std::byte> data,
+  /// Completion carrying the next `length` bytes of `request`, with its
+  /// payload sized (zero-filled) for the caller to read the data straight
+  /// into.
+  static Tlp completion(const Tlp& request, std::uint32_t length,
                         std::uint32_t byte_count_remaining);
   // tca-protocol: acks-on-commit
   static Tlp vendor_msg(std::uint64_t address, DeviceId requester,

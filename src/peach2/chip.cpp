@@ -1,5 +1,6 @@
 #include "peach2/chip.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/log.h"
@@ -185,37 +186,54 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
       out = *decision;
     }
 
-    co_await enqueue_egress(out, std::move(tlp));
+    while (!egress_has_room(out, wire)) {
+      co_await egress_[idx(out)].space->wait();
+    }
+    admit_egress(out, std::move(tlp));
     in.link->release_rx(wire);
     ++forwarded_;
     ++port_forwards_[idx(out)];
   }
 }
 
-sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
+bool Peach2Chip::egress_has_room(PortId out, std::uint64_t wire) const {
+  return egress_[idx(out)].reserved_bytes + wire <= cfg_.egress_queue_bytes;
+}
+
+void Peach2Chip::admit_egress(PortId out, pcie::Tlp tlp) {
   Egress& eg = egress_[idx(out)];
   const std::uint64_t wire = tlp.wire_bytes();
-  while (eg.reserved_bytes + wire > cfg_.egress_queue_bytes) {
-    co_await eg.space->wait();
-  }
+  TCA_ASSERT(egress_has_room(out, wire));
   eg.reserved_bytes += wire;
   // Remaining pipeline latency before the TLP reaches the egress FIFO. The
   // generation captured here detects a failover flushing this port while
   // the TLP is mid-pipeline: arriving under a stale generation, it joins
   // the abandoned traffic rather than outliving the flush as a zombie.
-  const std::uint64_t gen = eg.generation;
+  const std::uint32_t gen = eg.generation;
+  auto arrive = [this, out, gen, t = std::move(tlp)]() mutable {
+    Egress& dst = egress_[idx(out)];
+    if (dst.generation != gen) {
+      dst.reserved_bytes -= t.wire_bytes();
+      ++abandoned_;
+      dst.space->pulse();
+      return;
+    }
+    dst.queue.push_back(std::move(t));
+    pump_egress(out);
+  };
+  // Every forwarded TLP takes this capture: it must stay in EventFn's
+  // inline buffer, or each forward pays a heap fallback.
+  static_assert(sizeof(arrive) <= sim::EventFn::kInlineBytes,
+                "route-pipeline capture outgrew EventFn's inline buffer");
   sched_.schedule_after(kRouteLatencyPs - kRouteOccupancyPs,
-                        [this, out, gen, t = std::move(tlp)]() mutable {
-                          Egress& dst = egress_[idx(out)];
-                          if (dst.generation != gen) {
-                            dst.reserved_bytes -= t.wire_bytes();
-                            ++abandoned_;
-                            dst.space->pulse();
-                            return;
-                          }
-                          dst.queue.push_back(std::move(t));
-                          pump_egress(out);
-                        });
+                        std::move(arrive));
+}
+
+sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
+  Egress& eg = egress_[idx(out)];
+  const std::uint64_t wire = tlp.wire_bytes();
+  while (!egress_has_room(out, wire)) co_await eg.space->wait();
+  admit_egress(out, std::move(tlp));
 }
 
 void Peach2Chip::pump_egress(PortId out) {
@@ -272,7 +290,7 @@ sim::Task<> Peach2Chip::inject(pcie::Tlp tlp, const bool* aborted) {
   // (still subject to its backpressure).
   Egress& eg = egress_[idx(*out)];
   const std::uint64_t wire = tlp.wire_bytes();
-  while (eg.reserved_bytes + wire > cfg_.egress_queue_bytes) {
+  while (!egress_has_room(*out, wire)) {
     if (aborted != nullptr && *aborted) co_return;  // chain abort: give up
     co_await eg.space->wait();
   }
@@ -324,9 +342,7 @@ void Peach2Chip::on_write_commit(std::uint64_t ack_address, std::uint8_t tag) {
   // committed: send the PEARL delivery notification back to the source
   // chip's mailbox over the fabric.
   ++acks_sent_;
-  sim::spawn([](Peach2Chip& chip, pcie::Tlp msg) -> sim::Task<> {
-    co_await chip.inject(std::move(msg));
-  }(*this, pcie::Tlp::vendor_msg(ack_address, cfg_.device_id, tag)));
+  sim::spawn(inject(pcie::Tlp::vendor_msg(ack_address, cfg_.device_id, tag)));
 }
 
 void Peach2Chip::raise_error(std::uint64_t bits) {
@@ -372,11 +388,9 @@ void Peach2Chip::handle_internal_tlp(pcie::Tlp tlp) {
         while (remaining > 0) {
           const std::uint32_t chunk =
               std::min(remaining, calib::kMaxPayloadBytes);
-          std::vector<std::byte> data(chunk);
-          internal_ram_.read(base + (req.length - remaining), data);
-          sim::spawn([](Peach2Chip& chip, pcie::Tlp cpl) -> sim::Task<> {
-            co_await chip.enqueue_egress(PortId::kNorth, std::move(cpl));
-          }(*this, pcie::Tlp::completion(req, data, remaining)));
+          pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
+          internal_ram_.read(base + (req.length - remaining), cpl.payload);
+          sim::spawn(enqueue_egress(PortId::kNorth, std::move(cpl)));
           remaining -= chunk;
         }
       });
@@ -403,11 +417,9 @@ void Peach2Chip::handle_register_tlp(pcie::Tlp tlp) {
     TCA_ASSERT(tlp.length == 8 && "registers are 64-bit");
     sched_.schedule_after(kRegAccessPs, [this, req = std::move(tlp), offset] {
       const std::uint64_t value = read_register(offset);
-      std::vector<std::byte> data(8);
-      std::memcpy(data.data(), &value, 8);
-      sim::spawn([](Peach2Chip& chip, pcie::Tlp cpl) -> sim::Task<> {
-        co_await chip.enqueue_egress(PortId::kNorth, std::move(cpl));
-      }(*this, pcie::Tlp::completion(req, data, req.length)));
+      pcie::Tlp cpl = pcie::Tlp::completion(req, 8, req.length);
+      std::memcpy(cpl.payload.data(), &value, 8);
+      sim::spawn(enqueue_egress(PortId::kNorth, std::move(cpl)));
     });
     return;
   }

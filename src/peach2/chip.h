@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include "pcie/link.h"
 #include "peach2/routing.h"
 #include "peach2/tca_layout.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -195,17 +195,19 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
  private:
   struct Egress {
     pcie::LinkPort* port = nullptr;
-    std::deque<pcie::Tlp> queue;
+    sim::Ring<pcie::Tlp> queue;
     std::uint64_t reserved_bytes = 0;
     std::unique_ptr<sim::Trigger> space;
     /// Bumped by abandon_egress(). TLPs in the route-pipeline delay carry
     /// the generation they were admitted under; a mismatch on arrival means
     /// a failover flushed this port while they were in flight through the
-    /// pipeline, and they are discarded instead of parked.
-    std::uint64_t generation = 0;
+    /// pipeline, and they are discarded instead of parked. 32 bits keep the
+    /// route-pipeline capture inline (see admit_egress); a stale generation
+    /// could only match again after 2^32 flushes within one pipeline delay.
+    std::uint32_t generation = 0;
   };
   struct Ingress {
-    std::deque<pcie::Tlp> queue;
+    sim::Ring<pcie::Tlp> queue;
     pcie::LinkPort* link = nullptr;
     std::unique_ptr<sim::Trigger> pending;
     sim::Task<> engine;
@@ -219,6 +221,12 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
 
   void handle_register_tlp(pcie::Tlp tlp);
   void handle_internal_tlp(pcie::Tlp tlp);
+  /// True when `out`'s egress FIFO can reserve `wire` more bytes now.
+  [[nodiscard]] bool egress_has_room(PortId out, std::uint64_t wire) const;
+  /// Reserves the TLP's bytes in `out`'s egress FIFO and files its arrival
+  /// there after the rest of the route pipeline. Needs egress_has_room.
+  void admit_egress(PortId out, pcie::Tlp tlp);
+  /// admit_egress once the FIFO has room, waiting out backpressure first.
   sim::Task<> enqueue_egress(PortId out, pcie::Tlp tlp);
   void pump_egress(PortId out);
 

@@ -1,7 +1,7 @@
 #include "peach2/dmac.h"
 
 #include <algorithm>
-#include <cstring>
+#include <span>
 
 #include "common/log.h"
 #include "common/trace.h"
@@ -106,19 +106,22 @@ void DmaController::abort(ErrorCode code) {
   // Forget outstanding non-posted requests: cancel their completion timers
   // and hand their tags back. A completion that still arrives later is
   // counted as unexpected (errors_) and otherwise ignored.
-  for (auto& [tag, pr] : pending_reads_) {
-    if (pr.timeout_event != sim::Scheduler::kInvalidEvent) {
-      sched_.cancel(pr.timeout_event);
+  const auto base = static_cast<std::uint8_t>(channel_ * 64);
+  for (std::size_t i = 0; i < pending_reads_.size(); ++i) {
+    std::optional<PendingRead>& pr = pending_reads_[i];
+    if (!pr) continue;
+    if (pr->timeout_event != sim::Scheduler::kInvalidEvent) {
+      sched_.cancel(pr->timeout_event);
     }
-    release_tag(tag);
+    pr.reset();
+    release_tag(static_cast<std::uint8_t>(base + i));
   }
-  pending_reads_.clear();
   outstanding_reads_ = 0;
   reads_drained_.pulse();
   // Drop the delivery-notification window: the acks may be stranded behind
   // a dead link and must not gate chain teardown.
   pending_acks_.clear();
-  ack_arrived_.clear();
+  ack_state_.fill(AckState::kNone);
   ack_event_.pulse();
   forwards_done_.pulse();
   // Wake engine coroutines parked on egress backpressure so they can
@@ -127,9 +130,9 @@ void DmaController::abort(ErrorCode code) {
 }
 
 void DmaController::on_completion_timeout(std::uint8_t tag) {
-  auto it = pending_reads_.find(tag);
-  if (it == pending_reads_.end()) return;
-  it->second.timeout_event = sim::Scheduler::kInvalidEvent;
+  std::optional<PendingRead>& pr = pending_reads_[read_slot(tag)];
+  if (!pr) return;
+  pr->timeout_event = sim::Scheduler::kInvalidEvent;
   ++completion_timeouts_;
   Log::write(LogLevel::kWarn, sched_.now(), "dmac",
              "completion timeout, aborting chain");
@@ -209,11 +212,10 @@ sim::Task<> DmaController::complete_chain() {
     // than the interrupt path; the driver spins on the word). Never given
     // up on abort: like the interrupt, it is the driver's only completion
     // edge, and the host port drains regardless of the fabric.
-    std::uint64_t value = chains_done_;
-    std::vector<std::byte> bytes(8);
-    std::memcpy(bytes.data(), &value, 8);
-    co_await chip_.inject(
-        pcie::Tlp::mem_write(writeback_addr_, bytes, chip_.device_id()));
+    const std::uint64_t value = chains_done_;
+    co_await chip_.inject(pcie::Tlp::mem_write(
+        writeback_addr_, std::as_bytes(std::span(&value, 1)),
+        chip_.device_id()));
   } else {
     ++interrupts_;
     chip_.raise_interrupt(channel_);
@@ -264,7 +266,7 @@ sim::Task<> DmaController::exec_write(DmaDescriptor d) {
     if (want_ack && sent + chunk == d.length) {
       ack_tag = next_ack_tag_;
       next_ack_tag_ = next_ack_tag();
-      ack_arrived_[ack_tag] = false;
+      ack_state_[ack_slot(ack_tag)] = AckState::kAwaited;
       tlp.ack_address = chip_.internal_block_base();
       tlp.tag = ack_tag;
     }
@@ -325,9 +327,9 @@ sim::Task<> DmaController::exec_read(DmaDescriptor d) {
       co_return;
     }
     // tca-protocol: transfer(dma-tag)
-    pending_reads_[tag] = PendingRead{.dst_internal_offset = dst_off + issued,
-                                      .remaining = chunk};
-    pending_reads_[tag].timeout_event = sched_.schedule_after(
+    pending_reads_[read_slot(tag)] = PendingRead{
+        .dst_internal_offset = dst_off + issued, .remaining = chunk};
+    pending_reads_[read_slot(tag)]->timeout_event = sched_.schedule_after(
         calib::kCompletionTimeoutPs, [this, tag] { on_completion_timeout(tag); });
     ++outstanding_reads_;
     co_await chip_.inject(pcie::Tlp::mem_read(*local_src + issued, chunk,
@@ -381,12 +383,12 @@ sim::Task<> DmaController::exec_pipelined(DmaDescriptor d) {
       pending.ack_tag = next_ack_tag_;
       next_ack_tag_ = next_ack_tag();
       pending.ack_address = chip_.internal_block_base();
-      ack_arrived_[pending.ack_tag] = false;
+      ack_state_[ack_slot(pending.ack_tag)] = AckState::kAwaited;
       pending_acks_.push_back(pending.ack_tag);
     }
     pending.timeout_event = sched_.schedule_after(
         calib::kCompletionTimeoutPs, [this, tag] { on_completion_timeout(tag); });
-    pending_reads_[tag] = pending;  // tca-protocol: transfer(dma-tag)
+    pending_reads_[read_slot(tag)] = pending;  // tca-protocol: transfer(dma-tag)
     ++outstanding_reads_;
     co_await chip_.inject(pcie::Tlp::mem_read(*local_src + issued, chunk,
                                               chip_.device_id(), tag),
@@ -399,19 +401,20 @@ sim::Task<> DmaController::exec_pipelined(DmaDescriptor d) {
 }
 
 void DmaController::on_read_completion(pcie::Tlp cpl) {
-  auto it = pending_reads_.find(cpl.tag);
-  if (it == pending_reads_.end()) {
+  if (!is_read_tag(cpl.tag) || !pending_reads_[read_slot(cpl.tag)]) {
     ++errors_;
     return;
   }
-  PendingRead& pr = it->second;
+  std::optional<PendingRead>& entry = pending_reads_[read_slot(cpl.tag)];
+  PendingRead& pr = *entry;
   TCA_ASSERT(cpl.payload.size() <= pr.remaining);
   const auto size = static_cast<std::uint32_t>(cpl.payload.size());
 
   if (pr.forward_to != 0) {
     // Pipelined mode: forward the chunk toward the destination immediately.
-    pcie::Tlp out =
-        pcie::Tlp::mem_write(pr.forward_to, cpl.payload, chip_.device_id());
+    // The write takes over the completion's bytes; nothing is copied.
+    pcie::Tlp out = pcie::Tlp::mem_write(
+        pr.forward_to, std::move(cpl.payload), chip_.device_id());
     pr.forward_to += size;
     if (pr.last_of_descriptor && pr.remaining == size &&
         pr.ack_address != 0) {
@@ -434,7 +437,7 @@ void DmaController::on_read_completion(pcie::Tlp cpl) {
     if (pr.timeout_event != sim::Scheduler::kInvalidEvent) {
       sched_.cancel(pr.timeout_event);
     }
-    pending_reads_.erase(it);
+    entry.reset();
     release_tag(tag);
     TCA_ASSERT(outstanding_reads_ > 0);
     if (--outstanding_reads_ == 0) reads_drained_.pulse();
@@ -442,23 +445,29 @@ void DmaController::on_read_completion(pcie::Tlp cpl) {
 }
 
 void DmaController::on_delivery_ack(std::uint8_t tag) {
-  auto it = ack_arrived_.find(tag);
-  if (it == ack_arrived_.end()) {
+  if (is_read_tag(tag) || ack_state_[ack_slot(tag)] == AckState::kNone) {
     ++errors_;
     return;
   }
-  it->second = true;
+  AckState& state = ack_state_[ack_slot(tag)];
+  state = AckState::kArrived;
   ack_event_.pulse();
+}
+
+bool DmaController::ack_arrived(std::uint8_t tag) const {
+  const AckState state = ack_state_[ack_slot(tag)];
+  TCA_ASSERT(state != AckState::kNone && "awaiting an ack never requested");
+  return state == AckState::kArrived;
 }
 
 sim::Task<> DmaController::drain_acks(std::size_t max_pending) {
   while (pending_acks_.size() > max_pending) {
     const std::uint8_t front = pending_acks_.front();
-    // An abort clears the window maps while this loop is suspended, so the
-    // abort check must come before any map access.
-    while (!aborted_ && !ack_arrived_.at(front)) co_await ack_event_.wait();
+    // An abort clears the window while this loop is suspended, so the
+    // abort check must come before any table access.
+    while (!aborted_ && !ack_arrived(front)) co_await ack_event_.wait();
     if (aborted_) co_return;
-    ack_arrived_.erase(front);
+    ack_state_[ack_slot(front)] = AckState::kNone;
     pending_acks_.pop_front();
   }
 }

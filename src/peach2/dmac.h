@@ -21,10 +21,10 @@
 // driver actually wrote).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -32,6 +32,7 @@
 #include "peach2/descriptor.h"
 #include "peach2/tca_layout.h"
 #include "pcie/tlp.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -169,6 +170,21 @@ class DmaController {
   // tca-protocol: releases(dma-tag)
   void release_tag(std::uint8_t tag);
 
+  /// A tag's offset in its channel's 64-wide window: read tags sit at
+  /// [0, kDmaReadTags) and notification tags at [32, 64), so the offset of
+  /// a read tag is its slot in pending_reads_.
+  static std::size_t read_slot(std::uint8_t tag) { return tag % 64; }
+  /// A notification tag's slot in ack_state_: its offset in the window's
+  /// upper half.
+  static std::size_t ack_slot(std::uint8_t tag) { return tag % kAckTags; }
+  /// True for a tag in its window's read half.
+  static bool is_read_tag(std::uint8_t tag) {
+    return read_slot(tag) < calib::kDmaReadTags;
+  }
+
+  /// True once the notification for `tag`, which must be awaited, is in.
+  [[nodiscard]] bool ack_arrived(std::uint8_t tag) const;
+
   /// Next delivery-notification tag, rolling within this channel's
   /// [base+32, base+64) window.
   [[nodiscard]] std::uint8_t next_ack_tag() const {
@@ -192,13 +208,18 @@ class DmaController {
   std::uint64_t error_info_ = 0;
   std::uint32_t current_desc_ = 0;  ///< index of the in-progress descriptor
 
+  /// Notification tags per channel: the upper half of its window.
+  static constexpr std::size_t kAckTags = 32;
+  static_assert(calib::kDmaReadTags + kAckTags == 64);
+
   // Read machinery.
   sim::Semaphore tag_sem_;
   std::vector<std::uint8_t> free_tags_;
-  // Ordered map: abort() walks the outstanding reads and hands their tags
-  // back, and that walk must be deterministic (the free-tag list feeds
-  // later tag assignment, so unordered iteration would diverge replay).
-  std::map<std::uint8_t, PendingRead> pending_reads_;
+  // One slot per read tag (see read_slot()). abort() walks the
+  // outstanding reads in ascending tag order and hands their tags back; the
+  // free-tag list feeds later tag assignment, so that order is part of the
+  // replayable result.
+  std::array<std::optional<PendingRead>, calib::kDmaReadTags> pending_reads_;
   std::uint32_t outstanding_reads_ = 0;
   sim::Trigger reads_drained_;
 
@@ -209,8 +230,9 @@ class DmaController {
   sim::Trigger forwards_done_;
 
   // Remote-write delivery-notification window.
-  std::deque<std::uint8_t> pending_acks_;
-  std::map<std::uint8_t, bool> ack_arrived_;
+  enum class AckState : std::uint8_t { kNone, kAwaited, kArrived };
+  sim::Ring<std::uint8_t> pending_acks_;
+  std::array<AckState, kAckTags> ack_state_{};  ///< see ack_slot()
   sim::Trigger ack_event_;
   std::uint8_t next_ack_tag_ = 0;
 

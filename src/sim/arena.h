@@ -32,7 +32,11 @@
 // Lifetime contract: blocks must be freed before their arena dies. The
 // arenas live in the Scheduler (declared before the event queues, destroyed
 // after them), and the repo-wide teardown order — components before
-// scheduler — means frames are gone by then.
+// scheduler — means frames, captures and TLP payloads are gone by then. The
+// arena counts the blocks it has handed out and not had back, and its
+// destructor asserts the count is zero: a block still out (a TLP kept past
+// its scheduler, or a detached process that never finished) would otherwise
+// be freed into released chunk memory later, or leaked, without a report.
 //
 // Under AddressSanitizer the pool is disabled (pass-through to the global
 // allocator) so use-after-free of frames stays detectable.
@@ -71,10 +75,13 @@ class FrameArena {
   FrameArena& operator=(const FrameArena&) = delete;
 
   ~FrameArena() {
+    TCA_ASSERT(live_ == 0 &&
+               "an arena block outlived its scheduler (see arena.h)");
     for (void* c : chunks_) ::operator delete(c);
   }
 
   void* allocate(std::size_t bytes) {
+    ++live_;
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
     if (FreeBlock*& head = free_[cls]; head != nullptr) {
       FreeBlock* b = head;
@@ -94,6 +101,7 @@ class FrameArena {
   }
 
   void deallocate(void* p, std::size_t bytes) {
+    --live_;
     const std::size_t cls = (bytes + kClassBytes - 1) / kClassBytes;
     auto* b = static_cast<FreeBlock*>(p);
     b->next = free_[cls];
@@ -114,6 +122,7 @@ class FrameArena {
   std::byte* bump_ = nullptr;
   std::size_t bump_left_ = 0;
   std::vector<void*> chunks_;
+  std::size_t live_ = 0;  ///< blocks allocated and not yet deallocated
 };
 
 namespace detail {

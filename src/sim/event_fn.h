@@ -5,10 +5,10 @@
 // callback through it. std::function heap-allocates any capture larger than
 // its ~16-byte internal buffer, which made every LinkPort / Dmac / driver
 // event a malloc+free pair. EventFn stores captures up to kInlineBytes
-// in-place (sized for the largest hot capture: a LinkPort pointer plus a
-// moved-in Tlp), falling back to the heap only for oversized or over-aligned
-// callables — and counts those fallbacks so tests can assert the hot paths
-// stay allocation-free.
+// in-place (sized for the largest hot capture: the chip route pipeline's
+// three scalars plus a moved-in Tlp), falling back to the heap only for
+// oversized or over-aligned callables — and counts those fallbacks so tests
+// can assert the hot paths stay allocation-free.
 //
 // Trivially-copyable inline captures (pointers + scalars — most of the
 // simulator's hot events) take a fast path on top of that: moves are a plain
@@ -33,8 +33,9 @@ namespace tca::sim {
 class EventFn {
  public:
   /// Inline capture capacity. 88 bytes fits the simulator's largest hot
-  /// capture ([this, Tlp, base] in peach2::Chip register handling) with the
-  /// whole EventFn landing on 96 bytes — 1.5 cache lines.
+  /// capture, peach2::Chip's route pipeline [this, out, gen, Tlp], which
+  /// every forwarded TLP takes (a static_assert beside it keeps it inline),
+  /// with the whole EventFn landing on 96 bytes — 1.5 cache lines.
   static constexpr std::size_t kInlineBytes = 88;
 
   EventFn() noexcept = default;

@@ -9,11 +9,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
@@ -55,12 +55,13 @@ class Trigger {
 
  private:
   void wake_all() {
-    // Move out first: a resumed waiter may wait() again immediately.
-    std::vector<std::coroutine_handle<>> ready;
-    ready.swap(waiters_);
-    for (auto h : ready) {
+    // Filing a wake resumes nothing (every waiter resumes from its own
+    // later event), so no waiter can wait() again during this loop, and
+    // the list is cleared in place: its buffer is kept for the next wait().
+    for (auto h : waiters_) {
       sched_.schedule_after(0, [h] { h.resume(); });
     }
+    waiters_.clear();
   }
 
   Scheduler& sched_;
@@ -153,7 +154,7 @@ class Semaphore {
   Scheduler& sched_;
   std::int64_t permits_;
   std::int64_t granted_ = 0;  // permits pre-consumed for scheduled waiters
-  std::deque<std::coroutine_handle<>> waiters_;
+  Ring<std::coroutine_handle<>> waiters_;
 };
 
 /// Awaitable CPU poll loop: completes once `ready()` holds, testing it

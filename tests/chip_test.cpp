@@ -3,8 +3,10 @@
 // conversion, internal region, and the put-only policy per port.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/log.h"
 #include "peach2/chip.h"
@@ -158,7 +160,7 @@ TEST(Chip, LocalReadFromHostPortAllowed) {
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 1u);
   const pcie::Tlp& cpl = rig.probe(PortId::kNorth).received[0];
   EXPECT_EQ(cpl.type, pcie::TlpType::kCompletion);
-  EXPECT_EQ(cpl.payload, data);
+  EXPECT_TRUE(std::ranges::equal(cpl.payload, data));
   EXPECT_EQ(cpl.tag, 5);
 }
 
@@ -240,6 +242,23 @@ TEST(Chip, VendorMsgToOwnMailboxCounts) {
   EXPECT_EQ(rig.chip->dmac(0).errors(), 1u);
 }
 
+TEST(Chip, TagFromTheOtherHalfOfTheWindowCountsAsAnError) {
+  // A channel's read tags fill the lower half of its 64-wide tag window and
+  // its notification tags the upper half, and each DMAC tag table covers
+  // only its own half: a completion carrying a notification tag, or an ack
+  // carrying a read tag, is unexpected.
+  sim::Scheduler sched;
+  ChipRig rig(sched, 0);
+  const pcie::Tlp read =
+      pcie::Tlp::mem_read(0x1000, 8, /*requester=*/42, /*tag=*/40);
+  rig.far_end(PortId::kEast).send(pcie::Tlp::completion(read, 8, 8));
+  rig.far_end(PortId::kEast)
+      .send(pcie::Tlp::vendor_msg(rig.chip->internal_block_base(), 8, 5));
+  sched.run();
+  EXPECT_EQ(rig.chip->mailbox_count(), 1u);
+  EXPECT_EQ(rig.chip->dmac(0).errors(), 2u);
+}
+
 TEST(Chip, ForwardingPreservesOrderWithinAPort) {
   sim::Scheduler sched;
   ChipRig rig(sched, 1);
@@ -252,6 +271,40 @@ TEST(Chip, ForwardingPreservesOrderWithinAPort) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     EXPECT_EQ(rig.probe(PortId::kNorth).received[i].address, i * 0x100ull);
   }
+}
+
+// Every TLP the chip forwards rides the route-pipeline event, whose capture
+// ([this, out, gen, Tlp]) must fit EventFn's inline buffer: otherwise each
+// forward pays a heap allocation. A static_assert at the capture in
+// chip.cpp holds its size; this holds the path, end to end.
+TEST(Chip, ForwardingNeverTakesTheEventFnHeapFallback) {
+  sim::Scheduler sched;
+  ChipRig rig(sched, 0);
+  const std::uint64_t slice = rig.layout.slice_size();
+  ASSERT_TRUE(rig.chip->routing()
+                  .add({.mask = ~(slice - 1),
+                        .lower = rig.layout.slice_base(2),
+                        .upper = rig.layout.slice_base(2),
+                        .port = PortId::kWest})
+                  .is_ok());
+
+  constexpr int kTlps = 64;
+  const std::vector<std::byte> data(64, std::byte{0x5A});
+  const std::uint64_t before = sim::EventFn::heap_constructions();
+  for (int i = 0; i < kTlps; ++i) {
+    rig.far_end(PortId::kEast)
+        .send(pcie::Tlp::mem_write(
+            rig.layout.encode(2, TcaTarget::kHost,
+                              static_cast<std::uint64_t>(i) * 64),
+            data));
+  }
+  sched.run();
+
+  EXPECT_EQ(rig.probe(PortId::kWest).received.size(),
+            static_cast<std::size_t>(kTlps));
+  EXPECT_EQ(rig.chip->port_forwards(PortId::kWest),
+            static_cast<std::uint64_t>(kTlps));
+  EXPECT_EQ(sim::EventFn::heap_constructions(), before);
 }
 
 // The status writeback is a polled-mode driver's only completion edge, so

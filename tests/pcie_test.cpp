@@ -2,8 +2,10 @@
 // link model (serialization timing, ordering, credit backpressure).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,8 +21,8 @@ namespace {
 using units::ns;
 using units::us;
 
-std::vector<std::byte> make_payload(std::size_t n, std::uint8_t seed = 1) {
-  std::vector<std::byte> v(n);
+Payload make_payload(std::size_t n, std::uint8_t seed = 1) {
+  Payload v(n);
   for (std::size_t i = 0; i < n; ++i) {
     v[i] = static_cast<std::byte>((seed + i) & 0xff);
   }
@@ -45,13 +47,77 @@ TEST(Tlp, ReadRequestIsHeaderOnly) {
 
 TEST(Tlp, CompletionTracksRemainderAndOffset) {
   Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
-  auto first = make_payload(256);
-  Tlp cpl1 = Tlp::completion(req, first, /*byte_count_remaining=*/512);
+  Tlp cpl1 = Tlp::completion(req, 256, /*byte_count_remaining=*/512);
   EXPECT_EQ(cpl1.address, 0x1000u);
   EXPECT_EQ(cpl1.tag, 7);
   EXPECT_EQ(cpl1.requester, 3);
-  Tlp cpl2 = Tlp::completion(req, first, /*byte_count_remaining=*/256);
+  Tlp cpl2 = Tlp::completion(req, 256, /*byte_count_remaining=*/256);
   EXPECT_EQ(cpl2.address, 0x1100u);  // second half of the read
+}
+
+TEST(Tlp, CompletionPayloadIsSizedForInPlaceFill) {
+  // Tlp::completion sizes the payload (zero-filled) so a responder reads
+  // its data straight into it.
+  Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
+  Tlp cpl = Tlp::completion(req, 256, /*byte_count_remaining=*/512);
+  EXPECT_EQ(cpl.length, 256u);
+  ASSERT_EQ(cpl.payload.size(), 256u);
+  EXPECT_EQ(cpl.payload, Payload(256));
+  EXPECT_EQ(cpl.wire_bytes(), 256u + calib::kTlpCompletionOverheadBytes);
+  const auto data = make_payload(256);
+  std::span<std::byte> view = cpl.payload;
+  std::copy(data.begin(), data.end(), view.begin());
+  EXPECT_EQ(cpl.payload, data);
+}
+
+TEST(Payload, BlockFreedOutsideAnyEventReturnsToItsArena) {
+  // A payload built inside an event takes its block from the scheduler's
+  // arena; freed later, outside any event, the block still goes back to
+  // that arena, whose free list hands it to the next payload of its size.
+  sim::Scheduler sched;
+  Payload kept;
+  const std::byte* first = nullptr;
+  sched.schedule_after(0, [&] {
+    kept = make_payload(256);
+    first = kept.data();
+  });
+  sched.run();
+  EXPECT_EQ(kept, make_payload(256));
+  kept = Payload{};  // freed outside any event
+
+  Payload again;
+  const std::byte* second = nullptr;
+  sched.schedule_after(0, [&] {
+    again.resize(256);
+    second = again.data();
+  });
+  sched.run();
+  ASSERT_NE(second, nullptr);
+#if !TCA_ARENA_PASSTHROUGH
+  EXPECT_EQ(second, first);
+#endif
+}
+
+// tlp.h's lifetime rule is checked, not just stated: a TLP built inside an
+// event and kept past its scheduler fails the arena's teardown check rather
+// than freeing its block into released chunk memory later.
+TEST(Tlp, OutlivingItsSchedulerAborts) {
+#if TCA_ARENA_PASSTHROUGH
+  GTEST_SKIP() << "every payload block comes from the heap under ASan";
+#else
+  EXPECT_DEATH(
+      {
+        Tlp kept;
+        {
+          sim::Scheduler sched;
+          sched.schedule_after(0, [&] {
+            kept = Tlp::mem_write(0x1000, make_payload(64));
+          });
+          sched.run();
+        }
+      },
+      "outlived its scheduler");
+#endif
 }
 
 TEST(Tlp, VendorMsgRoutesByAddress) {

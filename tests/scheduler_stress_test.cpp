@@ -196,7 +196,7 @@ TEST(SchedulerStress, CancelledStormDoesNotFire) {
 
 TEST(EventFn, SimCaptureShapesStayInline) {
   // The capture shapes of the simulator's hot paths: [this] retries,
-  // [this, offset, vector] GPU commits, and [this, Tlp] link deliveries.
+  // [this, offset, Payload] GPU commits, and [this, Tlp] link deliveries.
   struct Fake {
     int hits = 0;
   } fake;

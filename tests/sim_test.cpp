@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "sim/ring.h"
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -441,6 +443,85 @@ TEST(Semaphore, ReleaseManyWakesMany) {
   sched.run();
   EXPECT_EQ(woke, 3);
   EXPECT_EQ(sem.available(), 0);
+}
+
+// --- Ring: the event path's FIFO ---------------------------------------------
+
+/// Contents front to back.
+template <typename T>
+std::vector<T> contents(const Ring<T>& ring) {
+  return std::vector<T>(ring.begin(), ring.end());
+}
+
+TEST(Ring, AllocatesNothingUntilTheFirstPush) {
+  Ring<int> ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push_back(1);
+  EXPECT_EQ(ring.capacity(), 8u);
+}
+
+TEST(Ring, PushFrontAfterAWrapKeepsOrder) {
+  Ring<int> ring;
+  for (int i = 0; i < 6; ++i) ring.push_back(i);
+  for (int i = 0; i < 4; ++i) ring.pop_front();
+  for (int i = 6; i < 10; ++i) ring.push_back(i);  // tail wraps past slot 7
+  ring.push_front(3);  // requeue at the head, as an LCRC replay does
+  ring.push_front(2);  // fills the ring exactly: no growth
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(contents(ring), (std::vector<int>{2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(ring.front(), 2);
+  EXPECT_EQ(ring.back(), 9);
+}
+
+TEST(Ring, PopBackTakesTheNewest) {
+  Ring<int> ring;
+  for (int i = 1; i <= 5; ++i) ring.push_back(i);
+  ring.pop_back();
+  ring.pop_back();
+  EXPECT_EQ(ring.back(), 3);
+  EXPECT_EQ(ring.front(), 1);
+  EXPECT_EQ(ring.size(), 3u);
+}
+
+TEST(Ring, GrowthFromAWrappedStateKeepsOrder) {
+  Ring<int> ring;
+  for (int i = 0; i < 8; ++i) ring.push_back(i);
+  for (int i = 0; i < 3; ++i) ring.pop_front();
+  for (int i = 8; i < 11; ++i) ring.push_back(i);  // full and wrapped
+  ring.push_back(11);                              // doubles
+  ring.push_front(2);
+  EXPECT_EQ(ring.capacity(), 16u);
+  std::vector<int> want;
+  for (int i = 2; i < 12; ++i) want.push_back(i);
+  EXPECT_EQ(contents(ring), want);
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(ring[i], want[i]);
+}
+
+TEST(Ring, IterationRunsFrontToBackAndCanMutate) {
+  Ring<int> ring;
+  for (int i = 0; i < 7; ++i) ring.push_back(i);
+  for (int i = 0; i < 5; ++i) ring.pop_front();
+  for (int i = 7; i < 12; ++i) ring.push_back(i);
+  for (int& v : ring) v *= 10;
+  const Ring<int>& view = ring;
+  EXPECT_EQ(contents(view), (std::vector<int>{50, 60, 70, 80, 90, 100, 110}));
+}
+
+TEST(Ring, PopsAndClearDestroyTheirElementsAtOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    Ring<std::shared_ptr<int>> ring;
+    for (int i = 0; i < 4; ++i) ring.push_back(token);
+    EXPECT_EQ(token.use_count(), 5);
+    ring.pop_front();
+    ring.pop_back();
+    EXPECT_EQ(token.use_count(), 3);
+    ring.clear();
+    EXPECT_EQ(token.use_count(), 1);
+    ring.push_back(token);
+  }
+  EXPECT_EQ(token.use_count(), 1);  // the destructor released the last one
 }
 
 // --- PollUntil: key for key the Delay loop it replaces ---------------------
