@@ -72,8 +72,8 @@ std::pair<double, std::uint64_t> link_sweep(double ber) {
                               .bit_error_rate = ber,
                               .error_seed = 99});
   struct Sink : pcie::TlpSink {
-    void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override {
-      port.release_rx(tlp.wire_bytes());
+    void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override {
+      port.release_rx(tlp->wire_bytes());
     }
   } sink;
   link.end_b().set_sink(&sink);
@@ -82,11 +82,11 @@ std::pair<double, std::uint64_t> link_sweep(double ber) {
   std::vector<std::byte> payload(256, std::byte{0x77});
   std::function<void()> pump = [&] {
     while (sent < kTotal) {
-      pcie::Tlp tlp;
-      tlp.type = pcie::TlpType::kMemWrite;
-      tlp.length = 256;
-      tlp.payload.assign(payload.begin(), payload.end());
-      if (!link.end_a().can_send(tlp)) return;
+      pcie::TlpPtr tlp = pcie::Tlp::make();
+      tlp->type = pcie::TlpType::kMemWrite;
+      tlp->length = 256;
+      tlp->payload.assign(payload.begin(), payload.end());
+      if (!link.end_a().can_send(*tlp)) return;
       link.end_a().send(std::move(tlp));
       sent += 256;
     }

@@ -21,8 +21,8 @@ double measure_link(std::uint32_t payload) {
   pcie::PcieLink link(sched, {.gen = 2, .lanes = 8});
 
   struct Sink : pcie::TlpSink {
-    void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override {
-      port.release_rx(tlp.wire_bytes());
+    void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override {
+      port.release_rx(tlp->wire_bytes());
     }
   } sink;
   link.end_b().set_sink(&sink);
@@ -33,12 +33,12 @@ double measure_link(std::uint32_t payload) {
   std::function<void()> pump = [&] {
     while (sent < kTotal) {
       // Build TLPs manually: the wire math must accept any payload size.
-      pcie::Tlp tlp;
-      tlp.type = pcie::TlpType::kMemWrite;
-      tlp.address = sent;
-      tlp.length = payload;
-      tlp.payload.assign(data.begin(), data.end());
-      if (!link.end_a().can_send(tlp)) return;
+      pcie::TlpPtr tlp = pcie::Tlp::make();
+      tlp->type = pcie::TlpType::kMemWrite;
+      tlp->address = sent;
+      tlp->length = payload;
+      tlp->payload.assign(data.begin(), data.end());
+      if (!link.end_a().can_send(*tlp)) return;
       link.end_a().send(std::move(tlp));
       sent += payload;
     }

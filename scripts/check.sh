@@ -41,19 +41,23 @@ echo "== fault, collective, memory, event-queue, poller, link and TLP data-path 
 # sim_test's PollUntil and pcie_test's ZeroFlightLink suites run
 # instrumented because a poller that outlives its coroutine frame, or a
 # zero-flight hop's one event cancelled twice, shows up here first.
-# The TLP data path runs instrumented too (sim_test's Ring, pcie_test's
-# Tlp, Payload and Link, chip_test's Chip, gpu_test's GpuDevice, node_test's
-# RootComplex): under ASan FrameArena hands every payload block to the
-# heap, so a payload overrun, a payload used after its free, or a ring
-# element read from a buffer that growth has freed is reported here. A
-# payload that outlives its scheduler is the one fault this cannot see
-# (with no arena there is nothing to outlive); the arena's live-block
-# count fails a TCA_ASSERT on it in the uninstrumented test run above.
+# The TLP data path runs instrumented too, over every layer a TLP handle
+# crosses (sim_test's Ring, pcie_test's Tlp, TlpPtr, Payload and Link,
+# chip_test's Chip, gpu_test's GpuDevice, node_test's RootComplex,
+# driver_test's Driver (pio_store), api_test's Runtime and RuntimeCreate
+# (memcpy_pio), channel_test's Channels (the multi-channel DMAC) and
+# baseline_test's Ntb (the NTB bridge)): under ASan FrameArena hands every
+# TLP and payload block to the heap, so an overrun, a TLP or payload used
+# after its free, or a ring element read from a buffer that growth has
+# freed is reported here. A TLP that outlives its scheduler is the one
+# fault this cannot see (with no arena there is nothing to outlive); the
+# arena's live-block count fails a TCA_ASSERT on it in the uninstrumented
+# test run above.
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
   coll_test memory_test indexed_queue_test sim_test pcie_test chip_test \
-  gpu_test node_test
+  gpu_test node_test driver_test api_test channel_test baseline_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="

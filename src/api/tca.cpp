@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/units.h"
+#include "pcie/tlp.h"
 
 namespace tca::api {
 
@@ -395,7 +396,10 @@ sim::Task<Status> Runtime::memcpy_pio(Buffer dst, std::uint64_t dst_off,
   if (bytes == 0) co_return Status::ok();
   count_copy(bytes, /*pio=*/true);
   const TimePs t0 = sched_.now();
-  std::vector<std::byte> staged(bytes);
+  // Read the source once, now: reading it per 150 ns store would see bytes
+  // the caller may have rewritten since. The staging block comes from the
+  // running scheduler's arena, not the heap.
+  pcie::Payload staged(bytes);
   read(src, src_off, staged);
   co_await cluster_->driver(src.node).pio_store(global_addr(dst, dst_off),
                                                 staged);

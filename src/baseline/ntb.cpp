@@ -24,12 +24,12 @@ NtbBridge::NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
   }
 }
 
-void NtbBridge::Endpoint::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
-  port.release_rx(tlp.wire_bytes());
+void NtbBridge::Endpoint::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
+  port.release_rx(tlp->wire_bytes());
   bridge_.forward(side_, std::move(tlp));
 }
 
-void NtbBridge::forward(int from_side, pcie::Tlp tlp) {
+void NtbBridge::forward(int from_side, pcie::TlpPtr tlp) {
   if (!link_up_) {
     // The Section V failure mode: the host expects an EP that can no longer
     // respond; the transaction times out and the hierarchy wedges until
@@ -38,14 +38,14 @@ void NtbBridge::forward(int from_side, pcie::Tlp tlp) {
     ++dropped_;
     return;
   }
-  if (tlp.type != pcie::TlpType::kMemWrite) {
+  if (tlp->type != pcie::TlpType::kMemWrite) {
     // Posted-write path only (reads would need completion forwarding across
     // the bridge; the comparison needs only the put path).
     ++dropped_;
     return;
   }
   // Address translation: aperture offset -> peer host window.
-  const std::uint64_t offset = tlp.address - cfg_.aperture_base;
+  const std::uint64_t offset = tlp->address - cfg_.aperture_base;
   const std::uint64_t peer_addr =
       node::layout::kHostBase + cfg_.peer_window_offset + offset;
   const int to_side = 1 - from_side;
@@ -53,9 +53,10 @@ void NtbBridge::forward(int from_side, pcie::Tlp tlp) {
 
   sched_.schedule_after(
       cfg_.translation_ps,
-      [this, to_side, peer_addr, payload = std::move(tlp.payload)]() mutable {
-        pcie::Tlp out = pcie::Tlp::mem_write(peer_addr, payload);
-        // Inject into the peer's root complex as if from the NTB EP.
+      [this, to_side, peer_addr, out = std::move(tlp)]() mutable {
+        // Inject into the peer's root complex as if from the NTB EP: the
+        // same packet, its header rewritten.
+        out->rewrite_as_mem_write(peer_addr, 0);
         nodes_[static_cast<std::size_t>(to_side)]->socket(0).inject_from_cpu(
             std::move(out));
       });

@@ -63,14 +63,14 @@ class NtbBridge {
   class Endpoint : public pcie::TlpSink {
    public:
     Endpoint(NtbBridge& bridge, int side) : bridge_(bridge), side_(side) {}
-    void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override;
+    void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override;
 
    private:
     NtbBridge& bridge_;
     int side_;
   };
 
-  void forward(int from_side, pcie::Tlp tlp);
+  void forward(int from_side, pcie::TlpPtr tlp);
 
   sim::Scheduler& sched_;
   NtbConfig cfg_;

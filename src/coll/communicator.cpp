@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "calib/calibration.h"
@@ -233,7 +234,10 @@ sim::Task<Status> Communicator::ring_send(
       put_src = me.bounce;
       put_src_off = bounce_off;
     } else if (staged) {
-      std::vector<std::byte> tmp(len);
+      // The D2H lands in the rank's own staging buffer: it stays in use
+      // across the copy's await, so ranks cannot share one.
+      if (me.d2h_stage.size() < len) me.d2h_stage.resize(len);
+      const std::span<std::byte> tmp(me.d2h_stage.data(), len);
       co_await rt_->cluster()
           .node(rank)
           .gpu(*buf.gpu_index())
@@ -288,10 +292,16 @@ sim::Task<Status> Communicator::ring_recv(std::uint32_t rank, api::Buffer buf,
       co_return st;
     }
     const std::uint64_t slot = ((seq - 1) % cfg_.staging_slots) * slot_stride_;
-    std::vector<std::byte> in(len);
+    // The segment is read, folded and written back with no suspension in
+    // between, so one pair of buffers serves every rank.
+    if (recv_in_.size() < len) {
+      recv_in_.resize(len);
+      recv_own_.resize(len);
+    }
+    const std::span<std::byte> in(recv_in_.data(), len);
     rt_->read(me.staging, slot, in);
     if (mode == RecvMode::kAccumulate) {
-      std::vector<std::byte> own(len);
+      const std::span<std::byte> own(recv_own_.data(), len);
       rt_->read(buf, dst_off + off, own);
       accumulate_doubles(own.data(), in.data(), len);
       rt_->write(buf, dst_off + off, own);

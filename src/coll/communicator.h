@@ -239,6 +239,8 @@ class Communicator {
     std::uint32_t barrier_epoch = 0;
     std::uint32_t halo_seq = 0;
     std::uint64_t op_index = 0;  ///< position in the communicator op log
+    /// ring_send's GPU-to-host staging copy of one segment.
+    std::vector<std::byte> d2h_stage;
   };
 
   Communicator(api::Runtime& rt, CollConfig cfg);
@@ -340,6 +342,9 @@ class Communicator {
   /// Shared op log for sequence-divergence detection (first rank to reach
   /// index i defines the expected signature).
   std::vector<OpSig> op_log_;
+  /// ring_recv's arriving segment and, when folding, the rank's own bytes.
+  std::vector<std::byte> recv_in_;
+  std::vector<std::byte> recv_own_;
   CollMetrics metrics_;
 };
 

@@ -111,13 +111,13 @@ sim::Task<> GpuDevice::memcpy_d2h(DevPtr src, std::span<std::byte> dst) {
 }
 
 // tca-protocol: owns(rx-credit)
-void GpuDevice::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
-  const std::uint64_t wire = tlp.wire_bytes();
-  switch (tlp.type) {
+void GpuDevice::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
+  const std::uint64_t wire = tlp->wire_bytes();
+  switch (tlp->type) {
     case pcie::TlpType::kMemWrite: {
       ++writes_rx_;
-      auto dev = translate(tlp.address,
-                           static_cast<std::uint32_t>(tlp.payload.size()));
+      auto dev = translate(tlp->address,
+                           static_cast<std::uint32_t>(tlp->payload.size()));
       if (!dev) {
         ++access_errors_;
         Log::write(LogLevel::kWarn, sched_.now(), "gpu",
@@ -125,18 +125,19 @@ void GpuDevice::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
       } else {
         // Deep request queue: commit after a small fixed latency; the queue
         // absorbs posted writes at line rate so credits return immediately.
-        const DevPtr offset = *dev;
-        auto data = std::move(tlp.payload);
-        sched_.schedule_after(
-            cfg_.write_commit_ps,
-            // tca-protocol: commit-point, owns(commit-ack)
-            [this, offset, d = std::move(data),
-             notifier = tlp.commit_notifier, ack = tlp.ack_address,
-             tag = tlp.tag] {
-              gddr_.write(offset, d);  // tca-protocol: commit
-              // tca-protocol: release(commit-ack)
-              if (notifier != nullptr) notifier->on_write_commit(ack, tag);
-            });
+        // tca-protocol: commit-point, owns(commit-ack)
+        auto commit = [this, offset = *dev, t = std::move(tlp)] {
+          gddr_.write(offset, t->payload);  // tca-protocol: commit
+          // tca-protocol: release(commit-ack)
+          if (t->commit_notifier != nullptr) {
+            t->commit_notifier->on_write_commit(t->ack_address, t->tag);
+          }
+        };
+        // Every GPU-bound write takes this capture: it must stay in
+        // EventFn's inline buffer, or each commit pays a heap fallback.
+        static_assert(sizeof(commit) <= sim::EventFn::kInlineBytes,
+                      "GPU commit capture outgrew EventFn's inline buffer");
+        sched_.schedule_after(cfg_.write_commit_ps, std::move(commit));
       }
       port.release_rx(wire);
       break;
@@ -166,41 +167,44 @@ sim::Task<> GpuDevice::read_service_loop() {
     while (read_queue_.empty()) {
       co_await read_pending_.wait();
     }
-    pcie::Tlp req = std::move(read_queue_.front());
+    pcie::TlpPtr req = std::move(read_queue_.front());
     read_queue_.pop_front();
 
-    auto dev = translate(req.address, req.length);
-    std::uint32_t remaining = req.length;
+    auto dev = translate(req->address, req->length);
+    std::uint32_t remaining = req->length;
     while (remaining > 0) {
       const std::uint32_t chunk = std::min(
           remaining, std::min(kGpuReadChunkBytes, calib::kMaxPayloadBytes));
       co_await sim::Delay(sched_, kGpuReadServicePs);
-      pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
+      pcie::TlpPtr cpl = pcie::Tlp::completion(*req, chunk, remaining);
       if (dev) {
-        gddr_.read(*dev + (req.length - remaining), cpl.payload);
+        gddr_.read(*dev + (req->length - remaining), cpl->payload);
       } else {
         ++access_errors_;
-        std::fill(cpl.payload.begin(), cpl.payload.end(), std::byte{0xFF});
+        std::fill(cpl->payload.begin(), cpl->payload.end(), std::byte{0xFF});
       }
       // In-flight pipeline latency: delays delivery, does not occupy the
       // translation unit.
-      sched_.schedule_after(kGpuReadLatencyPs,
-                            [this, c = std::move(cpl)]() mutable {
-                              send_or_queue(std::move(c));
-                            });
+      auto deliver = [this, c = std::move(cpl)]() mutable {
+        send_or_queue(std::move(c));
+      };
+      static_assert(sizeof(deliver) <= sim::EventFn::kInlineBytes,
+                    "GPU read-latency capture outgrew EventFn's inline "
+                    "buffer");
+      sched_.schedule_after(kGpuReadLatencyPs, std::move(deliver));
       remaining -= chunk;
     }
   }
 }
 
-void GpuDevice::send_or_queue(pcie::Tlp tlp) {
+void GpuDevice::send_or_queue(pcie::TlpPtr tlp) {
   tx_queue_.push_back(std::move(tlp));
   pump_tx();
 }
 
 void GpuDevice::pump_tx() {
   TCA_ASSERT(port_ != nullptr);
-  while (!tx_queue_.empty() && port_->can_send(tx_queue_.front())) {
+  while (!tx_queue_.empty() && port_->can_send(*tx_queue_.front())) {
     port_->send(std::move(tx_queue_.front()));
     tx_queue_.pop_front();
   }

@@ -101,7 +101,7 @@ class GpuDevice : public pcie::TlpSink {
 
   // --- TlpSink -------------------------------------------------------------
 
-  void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override;
+  void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override;
 
   // --- Introspection -------------------------------------------------------
 
@@ -111,7 +111,7 @@ class GpuDevice : public pcie::TlpSink {
 
  private:
   sim::Task<> read_service_loop();
-  void send_or_queue(pcie::Tlp tlp);
+  void send_or_queue(pcie::TlpPtr tlp);
   void pump_tx();
 
   /// Translates a BAR1 bus address to a GDDR offset; nullopt if out of the
@@ -128,11 +128,11 @@ class GpuDevice : public pcie::TlpSink {
   std::uint64_t alloc_cursor_ = 0;
   std::vector<bool> pinned_;  // one flag per kGpuPinPageBytes page
 
-  sim::Ring<pcie::Tlp> read_queue_;
+  sim::Ring<pcie::TlpPtr> read_queue_;
   sim::Trigger read_pending_;
   sim::Task<> read_task_;
 
-  sim::Ring<pcie::Tlp> tx_queue_;
+  sim::Ring<pcie::TlpPtr> tx_queue_;
 
   std::uint64_t access_errors_ = 0;
   std::uint64_t writes_rx_ = 0;

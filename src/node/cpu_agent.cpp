@@ -19,7 +19,7 @@ CpuAgent::CpuAgent(sim::Scheduler& sched, RootComplex& rc,
       host_base_(host_base),
       load_tags_(sched, 32) {
   rc_.set_cpu_completion_handler(
-      [this](pcie::Tlp cpl) { on_completion(std::move(cpl)); });
+      [this](pcie::TlpPtr cpl) { on_completion(*cpl); });
 }
 
 sim::Task<> CpuAgent::mmio_store(std::uint64_t bus_addr,
@@ -57,7 +57,7 @@ sim::Task<std::vector<std::byte>> CpuAgent::mmio_load(std::uint64_t bus_addr,
   co_return result;
 }
 
-void CpuAgent::on_completion(pcie::Tlp cpl) {
+void CpuAgent::on_completion(const pcie::Tlp& cpl) {
   auto it = pending_loads_.find(cpl.tag);
   TCA_ASSERT(it != pending_loads_.end() && "completion for unknown tag");
   PendingLoad& load = it->second;

@@ -59,7 +59,7 @@ class CpuAgent {
   }
 
  private:
-  void on_completion(pcie::Tlp cpl);
+  void on_completion(const pcie::Tlp& cpl);
 
   struct PendingLoad {
     std::vector<std::byte> buffer;

@@ -51,27 +51,27 @@ std::size_t RootComplex::add_egress(pcie::LinkPort& port) {
   return i;
 }
 
-void RootComplex::inject_from_cpu(pcie::Tlp tlp) {
+void RootComplex::inject_from_cpu(pcie::TlpPtr tlp) {
   route(std::move(tlp), /*arrived_via_qpi=*/false);
 }
 
 // tca-protocol: owns(rx-credit)
-void RootComplex::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
+void RootComplex::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
   // The RC has ample internal buffering: return link credits on receipt.
-  port.release_rx(tlp.wire_bytes());
+  port.release_rx(tlp->wire_bytes());
   route(std::move(tlp), /*arrived_via_qpi=*/&port == qpi_port_);
 }
 
-void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
-  if (tlp.type == pcie::TlpType::kCompletion) {
+void RootComplex::route(pcie::TlpPtr tlp, bool arrived_via_qpi) {
+  if (tlp->type == pcie::TlpType::kCompletion) {
     send_to_requester(std::move(tlp));
     return;
   }
 
   const std::uint64_t span = std::max<std::uint64_t>(
-      1, tlp.type == pcie::TlpType::kMemRead ? tlp.length
-                                             : tlp.payload.size());
-  const auto* range = map_.find_span(tlp.address, span);
+      1, tlp->type == pcie::TlpType::kMemRead ? tlp->length
+                                              : tlp->payload.size());
+  const auto* range = map_.find_span(tlp->address, span);
   if (range == nullptr) {
     // Not local to this socket: cross QPI once.
     if (!arrived_via_qpi && qpi_port_ != nullptr) {
@@ -85,9 +85,9 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
 
   switch (range->value.kind) {
     case Attachment::Kind::kHostMemory:
-      if (tlp.type == pcie::TlpType::kMemWrite) {
+      if (tlp->type == pcie::TlpType::kMemWrite) {
         handle_host_write(std::move(tlp));
-      } else if (tlp.type == pcie::TlpType::kMemRead) {
+      } else if (tlp->type == pcie::TlpType::kMemRead) {
         handle_host_read(std::move(tlp));
       } else {
         ++unroutable_;  // vendor messages never target host memory
@@ -99,42 +99,49 @@ void RootComplex::route(pcie::Tlp tlp, bool arrived_via_qpi) {
   }
 }
 
-void RootComplex::handle_host_write(pcie::Tlp tlp) {
-  host_wr_ += tlp.payload.size();
-  const std::uint64_t offset = tlp.address - host_base_;
-  sched_.schedule_after(
-      kHostWriteCommitPs,
-      // tca-protocol: commit-point, owns(commit-ack)
-      [this, offset, data = std::move(tlp.payload),
-       notifier = tlp.commit_notifier, ack = tlp.ack_address, tag = tlp.tag] {
-        host_dram_.write(offset, data);  // tca-protocol: commit
-        // tca-protocol: release(commit-ack)
-        if (notifier != nullptr) notifier->on_write_commit(ack, tag);
-      });
+void RootComplex::handle_host_write(pcie::TlpPtr tlp) {
+  host_wr_ += tlp->payload.size();
+  const std::uint64_t offset = tlp->address - host_base_;
+  // tca-protocol: commit-point, owns(commit-ack)
+  auto commit = [this, offset, t = std::move(tlp)] {
+    host_dram_.write(offset, t->payload);  // tca-protocol: commit
+    // tca-protocol: release(commit-ack)
+    if (t->commit_notifier != nullptr) {
+      t->commit_notifier->on_write_commit(t->ack_address, t->tag);
+    }
+  };
+  // Every host-bound write takes this capture: it must stay in EventFn's
+  // inline buffer, or each commit pays a heap fallback.
+  static_assert(sizeof(commit) <= sim::EventFn::kInlineBytes,
+                "host-write commit capture outgrew EventFn's inline buffer");
+  sched_.schedule_after(kHostWriteCommitPs, std::move(commit));
 }
 
-void RootComplex::handle_host_read(pcie::Tlp tlp) {
-  host_rd_ += tlp.length;
-  sched_.schedule_after(kHostReadLatencyPs, [this, req = std::move(tlp)] {
-    const std::uint64_t offset = req.address - host_base_;
-    std::uint32_t remaining = req.length;
+void RootComplex::handle_host_read(pcie::TlpPtr tlp) {
+  host_rd_ += tlp->length;
+  auto respond = [this, req = std::move(tlp)] {
+    const std::uint64_t offset = req->address - host_base_;
+    std::uint32_t remaining = req->length;
     while (remaining > 0) {
       const std::uint32_t chunk = std::min(remaining, kMaxPayloadBytes);
-      pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
-      host_dram_.read(offset + (req.length - remaining), cpl.payload);
+      pcie::TlpPtr cpl = pcie::Tlp::completion(*req, chunk, remaining);
+      host_dram_.read(offset + (req->length - remaining), cpl->payload);
       send_to_requester(std::move(cpl));
       remaining -= chunk;
     }
-  });
+  };
+  static_assert(sizeof(respond) <= sim::EventFn::kInlineBytes,
+                "host-read capture outgrew EventFn's inline buffer");
+  sched_.schedule_after(kHostReadLatencyPs, std::move(respond));
 }
 
-void RootComplex::send_to_requester(pcie::Tlp cpl) {
-  if (cpl.requester == cpu_id_) {
+void RootComplex::send_to_requester(pcie::TlpPtr cpl) {
+  if (cpl->requester == cpu_id_) {
     TCA_ASSERT(cpu_completion_ != nullptr);
     cpu_completion_(std::move(cpl));
     return;
   }
-  if (auto it = requester_route_.find(cpl.requester);
+  if (auto it = requester_route_.find(cpl->requester);
       it != requester_route_.end()) {
     forward(it->second.egress, std::move(cpl));
     return;
@@ -146,14 +153,14 @@ void RootComplex::send_to_requester(pcie::Tlp cpl) {
   ++unroutable_;
 }
 
-void RootComplex::forward(std::size_t egress, pcie::Tlp tlp) {
+void RootComplex::forward(std::size_t egress, pcie::TlpPtr tlp) {
   Egress& eg = egress_[egress];
   eg.queue.push_back(std::move(tlp));
   pump(eg);
 }
 
 void RootComplex::pump(Egress& eg) {
-  while (!eg.queue.empty() && eg.port->can_send(eg.queue.front())) {
+  while (!eg.queue.empty() && eg.port->can_send(*eg.queue.front())) {
     eg.port->send(std::move(eg.queue.front()));
     eg.queue.pop_front();
   }

@@ -50,15 +50,16 @@ class RootComplex : public pcie::TlpSink {
   /// CPU-core access: injects a TLP as if issued by a core (MMIO store or
   /// load). No link is modeled between core and RC; issue costs are applied
   /// by CpuAgent.
-  void inject_from_cpu(pcie::Tlp tlp);
+  void inject_from_cpu(pcie::TlpPtr tlp);
 
   /// Handler for completions addressed to the CPU (MMIO load replies).
-  void set_cpu_completion_handler(std::function<void(pcie::Tlp)> handler) {
+  void set_cpu_completion_handler(
+      std::function<void(pcie::TlpPtr)> handler) {
     cpu_completion_ = std::move(handler);
   }
 
   // TlpSink.
-  void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override;
+  void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override;
 
   [[nodiscard]] std::uint64_t host_bytes_written() const { return host_wr_; }
   [[nodiscard]] std::uint64_t host_bytes_read() const { return host_rd_; }
@@ -73,17 +74,17 @@ class RootComplex : public pcie::TlpSink {
   /// One downstream port (or QPI) and the TLPs waiting for its credits.
   struct Egress {
     pcie::LinkPort* port = nullptr;
-    sim::Ring<pcie::Tlp> queue;
+    sim::Ring<pcie::TlpPtr> queue;
   };
 
-  void route(pcie::Tlp tlp, bool arrived_via_qpi);
-  void handle_host_write(pcie::Tlp tlp);
-  void handle_host_read(pcie::Tlp tlp);
-  void send_to_requester(pcie::Tlp cpl);
+  void route(pcie::TlpPtr tlp, bool arrived_via_qpi);
+  void handle_host_write(pcie::TlpPtr tlp);
+  void handle_host_read(pcie::TlpPtr tlp);
+  void send_to_requester(pcie::TlpPtr cpl);
   /// Adds an egress queue for `port`, pumped on its tx-ready; returns its
   /// index.
   std::size_t add_egress(pcie::LinkPort& port);
-  void forward(std::size_t egress, pcie::Tlp tlp);
+  void forward(std::size_t egress, pcie::TlpPtr tlp);
   void pump(Egress& eg);
 
   sim::Scheduler& sched_;
@@ -96,7 +97,7 @@ class RootComplex : public pcie::TlpSink {
   pcie::LinkPort* qpi_port_ = nullptr;
   std::size_t qpi_egress_ = 0;  // valid when qpi_port_ is set
   std::unordered_map<pcie::DeviceId, Attachment> requester_route_;
-  std::function<void(pcie::Tlp)> cpu_completion_;
+  std::function<void(pcie::TlpPtr)> cpu_completion_;
 
   // Per-port egress queues, in attach order (the RC has ample internal
   // buffering; inbound credits are returned on receipt).

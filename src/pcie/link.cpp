@@ -39,9 +39,9 @@ bool LinkPort::can_send(const Tlp& tlp) const {
   return tx_queued_ + tlp.wire_bytes() <= cfg_->tx_queue_bytes;
 }
 
-void LinkPort::send(Tlp tlp) {
-  TCA_ASSERT(can_send(tlp));
-  tx_queued_ += tlp.wire_bytes();
+void LinkPort::send(TlpPtr tlp) {
+  TCA_ASSERT(can_send(*tlp));
+  tx_queued_ += tlp->wire_bytes();
   tx_queue_.push_back(std::move(tlp));
   try_transmit();
 }
@@ -55,7 +55,7 @@ void LinkPort::release_rx(std::uint64_t wire_bytes) {
 
 void LinkPort::try_transmit() {
   if (wire_busy_ || tx_queue_.empty() || !*link_up_) return;
-  const std::uint64_t wb = tx_queue_.front().wire_bytes();
+  const std::uint64_t wb = tx_queue_.front()->wire_bytes();
   if (peer_->rx_free_ < wb) {
     // No credits: head-of-line blocked until release_rx. Time the stall so
     // per-link backpressure shows up in the metrics export.
@@ -67,7 +67,7 @@ void LinkPort::try_transmit() {
     stall_since_ = -1;
   }
 
-  Tlp tlp = std::move(tx_queue_.front());
+  TlpPtr tlp = std::move(tx_queue_.front());
   tx_queue_.pop_front();
   tx_queued_ -= wb;
   peer_->rx_free_ -= wb;
@@ -75,7 +75,7 @@ void LinkPort::try_transmit() {
 
   ++tlps_sent_;
   wire_sent_ += wb;
-  data_sent_ += tlp.payload.size();
+  data_sent_ += tlp->payload.size();
 
   const TimePs serialize = serialize_time(wb, ps_per_byte_);
 
@@ -106,9 +106,9 @@ void LinkPort::try_transmit() {
       trace != nullptr && !cfg_->name.empty()) {
     trace->duration(
         cfg_->name,
-        std::string(to_string(tlp.type)) + " " +
-            units::format_size(tlp.payload.empty() ? wb
-                                                   : tlp.payload.size()),
+        std::string(to_string(tlp->type)) + " " +
+            units::format_size(tlp->payload.empty() ? wb
+                                                    : tlp->payload.size()),
         sched_->now(), sched_->now() + serialize);
   }
   // Track the delivery event so a surprise-down can pull the TLP off the
@@ -142,19 +142,18 @@ void LinkPort::wire_done() {
 void LinkPort::replay_done() {
   wire_done_event_ = sim::Scheduler::kInvalidEvent;
   wire_busy_ = false;
-  requeue(std::move(*replay_));  // credits re-reserved on the retry
-  replay_.reset();
+  requeue(std::move(replay_));  // credits re-reserved on the retry
   try_transmit();
 }
 
-void LinkPort::requeue(Tlp tlp) {
-  peer_->rx_free_ += tlp.wire_bytes();
-  tx_queued_ += tlp.wire_bytes();
+void LinkPort::requeue(TlpPtr tlp) {
+  peer_->rx_free_ += tlp->wire_bytes();
+  tx_queued_ += tlp->wire_bytes();
   tx_queue_.push_front(std::move(tlp));
 }
 
 void LinkPort::deliver_front() {
-  Tlp t = std::move(in_flight_.front().tlp);
+  TlpPtr t = std::move(in_flight_.front().tlp);
   in_flight_.pop_front();
   peer_->deliver(std::move(t));
 }
@@ -171,8 +170,7 @@ void LinkPort::on_link_down() {
     TCA_ASSERT(sched_->cancel(wire_done_event_));
     wire_done_event_ = sim::Scheduler::kInvalidEvent;
     wire_busy_ = false;
-    requeue(std::move(*replay_));
-    replay_.reset();
+    requeue(std::move(replay_));
   }
   while (!in_flight_.empty()) {
     InFlight& f = in_flight_.back();
@@ -206,7 +204,7 @@ std::size_t LinkPort::abandon_queued() {
   // (credits are reserved at transmit, and on_link_down returns them), so
   // no credit bookkeeping is needed here.
   const std::size_t n = tx_queue_.size();
-  for (const Tlp& t : tx_queue_) tx_queued_ -= t.wire_bytes();
+  for (const TlpPtr& t : tx_queue_) tx_queued_ -= t->wire_bytes();
   tx_queue_.clear();
   abandoned_tlps_ += n;
   if (Trace* trace = sched_->trace();
@@ -219,7 +217,7 @@ std::size_t LinkPort::abandon_queued() {
   return n;
 }
 
-void LinkPort::deliver(Tlp tlp) {
+void LinkPort::deliver(TlpPtr tlp) {
   TCA_ASSERT(sink_ != nullptr && "LinkPort has no sink attached");
   sink_->on_tlp(std::move(tlp), *this);
 }

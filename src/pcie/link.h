@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -59,13 +58,13 @@ struct LinkConfig {
 
 class LinkPort;
 
-/// Receiver interface. The sink takes ownership of the TLP and MUST call
+/// Receiver interface. The sink takes the TLP's handle and MUST call
 /// `port.release_rx(wire_bytes)` once the TLP has been consumed or forwarded;
 /// until then the sender's credits stay held (backpressure).
 class TlpSink {
  public:
   virtual ~TlpSink() = default;
-  virtual void on_tlp(Tlp tlp, LinkPort& port) = 0;
+  virtual void on_tlp(TlpPtr tlp, LinkPort& port) = 0;
 };
 
 /// One endpoint of a PcieLink. Exposes the transmit queue toward the peer
@@ -79,7 +78,7 @@ class LinkPort {
   [[nodiscard]] bool can_send(const Tlp& tlp) const;
 
   /// Enqueues a TLP for transmission. Caller must check can_send() first.
-  void send(Tlp tlp);
+  void send(TlpPtr tlp);
 
   /// Registers the (single) callback invoked whenever egress space frees.
   void set_tx_ready(std::function<void()> cb) { tx_ready_ = std::move(cb); }
@@ -159,16 +158,16 @@ class LinkPort {
   void replay_done();
   /// Returns a transmitted TLP to the head of the egress queue, with the
   /// receiver credits it reserved.
-  void requeue(Tlp tlp);
+  void requeue(TlpPtr tlp);
   void deliver_front();
-  void deliver(Tlp tlp);
+  void deliver(TlpPtr tlp);
   void on_link_down();
 
   /// A TLP past the serializer but not yet at the peer (propagation delay).
   /// On a zero-propagation link `event` is also the wire-done event.
   struct InFlight {
     sim::Scheduler::EventId event;
-    Tlp tlp;
+    TlpPtr tlp;
   };
 
   sim::Scheduler* sched_;
@@ -179,17 +178,17 @@ class LinkPort {
   std::function<void(bool)> link_state_cb_;
 
   // Transmit side.
-  sim::Ring<Tlp> tx_queue_;
+  sim::Ring<TlpPtr> tx_queue_;
   std::uint64_t tx_queued_ = 0;
   bool wire_busy_ = false;
   std::function<void()> tx_ready_;
   std::function<void()> replay_threshold_cb_;
   sim::Scheduler::EventId wire_done_event_ = sim::Scheduler::kInvalidEvent;
   sim::Ring<InFlight> in_flight_;  // FIFO: front is oldest
-  /// The TLP that failed its LCRC, held until wire_done_event_ requeues it
-  /// for retransmission. It is the newest TLP past the serializer: the
-  /// wire stays busy while it waits.
-  std::optional<Tlp> replay_;
+  /// The TLP that failed its LCRC (null when none), held until
+  /// wire_done_event_ requeues it for retransmission. It is the newest TLP
+  /// past the serializer: the wire stays busy while it waits.
+  TlpPtr replay_;
   std::uint32_t head_replay_count_ = 0;  // consecutive replays of head TLP
 
   // Receive side.

@@ -5,22 +5,29 @@
 // vendor-defined message used by PEARL for end-to-end delivery notification.
 // TLPs carry *real payload bytes* so data integrity is checkable end-to-end.
 //
-// Payload ownership and lifetime: a TLP owns its bytes in a pcie::Payload,
-// a byte vector whose allocator takes its block from the running
-// scheduler's FrameArena when the TLP is built (or copied) inside an event,
-// and from the global heap otherwise (set-up code, main(), every allocation
-// under ASan). The steady-state TLP path therefore recycles pooled blocks
-// instead of calling malloc per TLP. The rule that follows is the one
-// coroutine frames already obey: a TLP built inside an event must not
+// One object per packet: a Tlp is built once, in place, in a block of the
+// running scheduler's FrameArena, and every layer it crosses (link queues,
+// chip rings, route pipeline, root complex, GPU, DMAC) passes a TlpPtr, the
+// 8-byte owning handle to it. Tlp itself can be neither copied nor moved, so
+// a by-value use fails to compile instead of costing a 72-byte move per
+// hop. Its bytes live in a pcie::Payload, a byte vector whose allocator
+// takes its block from the same arena.
+//
+// Lifetime: blocks taken inside an event come from the scheduler's arena,
+// blocks taken outside one (set-up code, main(), every allocation under
+// ASan) from the global heap, and either kind is freed through its own
+// header, from any context. The rule that follows is the one coroutine
+// frames already obey: a TLP or payload built inside an event must not
 // outlive its scheduler. Components, sinks and test probes that keep TLPs
 // are declared after the scheduler they run on, so they are destroyed
-// first. The arena checks the rule when it dies (see arena.h): a payload
-// block still out fails a TCA_ASSERT.
+// first. The arena checks the rule when it dies (see arena.h): a block
+// still out fails a TCA_ASSERT.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -82,7 +89,21 @@ struct ArenaAllocator {
 /// benches and tests send oversized TLPs).
 using Payload = std::vector<std::byte, ArenaAllocator<std::byte>>;
 
-struct Tlp {
+class Tlp;
+
+/// Destroys a Tlp and returns its block to the arena it came from.
+struct TlpDeleter {
+  void operator()(Tlp* tlp) const noexcept;
+};
+
+/// The owning handle every layer passes a TLP by.
+using TlpPtr = std::unique_ptr<Tlp, TlpDeleter>;
+
+class Tlp {
+ public:
+  Tlp(const Tlp&) = delete;
+  Tlp& operator=(const Tlp&) = delete;
+
   TlpType type = TlpType::kMemWrite;
 
   /// Target PCIe bus address (MWr/MRd/kVendorMsg). For completions this
@@ -117,27 +138,57 @@ struct Tlp {
 
   /// Bytes this TLP occupies on the wire (payload + header/DLL/PHY framing),
   /// using the overhead terms of the paper's peak-bandwidth formula.
-  [[nodiscard]] std::uint64_t wire_bytes() const;
+  [[nodiscard]] std::uint64_t wire_bytes() const {
+    switch (type) {
+      case TlpType::kMemWrite:
+        return calib::kTlpWithDataOverheadBytes + payload.size();
+      case TlpType::kCompletion:
+        return calib::kTlpCompletionOverheadBytes + payload.size();
+      case TlpType::kMemRead:
+      case TlpType::kVendorMsg:  // header-only message
+        return calib::kTlpReadRequestBytes;
+    }
+    return calib::kTlpWithDataOverheadBytes;
+  }
 
-  /// Builders -------------------------------------------------------------
+  /// Rewrites this TLP in place into a MemWrite of its own payload to `to`
+  /// from requester `from`, every other header field as mem_write() sets
+  /// it. The pipelined DMAC forwards a read completion's bytes this way:
+  /// the packet that arrived is the packet that leaves.
+  void rewrite_as_mem_write(std::uint64_t to, DeviceId from);
 
-  static Tlp mem_write(std::uint64_t address, std::span<const std::byte> data,
-                       DeviceId requester = 0);
-  /// The same, taking over `data`'s block instead of copying it (the
-  /// pipelined DMAC forwards a read completion's bytes this way).
-  static Tlp mem_write(std::uint64_t address, Payload&& data,
-                       DeviceId requester = 0);
-  static Tlp mem_read(std::uint64_t address, std::uint32_t length,
-                      DeviceId requester, std::uint8_t tag);
+  /// Factories: each constructs the TLP in place, in its arena block, and
+  /// returns the handle ---------------------------------------------------
+
+  /// A default (empty MemWrite) TLP for callers that fill in the fields
+  /// themselves: the link benches send payloads larger than
+  /// MaxPayloadSize, which mem_write() rejects.
+  static TlpPtr make();
+  static TlpPtr mem_write(std::uint64_t address,
+                          std::span<const std::byte> data,
+                          DeviceId requester = 0);
+  static TlpPtr mem_read(std::uint64_t address, std::uint32_t length,
+                         DeviceId requester, std::uint8_t tag);
   /// Completion carrying the next `length` bytes of `request`, with its
   /// payload sized (zero-filled) for the caller to read the data straight
   /// into.
-  static Tlp completion(const Tlp& request, std::uint32_t length,
-                        std::uint32_t byte_count_remaining);
+  static TlpPtr completion(const Tlp& request, std::uint32_t length,
+                           std::uint32_t byte_count_remaining);
   // tca-protocol: acks-on-commit
-  static Tlp vendor_msg(std::uint64_t address, DeviceId requester,
-                        std::uint8_t tag);
+  static TlpPtr vendor_msg(std::uint64_t address, DeviceId requester,
+                           std::uint8_t tag);
+
+ private:
+  Tlp() = default;
 };
+
+inline void TlpDeleter::operator()(Tlp* tlp) const noexcept {
+  tlp->~Tlp();
+  sim::arena_free(tlp, sizeof(Tlp));
+}
+
+static_assert(sizeof(TlpPtr) == sizeof(Tlp*),
+              "the handle is one pointer: its deleter is stateless");
 
 /// Splits a byte range into TLP-payload-sized chunks honoring
 /// MaxPayloadSize. f(offset, chunk_len) is invoked in address order.

@@ -76,7 +76,7 @@ void Peach2Chip::attach_port(PortId port, pcie::LinkPort& link) {
   nios_->on_port_attached(port);  // cabled and trained
 }
 
-void Peach2Chip::on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) {
+void Peach2Chip::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
   for (std::size_t p = 0; p < kPortCount; ++p) {
     if (ports_[p] == &port) {
       ingress_[p].queue.push_back(std::move(tlp));
@@ -115,17 +115,17 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
   Ingress& in = ingress_[idx(in_port)];
   for (;;) {
     while (in.queue.empty()) co_await in.pending->wait();
-    pcie::Tlp tlp = std::move(in.queue.front());
+    pcie::TlpPtr tlp = std::move(in.queue.front());
     in.queue.pop_front();
-    const std::uint64_t wire = tlp.wire_bytes();
+    const std::uint64_t wire = tlp->wire_bytes();
     // Store-and-forward pipeline occupancy: one TLP per kRouteOccupancyPs.
     co_await sim::Delay(sched_, kRouteOccupancyPs);
 
     // DMAC read completions terminate here.
-    if (tlp.type == pcie::TlpType::kCompletion) {
+    if (tlp->type == pcie::TlpType::kCompletion) {
       in.link->release_rx(wire);
-      if (tlp.requester == cfg_.device_id) {
-        dmac(tlp.tag / 64).on_read_completion(std::move(tlp));
+      if (tlp->requester == cfg_.device_id) {
+        dmac(tlp->tag / 64).on_read_completion(std::move(tlp));
       } else {
         ++dropped_;
       }
@@ -133,18 +133,18 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
     }
 
     // Register window (BAR0): host-side control path.
-    if (in_port == PortId::kNorth && tlp.address >= cfg_.reg_base &&
-        tlp.address < cfg_.reg_base + regs::kWindowBytes) {
+    if (in_port == PortId::kNorth && tlp->address >= cfg_.reg_base &&
+        tlp->address < cfg_.reg_base + regs::kWindowBytes) {
       in.link->release_rx(wire);
       handle_register_tlp(std::move(tlp));
       continue;
     }
 
-    const auto loc = cfg_.layout.decode(tlp.address);
+    const auto loc = cfg_.layout.decode(tlp->address);
 
     // PEARL is put-only between nodes: a read that did not come from the
     // local host is rejected ("PEACH2 supports only RDMA put protocol").
-    if (tlp.type == pcie::TlpType::kMemRead &&
+    if (tlp->type == pcie::TlpType::kMemRead &&
         (in_port != PortId::kNorth ||
          (loc.has_value() && loc->node != cfg_.node_id))) {
       ++dropped_;
@@ -168,11 +168,11 @@ sim::Task<> Peach2Chip::forwarding_engine(PortId in_port) {
       // so the ack can never outrun its data through RC/device queues.
       const auto local = convert_to_local(*loc);
       TCA_ASSERT(local.has_value());
-      if (tlp.ack_address != 0) tlp.commit_notifier = this;
-      tlp.address = *local;
+      if (tlp->ack_address != 0) tlp->commit_notifier = this;
+      tlp->address = *local;
       out = PortId::kNorth;
     } else {
-      const auto decision = decide(tlp.address);
+      const auto decision = decide(tlp->address);
       if (!decision.has_value() || *decision == PortId::kInternal ||
           ports_[idx(*decision)] == nullptr) {
         ++dropped_;
@@ -200,9 +200,9 @@ bool Peach2Chip::egress_has_room(PortId out, std::uint64_t wire) const {
   return egress_[idx(out)].reserved_bytes + wire <= cfg_.egress_queue_bytes;
 }
 
-void Peach2Chip::admit_egress(PortId out, pcie::Tlp tlp) {
+void Peach2Chip::admit_egress(PortId out, pcie::TlpPtr tlp) {
   Egress& eg = egress_[idx(out)];
-  const std::uint64_t wire = tlp.wire_bytes();
+  const std::uint64_t wire = tlp->wire_bytes();
   TCA_ASSERT(egress_has_room(out, wire));
   eg.reserved_bytes += wire;
   // Remaining pipeline latency before the TLP reaches the egress FIFO. The
@@ -213,7 +213,7 @@ void Peach2Chip::admit_egress(PortId out, pcie::Tlp tlp) {
   auto arrive = [this, out, gen, t = std::move(tlp)]() mutable {
     Egress& dst = egress_[idx(out)];
     if (dst.generation != gen) {
-      dst.reserved_bytes -= t.wire_bytes();
+      dst.reserved_bytes -= t->wire_bytes();
       ++abandoned_;
       dst.space->pulse();
       return;
@@ -229,9 +229,9 @@ void Peach2Chip::admit_egress(PortId out, pcie::Tlp tlp) {
                         std::move(arrive));
 }
 
-sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
+sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::TlpPtr tlp) {
   Egress& eg = egress_[idx(out)];
-  const std::uint64_t wire = tlp.wire_bytes();
+  const std::uint64_t wire = tlp->wire_bytes();
   while (!egress_has_room(out, wire)) co_await eg.space->wait();
   admit_egress(out, std::move(tlp));
 }
@@ -239,8 +239,8 @@ sim::Task<> Peach2Chip::enqueue_egress(PortId out, pcie::Tlp tlp) {
 void Peach2Chip::pump_egress(PortId out) {
   Egress& eg = egress_[idx(out)];
   TCA_ASSERT(eg.port != nullptr);
-  while (!eg.queue.empty() && eg.port->can_send(eg.queue.front())) {
-    const std::uint64_t wire = eg.queue.front().wire_bytes();
+  while (!eg.queue.empty() && eg.port->can_send(*eg.queue.front())) {
+    const std::uint64_t wire = eg.queue.front()->wire_bytes();
     eg.port->send(std::move(eg.queue.front()));
     eg.queue.pop_front();
     TCA_ASSERT(eg.reserved_bytes >= wire);
@@ -264,15 +264,15 @@ std::optional<PortId> Peach2Chip::egress_port_for(std::uint64_t addr) const {
   return decision;
 }
 
-sim::Task<> Peach2Chip::inject(pcie::Tlp tlp, const bool* aborted) {
-  const auto loc = cfg_.layout.decode(tlp.address);
+sim::Task<> Peach2Chip::inject(pcie::TlpPtr tlp, const bool* aborted) {
+  const auto loc = cfg_.layout.decode(tlp->address);
   if (loc.has_value() && loc->node == cfg_.node_id &&
       loc->target == TcaTarget::kInternal) {
     // DMAC loopback into own internal region: no wire involved.
     handle_internal_tlp(std::move(tlp));
     co_return;
   }
-  const auto out = egress_port_for(tlp.address);
+  const auto out = egress_port_for(tlp->address);
   if (!out.has_value()) {
     ++dropped_;
     ++unroutable_;
@@ -282,14 +282,14 @@ sim::Task<> Peach2Chip::inject(pcie::Tlp tlp, const bool* aborted) {
   if (loc.has_value() && loc->node == cfg_.node_id) {
     const auto local = convert_to_local(*loc);
     TCA_ASSERT(local.has_value());
-    tlp.address = *local;
-    tlp.ack_address = 0;  // local delivery needs no notification
+    tlp->address = *local;
+    tlp->ack_address = 0;  // local delivery needs no notification
   }
   // The DMA engine sits at the egress stage: its TLPs do not traverse the
   // ingress store-and-forward pipeline, they enter the egress FIFO directly
   // (still subject to its backpressure).
   Egress& eg = egress_[idx(*out)];
-  const std::uint64_t wire = tlp.wire_bytes();
+  const std::uint64_t wire = tlp->wire_bytes();
   while (!egress_has_room(*out, wire)) {
     if (aborted != nullptr && *aborted) co_return;  // chain abort: give up
     co_await eg.space->wait();
@@ -325,9 +325,9 @@ void Peach2Chip::abandon_egress(PortId port) {
   Egress& eg = egress_[idx(port)];
   ++eg.generation;  // mid-pipeline TLPs discard themselves on arrival
   abandoned_ += eg.queue.size();
-  for (const pcie::Tlp& t : eg.queue) {
-    TCA_ASSERT(eg.reserved_bytes >= t.wire_bytes());
-    eg.reserved_bytes -= t.wire_bytes();
+  for (const pcie::TlpPtr& t : eg.queue) {
+    TCA_ASSERT(eg.reserved_bytes >= t->wire_bytes());
+    eg.reserved_bytes -= t->wire_bytes();
   }
   eg.queue.clear();
   // Freed space may unblock enqueuers, and drain waiters must re-evaluate:
@@ -354,42 +354,42 @@ void Peach2Chip::raise_error(std::uint64_t bits) {
   }
 }
 
-void Peach2Chip::handle_internal_tlp(pcie::Tlp tlp) {
-  const auto loc = cfg_.layout.decode(tlp.address);
+void Peach2Chip::handle_internal_tlp(pcie::TlpPtr tlp) {
+  const auto loc = cfg_.layout.decode(tlp->address);
   TCA_ASSERT(loc.has_value() && loc->target == TcaTarget::kInternal);
-  switch (tlp.type) {
+  switch (tlp->type) {
     case pcie::TlpType::kVendorMsg:
       // PEARL delivery notification lands in the mailbox page; the tag
       // window identifies the owning DMA channel.
       ++mailbox_count_;
-      dmac(tlp.tag / 64).on_delivery_ack(tlp.tag);
+      dmac(tlp->tag / 64).on_delivery_ack(tlp->tag);
       break;
     case pcie::TlpType::kMemWrite: {
       if (loc->offset < kInternalRamOffset ||
-          loc->offset - kInternalRamOffset + tlp.payload.size() >
+          loc->offset - kInternalRamOffset + tlp->payload.size() >
               internal_ram_.size()) {
         ++dropped_;
         break;
       }
-      internal_ram_.write(loc->offset - kInternalRamOffset, tlp.payload);
+      internal_ram_.write(loc->offset - kInternalRamOffset, tlp->payload);
       break;
     }
     case pcie::TlpType::kMemRead: {
       // Local host reading internal RAM (driver diagnostics).
       if (loc->offset < kInternalRamOffset ||
-          loc->offset - kInternalRamOffset + tlp.length >
+          loc->offset - kInternalRamOffset + tlp->length >
               internal_ram_.size()) {
         ++dropped_;
         break;
       }
       const std::uint64_t base = loc->offset - kInternalRamOffset;
       sched_.schedule_after(kRegAccessPs, [this, req = std::move(tlp), base] {
-        std::uint32_t remaining = req.length;
+        std::uint32_t remaining = req->length;
         while (remaining > 0) {
           const std::uint32_t chunk =
               std::min(remaining, calib::kMaxPayloadBytes);
-          pcie::Tlp cpl = pcie::Tlp::completion(req, chunk, remaining);
-          internal_ram_.read(base + (req.length - remaining), cpl.payload);
+          pcie::TlpPtr cpl = pcie::Tlp::completion(*req, chunk, remaining);
+          internal_ram_.read(base + (req->length - remaining), cpl->payload);
           sim::spawn(enqueue_egress(PortId::kNorth, std::move(cpl)));
           remaining -= chunk;
         }
@@ -402,23 +402,23 @@ void Peach2Chip::handle_internal_tlp(pcie::Tlp tlp) {
   }
 }
 
-void Peach2Chip::handle_register_tlp(pcie::Tlp tlp) {
-  const std::uint64_t offset = tlp.address - cfg_.reg_base;
-  if (tlp.type == pcie::TlpType::kMemWrite) {
-    TCA_ASSERT(tlp.payload.size() == 8 && "registers are 64-bit");
+void Peach2Chip::handle_register_tlp(pcie::TlpPtr tlp) {
+  const std::uint64_t offset = tlp->address - cfg_.reg_base;
+  if (tlp->type == pcie::TlpType::kMemWrite) {
+    TCA_ASSERT(tlp->payload.size() == 8 && "registers are 64-bit");
     std::uint64_t value = 0;
-    std::memcpy(&value, tlp.payload.data(), 8);
+    std::memcpy(&value, tlp->payload.data(), 8);
     sched_.schedule_after(kRegAccessPs, [this, offset, value] {
       write_register(offset, value);
     });
     return;
   }
-  if (tlp.type == pcie::TlpType::kMemRead) {
-    TCA_ASSERT(tlp.length == 8 && "registers are 64-bit");
+  if (tlp->type == pcie::TlpType::kMemRead) {
+    TCA_ASSERT(tlp->length == 8 && "registers are 64-bit");
     sched_.schedule_after(kRegAccessPs, [this, req = std::move(tlp), offset] {
       const std::uint64_t value = read_register(offset);
-      pcie::Tlp cpl = pcie::Tlp::completion(req, 8, req.length);
-      std::memcpy(cpl.payload.data(), &value, 8);
+      pcie::TlpPtr cpl = pcie::Tlp::completion(*req, 8, req->length);
+      std::memcpy(cpl->payload.data(), &value, 8);
       sim::spawn(enqueue_egress(PortId::kNorth, std::move(cpl)));
     });
     return;

@@ -114,7 +114,7 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   /// If `aborted` is non-null, the injection gives up (dropping the TLP)
   /// once it observes *aborted == true — the DMAC's cooperative chain-abort
   /// escape hatch from a backpressure wait that will never resolve.
-  sim::Task<> inject(pcie::Tlp tlp, const bool* aborted = nullptr);
+  sim::Task<> inject(pcie::TlpPtr tlp, const bool* aborted = nullptr);
 
   /// Port-N address conversion: global TCA location -> local bus address.
   /// Exposed for the DMAC, which issues local MRds in bus addresses.
@@ -149,7 +149,7 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   void abandon_egress(PortId port);
 
   // TlpSink.
-  void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override;
+  void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override;
 
   // CommitNotifier: called by the destination memory endpoint when a write
   // this chip delivered into its node actually commits. Emits the PEARL
@@ -195,19 +195,19 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
  private:
   struct Egress {
     pcie::LinkPort* port = nullptr;
-    sim::Ring<pcie::Tlp> queue;
+    sim::Ring<pcie::TlpPtr> queue;
     std::uint64_t reserved_bytes = 0;
     std::unique_ptr<sim::Trigger> space;
     /// Bumped by abandon_egress(). TLPs in the route-pipeline delay carry
     /// the generation they were admitted under; a mismatch on arrival means
     /// a failover flushed this port while they were in flight through the
-    /// pipeline, and they are discarded instead of parked. 32 bits keep the
-    /// route-pipeline capture inline (see admit_egress); a stale generation
-    /// could only match again after 2^32 flushes within one pipeline delay.
+    /// pipeline, and they are discarded instead of parked. A stale
+    /// generation could only match again after 2^32 flushes within one
+    /// pipeline delay.
     std::uint32_t generation = 0;
   };
   struct Ingress {
-    sim::Ring<pcie::Tlp> queue;
+    sim::Ring<pcie::TlpPtr> queue;
     pcie::LinkPort* link = nullptr;
     std::unique_ptr<sim::Trigger> pending;
     sim::Task<> engine;
@@ -219,15 +219,15 @@ class Peach2Chip : public pcie::TlpSink, public pcie::CommitNotifier {
   /// Returns the output port, or nullopt for "drop".
   [[nodiscard]] std::optional<PortId> decide(std::uint64_t addr) const;
 
-  void handle_register_tlp(pcie::Tlp tlp);
-  void handle_internal_tlp(pcie::Tlp tlp);
+  void handle_register_tlp(pcie::TlpPtr tlp);
+  void handle_internal_tlp(pcie::TlpPtr tlp);
   /// True when `out`'s egress FIFO can reserve `wire` more bytes now.
   [[nodiscard]] bool egress_has_room(PortId out, std::uint64_t wire) const;
   /// Reserves the TLP's bytes in `out`'s egress FIFO and files its arrival
   /// there after the rest of the route pipeline. Needs egress_has_room.
-  void admit_egress(PortId out, pcie::Tlp tlp);
+  void admit_egress(PortId out, pcie::TlpPtr tlp);
   /// admit_egress once the FIFO has room, waiting out backpressure first.
-  sim::Task<> enqueue_egress(PortId out, pcie::Tlp tlp);
+  sim::Task<> enqueue_egress(PortId out, pcie::TlpPtr tlp);
   void pump_egress(PortId out);
 
   sim::Scheduler& sched_;

@@ -260,15 +260,15 @@ sim::Task<> DmaController::exec_write(DmaDescriptor d) {
   while (sent < d.length && !aborted_) {
     const auto chunk = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(kMaxPayloadBytes, d.length - sent));
-    pcie::Tlp tlp = pcie::Tlp::mem_write(
+    pcie::TlpPtr tlp = pcie::Tlp::mem_write(
         d.dst + sent, chip_.internal_ram().view(src_off + sent, chunk),
         chip_.device_id());
     if (want_ack && sent + chunk == d.length) {
       ack_tag = next_ack_tag_;
       next_ack_tag_ = next_ack_tag();
       ack_state_[ack_slot(ack_tag)] = AckState::kAwaited;
-      tlp.ack_address = chip_.internal_block_base();
-      tlp.tag = ack_tag;
+      tlp->ack_address = chip_.internal_block_base();
+      tlp->tag = ack_tag;
     }
     co_await chip_.inject(std::move(tlp), &aborted_);
     sent += chunk;
@@ -400,40 +400,41 @@ sim::Task<> DmaController::exec_pipelined(DmaDescriptor d) {
   bytes_written_ += d.length;
 }
 
-void DmaController::on_read_completion(pcie::Tlp cpl) {
-  if (!is_read_tag(cpl.tag) || !pending_reads_[read_slot(cpl.tag)]) {
+void DmaController::on_read_completion(pcie::TlpPtr cpl) {
+  // The read tag, saved first: forwarding rewrites the header, tag included,
+  // and the tag goes back to the pool only after the forward is spawned.
+  const std::uint8_t tag = cpl->tag;
+  if (!is_read_tag(tag) || !pending_reads_[read_slot(tag)]) {
     ++errors_;
     return;
   }
-  std::optional<PendingRead>& entry = pending_reads_[read_slot(cpl.tag)];
+  std::optional<PendingRead>& entry = pending_reads_[read_slot(tag)];
   PendingRead& pr = *entry;
-  TCA_ASSERT(cpl.payload.size() <= pr.remaining);
-  const auto size = static_cast<std::uint32_t>(cpl.payload.size());
+  TCA_ASSERT(cpl->payload.size() <= pr.remaining);
+  const auto size = static_cast<std::uint32_t>(cpl->payload.size());
 
   if (pr.forward_to != 0) {
     // Pipelined mode: forward the chunk toward the destination immediately.
-    // The write takes over the completion's bytes; nothing is copied.
-    pcie::Tlp out = pcie::Tlp::mem_write(
-        pr.forward_to, std::move(cpl.payload), chip_.device_id());
+    // The completion becomes the write in place; nothing is copied.
+    cpl->rewrite_as_mem_write(pr.forward_to, chip_.device_id());
     pr.forward_to += size;
     if (pr.last_of_descriptor && pr.remaining == size &&
         pr.ack_address != 0) {
-      out.ack_address = pr.ack_address;
-      out.tag = pr.ack_tag;
+      cpl->ack_address = pr.ack_address;
+      cpl->tag = pr.ack_tag;
     }
     ++pending_forwards_;
-    sim::spawn([](DmaController& dmac, pcie::Tlp tlp) -> sim::Task<> {
+    sim::spawn([](DmaController& dmac, pcie::TlpPtr tlp) -> sim::Task<> {
       co_await dmac.chip_.inject(std::move(tlp), &dmac.aborted_);
       if (--dmac.pending_forwards_ == 0) dmac.forwards_done_.pulse();
-    }(*this, std::move(out)));
+    }(*this, std::move(cpl)));
   } else {
-    chip_.internal_ram().write(pr.dst_internal_offset, cpl.payload);
+    chip_.internal_ram().write(pr.dst_internal_offset, cpl->payload);
     pr.dst_internal_offset += size;
   }
 
   pr.remaining -= size;
   if (pr.remaining == 0) {
-    const std::uint8_t tag = cpl.tag;
     if (pr.timeout_event != sim::Scheduler::kInvalidEvent) {
       sched_.cancel(pr.timeout_event);
     }

@@ -107,7 +107,7 @@ class DmaController {
   [[nodiscard]] std::uint64_t error_info() const { return error_info_; }
 
   // --- Hooks called by the chip ---------------------------------------------
-  void on_read_completion(pcie::Tlp cpl);
+  void on_read_completion(pcie::TlpPtr cpl);
   void on_delivery_ack(std::uint8_t tag);
 
   // --- Statistics -------------------------------------------------------------

@@ -32,11 +32,12 @@
 // Lifetime contract: blocks must be freed before their arena dies. The
 // arenas live in the Scheduler (declared before the event queues, destroyed
 // after them), and the repo-wide teardown order — components before
-// scheduler — means frames, captures and TLP payloads are gone by then. The
-// arena counts the blocks it has handed out and not had back, and its
-// destructor asserts the count is zero: a block still out (a TLP kept past
-// its scheduler, or a detached process that never finished) would otherwise
-// be freed into released chunk memory later, or leaked, without a report.
+// scheduler — means frames, captures, TLPs and their payloads are gone by
+// then. The arena counts the blocks it has handed out and not had back, and
+// its destructor asserts the count is zero: a block still out (a TLP kept
+// past its scheduler, or a detached process that never finished) would
+// otherwise be freed into released chunk memory later, or leaked, without a
+// report.
 //
 // Under AddressSanitizer the pool is disabled (pass-through to the global
 // allocator) so use-after-free of frames stays detectable.

@@ -5,10 +5,9 @@
 // callback through it. std::function heap-allocates any capture larger than
 // its ~16-byte internal buffer, which made every LinkPort / Dmac / driver
 // event a malloc+free pair. EventFn stores captures up to kInlineBytes
-// in-place (sized for the largest hot capture: the chip route pipeline's
-// three scalars plus a moved-in Tlp), falling back to the heap only for
-// oversized or over-aligned callables — and counts those fallbacks so tests
-// can assert the hot paths stay allocation-free.
+// in place, falling back to the heap only for oversized or over-aligned
+// callables — and counts those fallbacks so tests can assert the hot paths
+// stay allocation-free.
 //
 // Trivially-copyable inline captures (pointers + scalars — most of the
 // simulator's hot events) take a fast path on top of that: moves are a plain
@@ -32,10 +31,14 @@ namespace tca::sim {
 
 class EventFn {
  public:
-  /// Inline capture capacity. 88 bytes fits the simulator's largest hot
-  /// capture, peach2::Chip's route pipeline [this, out, gen, Tlp], which
-  /// every forwarded TLP takes (a static_assert beside it keeps it inline),
-  /// with the whole EventFn landing on 96 bytes — 1.5 cache lines.
+  /// Inline capture capacity. TLPs travel by 8-byte handle, so every hot
+  /// capture fits in 24 bytes (the largest, the chip route pipeline's
+  /// [this, out, gen, TlpPtr] and the commits' [this, offset, TlpPtr],
+  /// each static_asserted beside it). The buffer keeps 88 bytes, the
+  /// whole EventFn 96: 40- and 24-byte buffers took no heap fallback on
+  /// tcabench either, but neither won more than 7 of 8 alternating pairs
+  /// on any workload, and their differences are the size that moving
+  /// LinkPort's fields alone makes (EXPERIMENTS.md, "TLPs by handle").
   static constexpr std::size_t kInlineBytes = 88;
 
   EventFn() noexcept = default;

@@ -70,9 +70,9 @@ class Ring {
   T& operator[](std::size_t i) { return at(i); }
   const T& operator[](std::size_t i) const { return at(i); }
 
-  // The rvalue overloads move straight into the slot (a TLP is moved once,
-  // not twice); the lvalue one copies first, so pushing an element of this
-  // very ring survives the growth that relocates it.
+  // The rvalue overloads move straight into the slot (a TLP handle is moved
+  // once, not twice); the lvalue one copies first, so pushing an element of
+  // this very ring survives the growth that relocates it.
   void push_back(T&& value) {
     if (size_ == capacity()) grow();
     ::new (static_cast<void*>(&at(size_))) T(std::move(value));

@@ -24,11 +24,11 @@ using units::us;
 /// Records whatever comes out of a chip port.
 class PortProbe : public pcie::TlpSink {
  public:
-  void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override {
-    port.release_rx(tlp.wire_bytes());
+  void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override {
+    port.release_rx(tlp->wire_bytes());
     received.push_back(std::move(tlp));
   }
-  std::vector<pcie::Tlp> received;
+  std::vector<pcie::TlpPtr> received;
 };
 
 /// A chip with every physical port on a probe link.
@@ -86,7 +86,7 @@ TEST(Chip, OwnSliceConvertsAndExitsNorth) {
   sched.run();
 
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 1u);
-  EXPECT_EQ(rig.probe(PortId::kNorth).received[0].address, 0x1234u);
+  EXPECT_EQ(rig.probe(PortId::kNorth).received[0]->address, 0x1234u);
   EXPECT_EQ(rig.chip->forwarded_tlps(), 1u);
 }
 
@@ -97,7 +97,7 @@ TEST(Chip, GpuBlocksConvertToBarAddresses) {
       rig.layout.encode(0, TcaTarget::kGpu1, 0x40), bytes8(1)));
   sched.run();
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 1u);
-  EXPECT_EQ(rig.probe(PortId::kNorth).received[0].address,
+  EXPECT_EQ(rig.probe(PortId::kNorth).received[0]->address,
             0x22'0000'0040ull);
 }
 
@@ -158,7 +158,7 @@ TEST(Chip, LocalReadFromHostPortAllowed) {
                                 8, /*requester=*/9, 5));
   sched.run();
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 1u);
-  const pcie::Tlp& cpl = rig.probe(PortId::kNorth).received[0];
+  const pcie::Tlp& cpl = *rig.probe(PortId::kNorth).received[0];
   EXPECT_EQ(cpl.type, pcie::TlpType::kCompletion);
   EXPECT_TRUE(std::ranges::equal(cpl.payload, data));
   EXPECT_EQ(cpl.tag, 5);
@@ -225,7 +225,7 @@ TEST(Chip, RegisterMlpOverMmioWindow) {
   sched.run();
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 1u);
   std::uint64_t value = 0;
-  std::memcpy(&value, rig.probe(PortId::kNorth).received[0].payload.data(),
+  std::memcpy(&value, rig.probe(PortId::kNorth).received[0]->payload.data(),
               8);
   EXPECT_EQ(value, 7u);
 }
@@ -249,9 +249,9 @@ TEST(Chip, TagFromTheOtherHalfOfTheWindowCountsAsAnError) {
   // carrying a read tag, is unexpected.
   sim::Scheduler sched;
   ChipRig rig(sched, 0);
-  const pcie::Tlp read =
+  const pcie::TlpPtr read =
       pcie::Tlp::mem_read(0x1000, 8, /*requester=*/42, /*tag=*/40);
-  rig.far_end(PortId::kEast).send(pcie::Tlp::completion(read, 8, 8));
+  rig.far_end(PortId::kEast).send(pcie::Tlp::completion(*read, 8, 8));
   rig.far_end(PortId::kEast)
       .send(pcie::Tlp::vendor_msg(rig.chip->internal_block_base(), 8, 5));
   sched.run();
@@ -269,13 +269,13 @@ TEST(Chip, ForwardingPreservesOrderWithinAPort) {
   sched.run();
   ASSERT_EQ(rig.probe(PortId::kNorth).received.size(), 8u);
   for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(rig.probe(PortId::kNorth).received[i].address, i * 0x100ull);
+    EXPECT_EQ(rig.probe(PortId::kNorth).received[i]->address, i * 0x100ull);
   }
 }
 
 // Every TLP the chip forwards rides the route-pipeline event, whose capture
-// ([this, out, gen, Tlp]) must fit EventFn's inline buffer: otherwise each
-// forward pays a heap allocation. A static_assert at the capture in
+// ([this, out, gen, TlpPtr]) must fit EventFn's inline buffer: otherwise
+// each forward pays a heap allocation. A static_assert at the capture in
 // chip.cpp holds its size; this holds the path, end to end.
 TEST(Chip, ForwardingNeverTakesTheEventFnHeapFallback) {
   sim::Scheduler sched;
@@ -332,8 +332,8 @@ TEST(Chip, AbortedChainStillWritesBackItsStatus) {
   EXPECT_FALSE(dmac.busy());
   const auto& north = rig.probe(PortId::kNorth).received;
   ASSERT_FALSE(north.empty());
-  EXPECT_EQ(north.back().address, kStatusWord);
-  EXPECT_EQ(north.back().payload.size(), 8u);
+  EXPECT_EQ(north.back()->address, kStatusWord);
+  EXPECT_EQ(north.back()->payload.size(), 8u);
 }
 
 // A log line carries the clock of the simulation that wrote it: after one

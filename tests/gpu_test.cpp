@@ -125,11 +125,11 @@ struct GpuOnLink {
 
 class HostSink : public pcie::TlpSink {
  public:
-  void on_tlp(pcie::Tlp tlp, pcie::LinkPort& port) override {
-    port.release_rx(tlp.wire_bytes());
+  void on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) override {
+    port.release_rx(tlp->wire_bytes());
     received.push_back(std::move(tlp));
   }
-  std::vector<pcie::Tlp> received;
+  std::vector<pcie::TlpPtr> received;
 };
 
 TEST(GpuDevice, BarWriteLandsInPinnedMemory) {
@@ -187,9 +187,9 @@ TEST(GpuDevice, BarReadReturnsCompletionsWithData) {
   ASSERT_EQ(host.received.size(), 2u);
   std::vector<std::byte> got;
   for (const auto& cpl : host.received) {
-    EXPECT_EQ(cpl.type, pcie::TlpType::kCompletion);
-    EXPECT_EQ(cpl.tag, 5);
-    got.insert(got.end(), cpl.payload.begin(), cpl.payload.end());
+    EXPECT_EQ(cpl->type, pcie::TlpType::kCompletion);
+    EXPECT_EQ(cpl->tag, 5);
+    got.insert(got.end(), cpl->payload.begin(), cpl->payload.end());
   }
   EXPECT_EQ(got, data);
 }
@@ -210,9 +210,9 @@ TEST(GpuDevice, ReadServiceRateCapsAt830MBs) {
   std::uint64_t issued = 0;
   std::function<void()> pump = [&] {
     while (issued < kTotal) {
-      pcie::Tlp req = pcie::Tlp::mem_read(
+      pcie::TlpPtr req = pcie::Tlp::mem_read(
           kBar + issued, 512, 1, static_cast<std::uint8_t>(issued / 512));
-      if (!rig.link.end_a().can_send(req)) return;
+      if (!rig.link.end_a().can_send(*req)) return;
       rig.link.end_a().send(std::move(req));
       issued += 512;
     }
@@ -222,7 +222,7 @@ TEST(GpuDevice, ReadServiceRateCapsAt830MBs) {
   sched.run();
 
   std::uint64_t bytes = 0;
-  for (const auto& cpl : host.received) bytes += cpl.payload.size();
+  for (const auto& cpl : host.received) bytes += cpl->payload.size();
   EXPECT_EQ(bytes, kTotal);
   const double rate = units::bytes_per_second(bytes, sched.now());
   EXPECT_NEAR(rate / 1e6, 830.0, 25.0);

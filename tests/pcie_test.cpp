@@ -31,43 +31,67 @@ Payload make_payload(std::size_t n, std::uint8_t seed = 1) {
 
 TEST(Tlp, WriteWireBytesMatchPaperFormula) {
   auto payload = make_payload(256);
-  Tlp tlp = Tlp::mem_write(0x1000, payload);
+  TlpPtr tlp = Tlp::mem_write(0x1000, payload);
   // 256 payload + 16 header + 2 seq + 4 LCRC + 2 framing = 280 (the paper's
   // 256/280 efficiency term).
-  EXPECT_EQ(tlp.wire_bytes(), 280u);
+  EXPECT_EQ(tlp->wire_bytes(), 280u);
 }
 
 TEST(Tlp, ReadRequestIsHeaderOnly) {
-  Tlp tlp = Tlp::mem_read(0x1000, 512, /*requester=*/3, /*tag=*/7);
-  EXPECT_EQ(tlp.wire_bytes(), 24u);
-  EXPECT_EQ(tlp.length, 512u);
-  EXPECT_EQ(tlp.byte_count_remaining, 512u);
-  EXPECT_TRUE(tlp.payload.empty());
+  TlpPtr tlp = Tlp::mem_read(0x1000, 512, /*requester=*/3, /*tag=*/7);
+  EXPECT_EQ(tlp->wire_bytes(), 24u);
+  EXPECT_EQ(tlp->length, 512u);
+  EXPECT_EQ(tlp->byte_count_remaining, 512u);
+  EXPECT_TRUE(tlp->payload.empty());
 }
 
 TEST(Tlp, CompletionTracksRemainderAndOffset) {
-  Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
-  Tlp cpl1 = Tlp::completion(req, 256, /*byte_count_remaining=*/512);
-  EXPECT_EQ(cpl1.address, 0x1000u);
-  EXPECT_EQ(cpl1.tag, 7);
-  EXPECT_EQ(cpl1.requester, 3);
-  Tlp cpl2 = Tlp::completion(req, 256, /*byte_count_remaining=*/256);
-  EXPECT_EQ(cpl2.address, 0x1100u);  // second half of the read
+  TlpPtr req = Tlp::mem_read(0x1000, 512, 3, 7);
+  TlpPtr cpl1 = Tlp::completion(*req, 256, /*byte_count_remaining=*/512);
+  EXPECT_EQ(cpl1->address, 0x1000u);
+  EXPECT_EQ(cpl1->tag, 7);
+  EXPECT_EQ(cpl1->requester, 3);
+  TlpPtr cpl2 = Tlp::completion(*req, 256, /*byte_count_remaining=*/256);
+  EXPECT_EQ(cpl2->address, 0x1100u);  // second half of the read
 }
 
 TEST(Tlp, CompletionPayloadIsSizedForInPlaceFill) {
   // Tlp::completion sizes the payload (zero-filled) so a responder reads
   // its data straight into it.
-  Tlp req = Tlp::mem_read(0x1000, 512, 3, 7);
-  Tlp cpl = Tlp::completion(req, 256, /*byte_count_remaining=*/512);
-  EXPECT_EQ(cpl.length, 256u);
-  ASSERT_EQ(cpl.payload.size(), 256u);
-  EXPECT_EQ(cpl.payload, Payload(256));
-  EXPECT_EQ(cpl.wire_bytes(), 256u + calib::kTlpCompletionOverheadBytes);
+  TlpPtr req = Tlp::mem_read(0x1000, 512, 3, 7);
+  TlpPtr cpl = Tlp::completion(*req, 256, /*byte_count_remaining=*/512);
+  EXPECT_EQ(cpl->length, 256u);
+  ASSERT_EQ(cpl->payload.size(), 256u);
+  EXPECT_EQ(cpl->payload, Payload(256));
+  EXPECT_EQ(cpl->wire_bytes(), 256u + calib::kTlpCompletionOverheadBytes);
   const auto data = make_payload(256);
-  std::span<std::byte> view = cpl.payload;
+  std::span<std::byte> view = cpl->payload;
   std::copy(data.begin(), data.end(), view.begin());
-  EXPECT_EQ(cpl.payload, data);
+  EXPECT_EQ(cpl->payload, data);
+}
+
+TEST(Tlp, CompletionRewrittenAsWriteKeepsItsBytesAndClearsItsHeader) {
+  // The pipelined DMAC forwards a read completion by rewriting it in place:
+  // the result must be exactly the MemWrite mem_write() would build.
+  TlpPtr req = Tlp::mem_read(0x1000, 512, 3, 7);
+  TlpPtr cpl = Tlp::completion(*req, 256, /*byte_count_remaining=*/512);
+  const auto data = make_payload(256, 9);
+  std::copy(data.begin(), data.end(), cpl->payload.begin());
+  const std::byte* bytes = cpl->payload.data();
+  cpl->rewrite_as_mem_write(0xbeef00, /*from=*/42);
+
+  TlpPtr built = Tlp::mem_write(0xbeef00, data, 42);
+  EXPECT_EQ(cpl->type, built->type);
+  EXPECT_EQ(cpl->address, built->address);
+  EXPECT_EQ(cpl->length, built->length);
+  EXPECT_EQ(cpl->requester, built->requester);
+  EXPECT_EQ(cpl->tag, built->tag);
+  EXPECT_EQ(cpl->byte_count_remaining, built->byte_count_remaining);
+  EXPECT_EQ(cpl->ack_address, built->ack_address);
+  EXPECT_EQ(cpl->commit_notifier, built->commit_notifier);
+  EXPECT_EQ(cpl->payload, built->payload);
+  EXPECT_EQ(cpl->wire_bytes(), built->wire_bytes());
+  EXPECT_EQ(cpl->payload.data(), bytes);  // not copied
 }
 
 TEST(Payload, BlockFreedOutsideAnyEventReturnsToItsArena) {
@@ -98,16 +122,16 @@ TEST(Payload, BlockFreedOutsideAnyEventReturnsToItsArena) {
 #endif
 }
 
-// tlp.h's lifetime rule is checked, not just stated: a TLP built inside an
-// event and kept past its scheduler fails the arena's teardown check rather
-// than freeing its block into released chunk memory later.
+// tlp.h's lifetime rule is checked, not just stated: a TLP handle built
+// inside an event and kept past its scheduler fails the arena's teardown
+// check rather than freeing its blocks into released chunk memory later.
 TEST(Tlp, OutlivingItsSchedulerAborts) {
 #if TCA_ARENA_PASSTHROUGH
   GTEST_SKIP() << "every payload block comes from the heap under ASan";
 #else
   EXPECT_DEATH(
       {
-        Tlp kept;
+        TlpPtr kept;
         {
           sim::Scheduler sched;
           sched.schedule_after(0, [&] {
@@ -121,9 +145,9 @@ TEST(Tlp, OutlivingItsSchedulerAborts) {
 }
 
 TEST(Tlp, VendorMsgRoutesByAddress) {
-  Tlp msg = Tlp::vendor_msg(0xdead000, 9, 1);
-  EXPECT_EQ(msg.type, TlpType::kVendorMsg);
-  EXPECT_EQ(msg.wire_bytes(), 24u);
+  TlpPtr msg = Tlp::vendor_msg(0xdead000, 9, 1);
+  EXPECT_EQ(msg->type, TlpType::kVendorMsg);
+  EXPECT_EQ(msg->wire_bytes(), 24u);
 }
 
 TEST(Tlp, ChunkingHonorsMaxPayload) {
@@ -161,11 +185,11 @@ class RecordingSink : public TlpSink {
   explicit RecordingSink(sim::Scheduler& sched, bool auto_release = true)
       : sched_(sched), auto_release_(auto_release) {}
 
-  void on_tlp(Tlp tlp, LinkPort& port) override {
+  void on_tlp(TlpPtr tlp, LinkPort& port) override {
     arrival_times.push_back(sched_.now());
     received.push_back(std::move(tlp));
     if (auto_release_) {
-      port.release_rx(received.back().wire_bytes());
+      port.release_rx(received.back()->wire_bytes());
     } else {
       held_.push_back(&port);
     }
@@ -175,10 +199,10 @@ class RecordingSink : public TlpSink {
     ASSERT_FALSE(held_.empty());
     LinkPort* port = held_.front();
     held_.erase(held_.begin());
-    port->release_rx(received[released_++].wire_bytes());
+    port->release_rx(received[released_++]->wire_bytes());
   }
 
-  std::vector<Tlp> received;
+  std::vector<TlpPtr> received;
   std::vector<TimePs> arrival_times;
 
  private:
@@ -199,8 +223,8 @@ TEST(Link, DeliversPayloadIntact) {
   sched.run();
 
   ASSERT_EQ(sink.received.size(), 1u);
-  EXPECT_EQ(sink.received[0].address, 0xabc0u);
-  EXPECT_EQ(sink.received[0].payload, payload);
+  EXPECT_EQ(sink.received[0]->address, 0xabc0u);
+  EXPECT_EQ(sink.received[0]->payload, payload);
 }
 
 TEST(Link, SerializationTimeMatchesWireBytes) {
@@ -284,18 +308,18 @@ TEST(Link, TxQueueBoundedAndReadyCallbackFires) {
   RecordingSink sink(sched);
   link.end_b().set_sink(&sink);
 
-  Tlp t1 = Tlp::mem_write(0, make_payload(256));
-  Tlp t2 = Tlp::mem_write(0, make_payload(256));
-  Tlp t3 = Tlp::mem_write(0, make_payload(256));
-  ASSERT_TRUE(link.end_a().can_send(t1));
+  TlpPtr t1 = Tlp::mem_write(0, make_payload(256));
+  TlpPtr t2 = Tlp::mem_write(0, make_payload(256));
+  TlpPtr t3 = Tlp::mem_write(0, make_payload(256));
+  ASSERT_TRUE(link.end_a().can_send(*t1));
   link.end_a().send(std::move(t1));
   // First TLP starts transmitting immediately (leaves the queue), so there
   // is room for two more queued.
-  ASSERT_TRUE(link.end_a().can_send(t2));
+  ASSERT_TRUE(link.end_a().can_send(*t2));
   link.end_a().send(std::move(t2));
-  ASSERT_TRUE(link.end_a().can_send(t3));
+  ASSERT_TRUE(link.end_a().can_send(*t3));
   link.end_a().send(std::move(t3));
-  EXPECT_FALSE(link.end_a().can_send(Tlp::mem_write(0, make_payload(256))));
+  EXPECT_FALSE(link.end_a().can_send(*Tlp::mem_write(0, make_payload(256))));
 
   int ready_calls = 0;
   link.end_a().set_tx_ready([&] { ++ready_calls; });
@@ -328,16 +352,16 @@ TEST(Link, ReplayRecoversCorruptedTlpsInOrder) {
   RecordingSink sink(sched);
   link.end_b().set_sink(&sink);
 
-  std::vector<Tlp> sent;
-  for (int i = 0; i < 200; ++i) {
-    sent.push_back(Tlp::mem_write(static_cast<std::uint64_t>(i) * 0x100,
-                                  make_payload(256, static_cast<std::uint8_t>(i))));
+  constexpr std::size_t kCount = 200;
+  std::vector<TlpPtr> to_send;
+  for (std::size_t i = 0; i < kCount; ++i) {
+    to_send.push_back(
+        Tlp::mem_write(i * 0x100, make_payload(256, static_cast<std::uint8_t>(i))));
   }
   std::size_t next = 0;
   std::function<void()> pump = [&] {
-    while (next < sent.size() && link.end_a().can_send(sent[next])) {
-      Tlp copy = sent[next];
-      link.end_a().send(std::move(copy));
+    while (next < kCount && link.end_a().can_send(*to_send[next])) {
+      link.end_a().send(std::move(to_send[next]));
       ++next;
     }
   };
@@ -346,10 +370,12 @@ TEST(Link, ReplayRecoversCorruptedTlpsInOrder) {
   sched.run();
 
   EXPECT_GT(link.end_a().replays(), 0u);
-  ASSERT_EQ(sink.received.size(), sent.size());
-  for (std::size_t i = 0; i < sent.size(); ++i) {
-    EXPECT_EQ(sink.received[i].address, sent[i].address) << i;
-    EXPECT_EQ(sink.received[i].payload, sent[i].payload) << i;
+  ASSERT_EQ(sink.received.size(), kCount);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(sink.received[i]->address, i * 0x100) << i;
+    EXPECT_EQ(sink.received[i]->payload,
+              make_payload(256, static_cast<std::uint8_t>(i)))
+        << i;
   }
 }
 
@@ -377,8 +403,8 @@ TEST(Link, ReplaysCostTimeButNotData) {
     std::size_t next = 0;
     std::function<void()> pump = [&] {
       while (next < 500) {
-        Tlp tlp = Tlp::mem_write(0, make_payload(256));
-        if (!link.end_a().can_send(tlp)) return;
+        TlpPtr tlp = Tlp::mem_write(0, make_payload(256));
+        if (!link.end_a().can_send(*tlp)) return;
         link.end_a().send(std::move(tlp));
         ++next;
       }
@@ -415,8 +441,8 @@ TEST(Link, SurpriseDownDuringAReplayKeepsTheReplayBufferInOrder) {
   sched.run();
   EXPECT_EQ(link.end_a().dropped_tlps(), 2u);
   ASSERT_EQ(sink.received.size(), 2u);
-  EXPECT_EQ(sink.received[0].address, 0xA00u);
-  EXPECT_EQ(sink.received[1].address, 0xB00u);
+  EXPECT_EQ(sink.received[0]->address, 0xA00u);
+  EXPECT_EQ(sink.received[1]->address, 0xB00u);
   EXPECT_TRUE(link.end_a().tx_idle());
 }
 
@@ -431,8 +457,8 @@ TEST(Link, SustainedThroughputMatchesPaperPeak) {
   std::uint64_t sent = 0;
   std::function<void()> pump = [&] {
     while (sent < kTotal) {
-      Tlp t = Tlp::mem_write(sent, make_payload(calib::kMaxPayloadBytes));
-      if (!link.end_a().can_send(t)) return;
+      TlpPtr t = Tlp::mem_write(sent, make_payload(calib::kMaxPayloadBytes));
+      if (!link.end_a().can_send(*t)) return;
       link.end_a().send(std::move(t));
       sent += calib::kMaxPayloadBytes;
     }
@@ -452,9 +478,9 @@ TEST(Link, SustainedThroughputMatchesPaperPeak) {
 class LoggingSink : public TlpSink {
  public:
   explicit LoggingSink(std::vector<std::string>& log) : log_(log) {}
-  void on_tlp(Tlp tlp, LinkPort& port) override {
+  void on_tlp(TlpPtr tlp, LinkPort& port) override {
     log_.push_back("deliver");
-    port.release_rx(tlp.wire_bytes());
+    port.release_rx(tlp->wire_bytes());
   }
 
  private:
@@ -496,12 +522,88 @@ TEST(ZeroFlightLink, SurpriseDownMidHopRequeuesForRetrain) {
   sched.run();
   EXPECT_EQ(link.end_a().dropped_tlps(), 1u);
   ASSERT_EQ(sink.received.size(), 2u);
-  EXPECT_EQ(sink.received[0].address, 0x100u);
-  EXPECT_EQ(sink.received[0].payload, first);
-  EXPECT_EQ(sink.received[1].payload, second);
+  EXPECT_EQ(sink.received[0]->address, 0x100u);
+  EXPECT_EQ(sink.received[0]->payload, first);
+  EXPECT_EQ(sink.received[1]->payload, second);
   EXPECT_EQ(sink.arrival_times,
             (std::vector<TimePs>{us(1) + ns(70), us(1) + ns(140)}));
   EXPECT_TRUE(link.end_a().tx_idle());
+}
+
+// --- One object per packet ---------------------------------------------------
+//
+// Every layer passes the TLP's handle, never its value: what reaches a sink
+// is the very object the sender built, whichever data-link path it took.
+
+/// Forwards everything it receives onto another link, as a chip port does.
+class ForwardingSink : public TlpSink {
+ public:
+  explicit ForwardingSink(LinkPort& next) : next_(next) {}
+  void on_tlp(TlpPtr tlp, LinkPort& port) override {
+    port.release_rx(tlp->wire_bytes());
+    ASSERT_TRUE(next_.can_send(*tlp));
+    next_.send(std::move(tlp));
+  }
+
+ private:
+  LinkPort& next_;
+};
+
+TEST(TlpPtr, CrossesTwoChainedLinksAsTheObjectItWasBuiltAs) {
+  sim::Scheduler sched;
+  PcieLink first(sched, {.gen = 2, .lanes = 8});
+  PcieLink second(sched, {.gen = 2, .lanes = 8, .propagation_ps = ns(25)});
+  ForwardingSink relay(second.end_a());
+  RecordingSink sink(sched);
+  first.end_b().set_sink(&relay);
+  second.end_b().set_sink(&sink);
+
+  TlpPtr tlp = Tlp::mem_write(0x4000, make_payload(128, 5));
+  const Tlp* built = tlp.get();
+  const std::byte* bytes = tlp->payload.data();
+  first.end_a().send(std::move(tlp));
+  sched.run();
+
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(sink.received[0].get(), built);
+  EXPECT_EQ(sink.received[0]->payload.data(), bytes);
+  EXPECT_EQ(sink.received[0]->payload, make_payload(128, 5));
+}
+
+TEST(TlpPtr, LcrcReplayRetransmitsTheSameObject) {
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8});
+  RecordingSink sink(sched);
+  link.end_b().set_sink(&sink);
+  link.set_bit_error_rate(1.0);  // the first transmission fails its LCRC
+  TlpPtr tlp = Tlp::mem_write(0x4000, make_payload(64, 6));
+  const Tlp* built = tlp.get();
+  link.end_a().send(std::move(tlp));
+  sched.schedule_at(ns(1), [&] { link.set_bit_error_rate(0); });
+  sched.run();
+
+  EXPECT_EQ(link.end_a().replays(), 1u);
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(sink.received[0].get(), built);
+  EXPECT_EQ(sink.received[0]->payload, make_payload(64, 6));
+}
+
+TEST(TlpPtr, LinkDownRequeueRetransmitsTheSameObject) {
+  sim::Scheduler sched;
+  PcieLink link(sched, {.gen = 2, .lanes = 8, .propagation_ps = us(1)});
+  RecordingSink sink(sched);
+  link.end_b().set_sink(&sink);
+  TlpPtr tlp = Tlp::mem_write(0x4000, make_payload(64, 7));
+  const Tlp* built = tlp.get();
+  link.end_a().send(std::move(tlp));
+  sched.schedule_at(ns(200), [&] { link.set_up(false); });  // on the cable
+  sched.schedule_at(us(2), [&] { link.set_up(true); });
+  sched.run();
+
+  EXPECT_EQ(link.end_a().dropped_tlps(), 1u);
+  ASSERT_EQ(sink.received.size(), 1u);
+  EXPECT_EQ(sink.received[0].get(), built);
+  EXPECT_EQ(sink.received[0]->payload, make_payload(64, 7));
 }
 
 }  // namespace

@@ -195,8 +195,12 @@ TEST(SchedulerStress, CancelledStormDoesNotFire) {
 // --- EventFn ----------------------------------------------------------------
 
 TEST(EventFn, SimCaptureShapesStayInline) {
-  // The capture shapes of the simulator's hot paths: [this] retries,
-  // [this, offset, Payload] GPU commits, and [this, Tlp] link deliveries.
+  // The capture shapes of the simulator's hot paths: [this] retries and
+  // link hops, and the TLP-handle captures: [this, offset, TlpPtr] commits
+  // at the root complex and the GPU, [this, out, gen, TlpPtr] the chip's
+  // route pipeline and [this, TlpPtr] the GPU's read latency. Each carries
+  // the 8-byte handle, never the TLP, and the capture owns it: the event
+  // that runs (or is destroyed unrun) frees the TLP.
   struct Fake {
     int hits = 0;
   } fake;
@@ -205,16 +209,28 @@ TEST(EventFn, SimCaptureShapesStayInline) {
   EventFn small([&fake] { ++fake.hits; });
   EXPECT_FALSE(small.heap_allocated());
 
-  pcie::Tlp tlp;
-  tlp.address = 0x1000;
-  tlp.payload.resize(4096);
-  EventFn delivery([p = &fake, t = std::move(tlp)] { ++p->hits; });
-  static_assert(sizeof(pcie::Tlp) + sizeof(void*) <= EventFn::kInlineBytes);
-  EXPECT_FALSE(delivery.heap_allocated());
+  static_assert(sizeof(pcie::TlpPtr) == sizeof(void*));
+  const std::vector<std::byte> bytes(256, std::byte{0x5A});
+  EventFn commit([p = &fake, offset = std::uint64_t{0x40},
+                  t = pcie::Tlp::mem_write(0x1000, bytes)] {
+    if (t->payload.size() == 256 && offset == 0x40) ++p->hits;
+  });
+  EXPECT_FALSE(commit.heap_allocated());
+  EventFn route([p = &fake, out = 2, gen = std::uint32_t{7},
+                 t = pcie::Tlp::mem_write(0x2000, bytes)] {
+    if (t->address == 0x2000 && out == 2 && gen == 7) ++p->hits;
+  });
+  EXPECT_FALSE(route.heap_allocated());
+  EventFn latency([p = &fake, t = pcie::Tlp::mem_read(0x3000, 64, 1, 2)] {
+    if (t->length == 64) ++p->hits;
+  });
+  EXPECT_FALSE(latency.heap_allocated());
 
   small();
-  delivery();
-  EXPECT_EQ(fake.hits, 2);
+  commit();
+  route();
+  latency();
+  EXPECT_EQ(fake.hits, 4);
   EXPECT_EQ(EventFn::heap_constructions(), before);
 }
 
