@@ -5,8 +5,8 @@
 # Builds Release, then:
 #   1. bench_sim_core — events/sec of sim::Scheduler vs. the seed queue
 #      (bench/seed_scheduler.h) on synthetic churn (gates the >=3x headline
-#      and timer_fire_small >= 1.0x), plus allocation-free / determinism /
-#      seed-equivalence checks.
+#      and timer_fire_small >= 1.0x), plus determinism / seed-equivalence
+#      checks.
 #   2. The collective-library sweeps (bench_coll_allreduce, bench_coll_halo)
 #      against the conventional MPI/IB stack.
 #   3. End-to-end host cost of every full-simulator bench: wall, user and

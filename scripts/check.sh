@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Fast pre-commit gate: Release build with warnings as errors, tca_lint over
-# the whole tree (coroutine-lifetime / determinism / register-map
-# invariants), a clang-tidy baseline diff (skipped when clang-tidy is not
-# installed), full test suite (soak label excluded — run `ctest -L soak` for
-# the long fault campaigns; the `repro` label diffs every full-simulator
-# bench against tests/golden/), a sanitizer pass over the fault, collective,
-# memory, event-queue, poller and link suites, a ~1 s bench_sim_core smoke
-# run (scheduler speedup tripwire + allocation, determinism and
-# seed-equivalence checks),
+# Fast pre-commit gate: Release build with warnings as errors (the
+# register map in src/peach2/registers.h is checked by its static_asserts
+# here), tca_lint over the whole tree (coroutine-lifetime / determinism /
+# protocol-lifecycle invariants and named MMIO offsets), a clang-tidy
+# baseline diff (skipped when clang-tidy is not installed), full test suite
+# (soak label excluded — run `ctest -L soak` for the long fault campaigns;
+# the `repro` label diffs every full-simulator bench against tests/golden/),
+# a sanitizer pass over the fault, collective, memory, event-queue, poller
+# and link suites, a ~1 s bench_sim_core smoke run (scheduler speedup
+# tripwire + determinism and seed-equivalence checks),
 # collective bench smoke runs, a chaos smoke (seeded campaigns with
 # same-seed replay check + committed corpus replay), and tca_explore smoke
 # invocations (--stats, --workload and --trace).

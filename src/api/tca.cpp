@@ -101,6 +101,9 @@ Result<Buffer> Runtime::alloc_gpu(std::uint32_t node, int gpu,
     return Status{ErrorCode::kInvalidArgument,
                   "PEACH2 reaches only GPU0/GPU1 (QPI crossing prohibited)"};
   }
+  if (gpu >= cluster_->node(node).gpu_count()) {
+    return Status{ErrorCode::kInvalidArgument, "node has no such GPU"};
+  }
   auto ptr = cluster_->node(node).gpu(gpu).mem_alloc(bytes);
   if (!ptr.is_ok()) return ptr.status();
   auto pinned = cluster_->driver(node).p2p().pin(gpu, ptr.value(), bytes);

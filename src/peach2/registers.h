@@ -6,29 +6,23 @@
 // may also use the structured accessors directly (the register path and the
 // struct path share the same state).
 //
-// Every register constant carries a structured annotation in its same-line
-// comment, consumed by tools/tca_lint (reg-* rules) and mirrored in the
-// constexpr kRegMap table at the bottom of this header:
-//
-//   // RO | RW | WO          absolute BAR0 register (8 bytes unless span:N)
-//   // RW bank:dma           field relative to a DMA channel bank
-//   // RW bank:route         field relative to a route-table entry
-//   // alias                 channel-0 convenience alias (base + field)
-//   span:N                   register occupies N bytes (e.g. per-port array)
-//
-// The kRegMap table re-states offset/access/bank/span for each register and
-// is validated by static_assert below; tca_lint cross-checks the comments
-// against the table so neither representation can rot alone.
+// kRegMap at the bottom of this header is the one machine-readable
+// statement of the layout: each register's offset, access, bank and span.
+// The static_asserts after it check the table on every build that includes
+// this header, and tests/peach2_test.cpp (RegMap) feeds the same validators
+// a table with each kind of defect.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace tca::peach2::regs {
 
 // -- Identification ----------------------------------------------------------
-inline constexpr std::uint64_t kChipId = 0x000;       // RO
-inline constexpr std::uint64_t kLogicVersion = 0x008; // RO
-inline constexpr std::uint64_t kNodeId = 0x010;       // RW
+inline constexpr std::uint64_t kChipId = 0x000;
+inline constexpr std::uint64_t kLogicVersion = 0x008;
+inline constexpr std::uint64_t kNodeId = 0x010;
 
 /// Value of kChipId: "PEACH2" in ASCII.
 inline constexpr std::uint64_t kChipIdValue = 0x0000'3248'4341'4550ull;
@@ -45,42 +39,28 @@ inline constexpr std::uint64_t kDmaBankStride = 0x80;
 inline constexpr std::uint64_t kDmaChannelBanks = 4;
 
 // Offsets within a channel bank:
-inline constexpr std::uint64_t kDmaBankTableAddr = 0x00;  // RW bank:dma
-inline constexpr std::uint64_t kDmaBankCount = 0x08;      // RW bank:dma
-inline constexpr std::uint64_t kDmaBankDoorbell = 0x10;   // WO bank:dma
-inline constexpr std::uint64_t kDmaBankStatus = 0x18;     // RO bank:dma
-inline constexpr std::uint64_t kDmaBankIntAck = 0x20;     // WO bank:dma
-inline constexpr std::uint64_t kDmaBankImmSrc = 0x28;     // RW bank:dma
-inline constexpr std::uint64_t kDmaBankImmDst = 0x30;     // RW bank:dma
-inline constexpr std::uint64_t kDmaBankImmLen = 0x38;     // RW bank:dma: len|dir<<32
-inline constexpr std::uint64_t kDmaBankImmKick = 0x40;    // WO bank:dma
-inline constexpr std::uint64_t kDmaBankWriteback = 0x48;  // RW bank:dma
+inline constexpr std::uint64_t kDmaBankTableAddr = 0x00;
+inline constexpr std::uint64_t kDmaBankCount = 0x08;
+inline constexpr std::uint64_t kDmaBankDoorbell = 0x10;
+inline constexpr std::uint64_t kDmaBankStatus = 0x18;
+inline constexpr std::uint64_t kDmaBankIntAck = 0x20;
+inline constexpr std::uint64_t kDmaBankImmSrc = 0x28;
+inline constexpr std::uint64_t kDmaBankImmDst = 0x30;
+/// Immediate descriptor length | direction << 32.
+inline constexpr std::uint64_t kDmaBankImmLen = 0x38;
+inline constexpr std::uint64_t kDmaBankImmKick = 0x40;
+inline constexpr std::uint64_t kDmaBankWriteback = 0x48;
 /// Per-bank error info: failing descriptor index | error code << 32.
 /// Valid while kDmaStatusError is set; cleared by the next doorbell/kick.
-inline constexpr std::uint64_t kDmaBankErrInfo = 0x50;    // RO bank:dma
+inline constexpr std::uint64_t kDmaBankErrInfo = 0x50;
 
 constexpr std::uint64_t dma_bank(int channel, std::uint64_t field) {
   return kDmaBankBase +
          static_cast<std::uint64_t>(channel) * kDmaBankStride + field;
 }
 
-// Channel-0 conveniences (the common single-channel path).
-inline constexpr std::uint64_t kDmaTableAddr =  // alias
-    kDmaBankBase + kDmaBankTableAddr;
-inline constexpr std::uint64_t kDmaCount = kDmaBankBase + kDmaBankCount;  // alias
-inline constexpr std::uint64_t kDmaDoorbell =  // alias
-    kDmaBankBase + kDmaBankDoorbell;
-inline constexpr std::uint64_t kDmaStatus = kDmaBankBase + kDmaBankStatus;  // alias
-inline constexpr std::uint64_t kIntAck = kDmaBankBase + kDmaBankIntAck;  // alias
-inline constexpr std::uint64_t kDmaImmSrc = kDmaBankBase + kDmaBankImmSrc;  // alias
-inline constexpr std::uint64_t kDmaImmDst = kDmaBankBase + kDmaBankImmDst;  // alias
-inline constexpr std::uint64_t kDmaImmLen = kDmaBankBase + kDmaBankImmLen;  // alias
-inline constexpr std::uint64_t kDmaImmKick =  // alias
-    kDmaBankBase + kDmaBankImmKick;
-inline constexpr std::uint64_t kDmaWritebackAddr =  // alias
-    kDmaBankBase + kDmaBankWriteback;
-
-inline constexpr std::uint64_t kMailboxCount = 0x048;  // RO: acks received
+/// PEARL delivery notifications (acks) received.
+inline constexpr std::uint64_t kMailboxCount = 0x048;
 
 /// kDmaBankStatus bits.
 inline constexpr std::uint64_t kDmaStatusBusy = 1ull << 0;
@@ -91,9 +71,11 @@ inline constexpr std::uint64_t kDmaStatusError = 1ull << 2;
 // A sticky error-status register, a mask register gating the error
 // interrupt, and a write-1-to-clear acknowledge. Unmasked bits raising in
 // kErrStatus fire the chip's error interrupt toward the driver.
-inline constexpr std::uint64_t kErrStatus = 0x0b0;  // RO: sticky
-inline constexpr std::uint64_t kErrMask = 0x0b8;    // RW: 1 = masked
-inline constexpr std::uint64_t kErrAck = 0x0c0;     // WO: write-1-to-clear
+inline constexpr std::uint64_t kErrStatus = 0x0b0;
+/// A set bit masks that error's interrupt.
+inline constexpr std::uint64_t kErrMask = 0x0b8;
+/// Write 1 to a bit to clear it in kErrStatus.
+inline constexpr std::uint64_t kErrAck = 0x0c0;
 
 /// kErrStatus bits.
 inline constexpr std::uint64_t kErrCompletionTimeout = 1ull << 0;
@@ -102,12 +84,12 @@ inline constexpr std::uint64_t kErrReplayThreshold = 1ull << 2;
 inline constexpr std::uint64_t kErrDmaAbort = 1ull << 3;
 
 // -- Address conversion (Section III-E, "only at Port N") --------------------
-inline constexpr std::uint64_t kConvWindowBase = 0x080;  // RW
-inline constexpr std::uint64_t kConvWindowSize = 0x088;  // RW
-inline constexpr std::uint64_t kConvNodeCount = 0x090;   // RW
-inline constexpr std::uint64_t kConvLocalGpu0 = 0x098;   // RW
-inline constexpr std::uint64_t kConvLocalGpu1 = 0x0a0;   // RW
-inline constexpr std::uint64_t kConvLocalHost = 0x0a8;   // RW
+inline constexpr std::uint64_t kConvWindowBase = 0x080;
+inline constexpr std::uint64_t kConvWindowSize = 0x088;
+inline constexpr std::uint64_t kConvNodeCount = 0x090;
+inline constexpr std::uint64_t kConvLocalGpu0 = 0x098;
+inline constexpr std::uint64_t kConvLocalGpu1 = 0x0a0;
+inline constexpr std::uint64_t kConvLocalHost = 0x0a8;
 
 // -- Routing table -----------------------------------------------------------
 // Entry i occupies 4 consecutive 64-bit registers starting at
@@ -116,33 +98,35 @@ inline constexpr std::uint64_t kConvLocalHost = 0x0a8;   // RW
 inline constexpr std::uint64_t kRouteBase = 0x400;
 inline constexpr std::uint64_t kRouteStride = 0x20;
 inline constexpr std::uint64_t kRouteEntries = 64;
-inline constexpr std::uint64_t kRouteMask = 0x00;   // RW bank:route
-inline constexpr std::uint64_t kRouteLower = 0x08;  // RW bank:route
-inline constexpr std::uint64_t kRouteUpper = 0x10;  // RW bank:route
-inline constexpr std::uint64_t kRoutePort = 0x18;   // RW bank:route
+inline constexpr std::uint64_t kRouteMask = 0x00;
+inline constexpr std::uint64_t kRouteLower = 0x08;
+inline constexpr std::uint64_t kRouteUpper = 0x10;
+/// A PortId; a write naming no PortId is ignored.
+inline constexpr std::uint64_t kRoutePort = 0x18;
 
 // -- NIOS management processor ----------------------------------------------
 // Link status per port (N/E/W/S/Y-/Z+/Z-), maintained by the management
-// firmware. One 64-bit word per physical port (7 in the torus build).
-inline constexpr std::uint64_t kLinkStatusBase = 0xc00;  // RO span:56: + 8*port
+// firmware. One 64-bit word per physical port (7 in the torus build), at
+// kLinkStatusBase + 8 * port.
+inline constexpr std::uint64_t kLinkStatusBase = 0xc00;
 inline constexpr std::uint64_t kLinkUp = 1;
 inline constexpr std::uint64_t kLinkDown = 0;
 
 // Firmware telemetry and the management-command mailbox.
-inline constexpr std::uint64_t kNiosEventCount = 0xc40;  // RO
-inline constexpr std::uint64_t kNiosUptime = 0xc48;      // RO: nanoseconds
-inline constexpr std::uint64_t kNiosCmd = 0xc50;         // WO
-inline constexpr std::uint64_t kNiosPingCount = 0xc58;   // RO
-inline constexpr std::uint64_t kNiosLastEvent = 0xc60;   // RO: port | up<<8
+inline constexpr std::uint64_t kNiosEventCount = 0xc40;
+/// Firmware uptime in nanoseconds.
+inline constexpr std::uint64_t kNiosUptime = 0xc48;
+inline constexpr std::uint64_t kNiosCmd = 0xc50;
+inline constexpr std::uint64_t kNiosPingCount = 0xc58;
+/// Last link event: port | up << 8.
+inline constexpr std::uint64_t kNiosLastEvent = 0xc60;
 
 /// Register window size (must fit in the BAR claimed by the node).
 inline constexpr std::uint64_t kWindowBytes = 64 << 10;
 
-// -- Machine-checkable register map ------------------------------------------
-// One row per register: the same offset/access/bank/span facts as the
-// annotated constants above, in a form both static_assert and tca_lint can
-// consume. Keep the two in sync — the linter's reg-table-mismatch rule
-// flags any drift.
+// -- Register map -------------------------------------------------------------
+// One row per register: its offset (absolute, or within its DMA channel
+// bank or route-table entry), access and span in bytes.
 
 enum class RegAccess : std::uint8_t { kRO, kRW, kWO };
 enum class RegBank : std::uint8_t { kGlobal, kDmaChannel, kRouteEntry };
@@ -214,28 +198,32 @@ constexpr std::uint64_t reg_limit(RegBank bank) {
   return 0;
 }
 
+}  // namespace detail
+
 /// All MMIO is 64-bit: every offset and span is a multiple of 8 bytes.
-constexpr bool reg_map_aligned() {
-  for (const RegSpec& r : kRegMap) {
+constexpr bool reg_map_aligned(std::span<const RegSpec> map) {
+  for (const RegSpec& r : map) {
     if (r.span == 0 || r.span % 8 != 0 || r.offset % 8 != 0) return false;
   }
   return true;
 }
 
 /// Globals fit the BAR0 window; bank fields fit their bank stride.
-constexpr bool reg_map_in_bounds() {
-  for (const RegSpec& r : kRegMap) {
-    if (r.offset + r.span > reg_limit(r.bank)) return false;
+constexpr bool reg_map_in_bounds(std::span<const RegSpec> map) {
+  for (const RegSpec& r : map) {
+    if (r.offset + r.span > detail::reg_limit(r.bank)) return false;
   }
   return true;
 }
 
 /// No two registers of the same bank kind overlap.
-constexpr bool reg_map_disjoint() {
-  for (const RegSpec& a : kRegMap) {
-    for (const RegSpec& b : kRegMap) {
-      if (&a == &b || a.bank != b.bank) continue;
-      if (a.offset < b.offset + b.span && b.offset < a.offset + a.span) {
+constexpr bool reg_map_disjoint(std::span<const RegSpec> map) {
+  for (std::size_t i = 0; i < map.size(); ++i) {
+    for (std::size_t j = i + 1; j < map.size(); ++j) {
+      const RegSpec& a = map[i];
+      const RegSpec& b = map[j];
+      if (a.bank == b.bank && a.offset < b.offset + b.span &&
+          b.offset < a.offset + a.span) {
         return false;
       }
     }
@@ -245,8 +233,8 @@ constexpr bool reg_map_disjoint() {
 
 /// Absolute registers must not fall inside a decoded bank region — the
 /// chip's address decoder would shadow them.
-constexpr bool reg_map_outside_bank_regions() {
-  for (const RegSpec& r : kRegMap) {
+constexpr bool reg_map_outside_bank_regions(std::span<const RegSpec> map) {
+  for (const RegSpec& r : map) {
     if (r.bank != RegBank::kGlobal) continue;
     const std::uint64_t end = r.offset + r.span;
     if (r.offset < kDmaRegionEnd && end > kDmaBankBase) return false;
@@ -255,15 +243,13 @@ constexpr bool reg_map_outside_bank_regions() {
   return true;
 }
 
-}  // namespace detail
-
-static_assert(detail::reg_map_aligned(),
+static_assert(reg_map_aligned(kRegMap),
               "register offsets/spans must be 8-byte aligned");
-static_assert(detail::reg_map_in_bounds(),
+static_assert(reg_map_in_bounds(kRegMap),
               "registers must fit their window/bank stride");
-static_assert(detail::reg_map_disjoint(),
+static_assert(reg_map_disjoint(kRegMap),
               "register offsets must not overlap within a bank kind");
-static_assert(detail::reg_map_outside_bank_regions(),
+static_assert(reg_map_outside_bank_regions(kRegMap),
               "absolute registers must not shadow DMA/route bank regions");
 static_assert(kDmaRegionEnd <= kRouteBase,
               "DMA channel banks must end at or before the route table");

@@ -1,12 +1,13 @@
-// Frame arena: pooled allocation for coroutine frames and EventFn heap
-// fallbacks.
+// Frame arena: pooled allocation for coroutine frames, TLPs and TLP
+// payloads.
 //
-// Simulated processes (sim::Task coroutines) and oversized event captures are
-// the last steady-state heap traffic in the event core: every Task spawn is a
-// frame malloc and every completion a free, straight through the global
-// allocator. FrameArena replaces that with bump-allocated chunks recycled
-// through size-class free lists, one arena per scheduler, so a simulation's
-// churn of short-lived frames touches only its own warm memory.
+// Simulated processes (sim::Task coroutines) and TLPs are the event core's
+// steady-state allocations: every Task spawn is a frame malloc and every
+// completion a free, and each TLP and its payload a block apiece, straight
+// through the global allocator. FrameArena replaces that with bump-allocated
+// chunks recycled through size-class free lists, one arena per scheduler, so
+// a simulation's churn of short-lived blocks touches only its own warm
+// memory.
 //
 // Design:
 //  * allocate() rounds the request up to a 64-byte size class (classes up to

@@ -171,8 +171,8 @@ class IndexedQueue {
   IndexedQueue& operator=(const IndexedQueue&) = delete;
 
   /// Files `fn` at (t, seq). `now` must be the caller's current clock
-  /// (<= t); it anchors the ring's horizon. Captures up to
-  /// EventFn::kInlineBytes are constructed directly in their slot, no
+  /// (<= t); it anchors the ring's horizon. The capture is constructed
+  /// directly in its slot (EventFn stores every callable inline), no
   /// allocation.
   template <typename F>
   Ref schedule(TimePs t, TimePs now, std::uint64_t seq, F&& fn) {

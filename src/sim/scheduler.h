@@ -152,7 +152,7 @@ class Scheduler {
   /// Queue events fired. Poll ticks are not queue events and do not count.
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// The frame arena (coroutine frames and EventFn heap fallbacks allocated
+  /// The frame arena (coroutine frames, TLPs and their payloads allocated
   /// during event execution recycle through it).
   [[nodiscard]] FrameArena& arena() { return arena_; }
 
@@ -234,7 +234,7 @@ class Scheduler {
   std::uint64_t seq_ = 0;
 
   // The arena is declared before the queue so pending EventFns (whose
-  // heap-fallback captures may live in the arena) are destroyed while the
+  // captures may own arena blocks: TLP handles) are destroyed while the
   // arena is still alive.
   FrameArena arena_;
   IndexedQueue queue_;

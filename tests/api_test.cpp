@@ -696,6 +696,17 @@ TEST(RuntimeCreate, RejectsBadBackingStores) {
   EXPECT_FALSE(Runtime::create(sched, cfg).is_ok());
 }
 
+TEST(RuntimeCreate, AllocGpuRejectsAGpuTheNodeDoesNotHave) {
+  sim::Scheduler sched;
+  TcaConfig cfg = small_config();
+  cfg.node_config.gpu_count = 1;
+  auto rt = Runtime::create(sched, cfg);
+  ASSERT_TRUE(rt.is_ok()) << rt.status().to_string();
+  EXPECT_TRUE(rt.value().alloc_gpu(0, 0, 4096).is_ok());
+  EXPECT_EQ(rt.value().alloc_gpu(0, 1, 4096).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
 TEST(Buffer, GpuIndexIsEmptyForHostBuffers) {
   sim::Scheduler sched;
   Runtime rt(sched, small_config());

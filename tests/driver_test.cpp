@@ -172,6 +172,27 @@ TEST(Driver, PolledChainReportsItsOwnStatus) {
   EXPECT_TRUE(drv.chain_status(0).is_ok()) << drv.chain_status(0).to_string();
 }
 
+// A direction naming none of the three is a descriptor error on either
+// source: the immediate length register's bits 33:32 can hold 3, and a
+// table entry's direction word any value. Nothing moves.
+TEST(Driver, UnknownDirectionFailsTheDescriptorOnBothSources) {
+  for (const Source source : {Source::kTable, Source::kImmediate}) {
+    SCOPED_TRACE(source == Source::kTable ? "table" : "immediate");
+    Rig rig;
+    Peach2Driver& drv = rig.cluster.driver(0);
+    rig.cluster.chip(0).internal_ram().write(0, pattern(4096, 11));
+    const DmaDescriptor desc{.src = drv.internal_global(0),
+                             .dst = rig.cluster.global_host(1, 0x4000),
+                             .length = 4096,
+                             .direction = static_cast<DmaDirection>(3)};
+    auto t = drv.run_chain({desc}, 0, 0, source);
+    rig.sched.run();
+    ASSERT_TRUE(t.done());
+    EXPECT_EQ(drv.chain_status(0).code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(rig.cluster.chip(0).dmac(0).bytes_written(), 0u);
+  }
+}
+
 TEST(Driver, ImmediatePolledSkipsTheTableFetchAndTheInterrupt) {
   Rig rig;
   Peach2Driver& drv = rig.cluster.driver(0);
@@ -268,16 +289,17 @@ TEST(Driver, RegisterRoundTripThroughWindow) {
   // Named closures: a temporary lambda dies at the semicolon while the
   // eager coroutine is still suspended on MMIO, dangling its captures.
   auto prog_fn = [&]() -> sim::Task<> {
-    co_await drv.write_register(regs::kDmaTableAddr, 0xABCD'0000ull);
+    co_await drv.write_register(regs::dma_bank(0, regs::kDmaBankTableAddr),
+                                0xABCD'0000ull);
   };
   auto prog = prog_fn();
   rig.sched.run();
   // Readback through the same MMIO path (write_register went to the DMAC;
-  // the register file reflects it via kDmaWritebackAddr read slot; the
+  // the register file reflects it via the kDmaBankWriteback read slot; the
   // table address itself is write-only in hardware, so verify behaviorally:
   // the DMAC sees it on doorbell with count 0 -> error, not a crash).
   auto err_fn = [&]() -> sim::Task<> {
-    co_await drv.write_register(regs::kDmaDoorbell, 1);
+    co_await drv.write_register(regs::dma_bank(0, regs::kDmaBankDoorbell), 1);
   };
   auto err = err_fn();
   rig.sched.run();

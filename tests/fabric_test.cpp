@@ -275,7 +275,9 @@ TEST(SubCluster, RemoteReadRejectedPutOnly) {
   sched.run();
   ASSERT_TRUE(t.done());
   EXPECT_GT(tca.chip(0).dmac().errors(), 0u);
-  EXPECT_NE(tca.chip(0).read_register(peach2::regs::kDmaStatus) & 4, 0u);
+  namespace r = peach2::regs;
+  EXPECT_NE(tca.chip(0).read_register(r::dma_bank(0, r::kDmaBankStatus)) & 4,
+            0u);
 }
 
 TEST(SubCluster, PipelinedDescriptorMovesHostToRemoteHost) {

@@ -242,10 +242,13 @@ TEST(DmacErrors, ImmediateKickValidatesLength) {
 
   // Named closure: it must outlive the suspended coroutine (see above).
   auto prog_fn = [&]() -> sim::Task<> {
-    co_await drv.write_register(r::kDmaImmSrc, drv.internal_global(0));
-    co_await drv.write_register(r::kDmaImmDst, tca.global_host(1, 0));
-    co_await drv.write_register(r::kDmaImmLen, 0);  // zero length
-    co_await drv.write_register(r::kDmaImmKick, 1);
+    co_await drv.write_register(r::dma_bank(0, r::kDmaBankImmSrc),
+                                drv.internal_global(0));
+    co_await drv.write_register(r::dma_bank(0, r::kDmaBankImmDst),
+                                tca.global_host(1, 0));
+    // Zero length: the kick latches an error instead of starting.
+    co_await drv.write_register(r::dma_bank(0, r::kDmaBankImmLen), 0);
+    co_await drv.write_register(r::dma_bank(0, r::kDmaBankImmKick), 1);
   };
   auto prog = prog_fn();
   sched.run();
@@ -268,8 +271,10 @@ TEST(DmacErrors, DoorbellWhileBusyIgnored) {
   sched.run_for(us(5));
   EXPECT_TRUE(tca.chip(0).dmac().busy());
   const auto chains_before = tca.chip(0).dmac().chains_completed();
-  tca.chip(0).write_register(peach2::regs::kDmaDoorbell, 1);  // ignored
-  tca.chip(0).write_register(peach2::regs::kDmaImmKick, 1);   // ignored
+  namespace r = peach2::regs;
+  // Both ignored while the engine is busy.
+  tca.chip(0).write_register(r::dma_bank(0, r::kDmaBankDoorbell), 1);
+  tca.chip(0).write_register(r::dma_bank(0, r::kDmaBankImmKick), 1);
   sched.run();
   EXPECT_EQ(tca.chip(0).dmac().chains_completed(), chains_before + 1);
 }

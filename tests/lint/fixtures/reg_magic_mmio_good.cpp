@@ -12,7 +12,8 @@ void write_register(unsigned long offset, unsigned long value);
 
 void poke(Chip& chip) {
   chip.write_register(regs::dma_bank(1, regs::kDmaBankTableAddr), 1);
-  const auto status = chip.read_register(regs::kDmaStatus);
+  const auto status =
+      chip.read_register(regs::dma_bank(0, regs::kDmaBankStatus));
   (void)status;
   const auto doorbell = regs::dma_bank(1, regs::kDmaBankDoorbell);
   (void)doorbell;

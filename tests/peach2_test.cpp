@@ -1,9 +1,15 @@
 // Unit tests for PEACH2 building blocks: the TCA address layout, the
-// mask/bound routing table, and DMA descriptor serialization.
+// mask/bound routing table, DMA descriptor serialization, and the BAR0
+// register map's validators.
+#include <algorithm>
+#include <array>
+#include <iterator>
+
 #include <gtest/gtest.h>
 
 #include "calib/calibration.h"
 #include "peach2/descriptor.h"
+#include "peach2/registers.h"
 #include "peach2/routing.h"
 #include "peach2/tca_layout.h"
 
@@ -166,6 +172,78 @@ TEST(PortId, Names) {
 TEST(TcaTarget, Names) {
   EXPECT_STREQ(to_string(TcaTarget::kGpu0), "GPU0");
   EXPECT_STREQ(to_string(TcaTarget::kHost), "HOST");
+}
+
+// --- Register map -------------------------------------------------------------
+//
+// registers.h static_asserts the four validators over kRegMap. Here each
+// validator meets the real map plus one defective row: the validator whose
+// static_assert covers that defect must reject the table. Each result is a
+// constant expression, so the same table in registers.h fails the build.
+
+using regs::RegAccess;
+using regs::RegBank;
+using regs::RegSpec;
+
+constexpr std::size_t kRows = std::size(regs::kRegMap);
+
+/// kRegMap with `extra` appended.
+constexpr std::array<RegSpec, kRows + 1> with_row(RegSpec extra) {
+  std::array<RegSpec, kRows + 1> map{};
+  std::copy(std::begin(regs::kRegMap), std::end(regs::kRegMap), map.begin());
+  map[kRows] = extra;
+  return map;
+}
+
+TEST(RegMap, RealMapPassesEveryValidator) {
+  constexpr bool aligned = regs::reg_map_aligned(regs::kRegMap);
+  constexpr bool in_bounds = regs::reg_map_in_bounds(regs::kRegMap);
+  constexpr bool disjoint = regs::reg_map_disjoint(regs::kRegMap);
+  constexpr bool outside =
+      regs::reg_map_outside_bank_regions(regs::kRegMap);
+  EXPECT_TRUE(aligned);
+  EXPECT_TRUE(in_bounds);
+  EXPECT_TRUE(disjoint);
+  EXPECT_TRUE(outside);
+}
+
+TEST(RegMap, MisalignedOffsetIsRejected) {
+  constexpr auto map =
+      with_row({0x004, RegAccess::kRO, RegBank::kGlobal, "kMisaligned"});
+  constexpr bool ok = regs::reg_map_aligned(map);
+  EXPECT_FALSE(ok);
+}
+
+TEST(RegMap, DuplicateOffsetIsRejected) {
+  // kNodeId already sits at 0x010.
+  constexpr auto map =
+      with_row({0x010, RegAccess::kRW, RegBank::kGlobal, "kDuplicate"});
+  constexpr bool ok = regs::reg_map_disjoint(map);
+  EXPECT_FALSE(ok);
+}
+
+TEST(RegMap, RegisterPastTheWindowIsRejected) {
+  static_assert(0x10000 >= regs::kWindowBytes);
+  constexpr auto map =
+      with_row({0x10000, RegAccess::kRO, RegBank::kGlobal, "kOutOfWindow"});
+  constexpr bool ok = regs::reg_map_in_bounds(map);
+  EXPECT_FALSE(ok);
+}
+
+TEST(RegMap, GlobalInsideTheDmaBanksIsRejected) {
+  static_assert(0x280 >= regs::kDmaBankBase && 0x280 < regs::kDmaRegionEnd);
+  constexpr auto map =
+      with_row({0x280, RegAccess::kRW, RegBank::kGlobal, "kShadowed"});
+  constexpr bool ok = regs::reg_map_outside_bank_regions(map);
+  EXPECT_FALSE(ok);
+}
+
+TEST(RegMap, DmaFieldPastTheBankStrideIsRejected) {
+  static_assert(0x80 >= regs::kDmaBankStride);
+  constexpr auto map =
+      with_row({0x80, RegAccess::kRW, RegBank::kDmaChannel, "kOverflow"});
+  constexpr bool ok = regs::reg_map_in_bounds(map);
+  EXPECT_FALSE(ok);
 }
 
 }  // namespace

@@ -697,7 +697,7 @@ Task<> wait_and_log(Scheduler& sched, bool use_poller, TimePs period,
                             std::to_string(sched.now());
     log.push_back("test " + tag);
     sched.schedule_after(period,
-                         [&log, tag] { log.push_back("probe " + tag); });
+                         [&log, t = tag] { log.push_back("probe " + t); });
     return flag;
   };
   if (use_poller) {

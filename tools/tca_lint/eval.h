@@ -1,9 +1,8 @@
-// Minimal constant-expression evaluator shared by the register-map rules
-// (rules_registers.cpp) and the collective flag-partition rules
-// (rules_protocol.cpp): numbers, known identifiers, parentheses,
-// * + - << >> | &. Covers every right-hand side in registers.h and every
-// flag-region expression in src/coll; anything else reports failure and the
-// caller decides whether that is an error or an ignorable constant.
+// Minimal constant-expression evaluator for the collective flag-partition
+// rule (rules_protocol.cpp): numbers, known identifiers, parentheses,
+// * + - << >> | &. Covers every flag-region expression in src/coll and the
+// constants they name; anything else reports failure and the caller
+// decides whether that is an error or an ignorable constant.
 #pragma once
 
 #include <cerrno>

@@ -2,7 +2,7 @@
 //
 // Not a compiler front end: produces just enough structure for the rule
 // matchers — identifiers, numbers, strings, and punctuation with line
-// numbers, comments collected per line (suppressions and register-map
+// numbers, comments collected per line (suppressions and protocol
 // annotations live in comments), string/char-literal *contents* dropped from
 // the token stream so rule keywords quoted in messages or tables never
 // trigger the rules themselves.

@@ -117,7 +117,6 @@ struct FileEntry {
   std::string text;
   LexedFile lexed;
   rules::FileScope scope;
-  bool is_registers = false;
 };
 
 }  // namespace
@@ -133,20 +132,13 @@ std::vector<std::string> rule_ids() {
       "det-unordered-iter",
       "det-shard-shared-state",
       "reg-magic-mmio",
-      "reg-misaligned",
-      "reg-dup-offset",
-      "reg-out-of-window",
-      "reg-field-overflow",
-      "reg-bank-overlap",
-      "reg-bad-alias",
-      "reg-table-mismatch",
-      "reg-map-parse",
       "proto-leak",
       "proto-double-release",
       "proto-ack-before-commit",
       "proto-bad-annotation",
       "coll-flag-overlap",
       "lint-bad-suppression",
+      "lint-unreadable-file",
   };
 }
 
@@ -155,12 +147,11 @@ std::vector<Finding> run_lint(const Options& opts) {
   std::vector<Finding> out;
 
   auto add_file = [&files](const std::string& path,
-                           const rules::FileScope& scope, bool is_regs) {
+                           const rules::FileScope& scope) {
     FileEntry fe;
     fe.path = path;
     if (!read_file(path, &fe.text)) return false;
     fe.scope = scope;
-    fe.is_registers = is_regs;
     files.push_back(std::move(fe));
     return true;
   };
@@ -194,20 +185,14 @@ std::vector<Finding> run_lint(const Options& opts) {
       // messages legitimately and tools/ documents the grammar, so neither
       // registers effects nor gets lifecycle-checked.
       scope.check_protocol = path_contains(p, "src/");
-      add_file(p, scope, path_contains(p, "peach2/registers.h"));
+      add_file(p, scope);
     }
   }
 
   for (const std::string& p : opts.files) {
     rules::FileScope scope;  // explicit files: every rule active
-    if (!add_file(p, scope, false)) {
-      out.push_back({p, 0, "reg-map-parse", "cannot read file"});
-    }
-  }
-  if (!opts.registers_path.empty()) {
-    if (!add_file(opts.registers_path, rules::FileScope{}, true)) {
-      out.push_back(
-          {opts.registers_path, 0, "reg-map-parse", "cannot read file"});
+    if (!add_file(p, scope)) {
+      out.push_back({p, 0, "lint-unreadable-file", "cannot read file"});
     }
   }
 
@@ -252,9 +237,6 @@ std::vector<Finding> run_lint(const Options& opts) {
     }
     if (fe.scope.check_protocol) {
       rules::check_protocol(fe.path, lf, ctx, file_findings);
-    }
-    if (fe.is_registers) {
-      rules::check_register_map(fe.path, lf, file_findings);
     }
     apply_suppressions(fe.path, lf, &file_findings);
     out.insert(out.end(), file_findings.begin(), file_findings.end());

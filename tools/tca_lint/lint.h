@@ -35,24 +35,11 @@
 //                            std::atomic/thread_local leaks between them
 //                            and races.
 //
-//  register map (src/peach2/registers.h + MMIO call sites)
+//  register map call sites (the map itself is src/peach2/registers.h's
+//  kRegMap, checked by its static_asserts on every build)
 //    reg-magic-mmio          write_register/read_register/dma_bank called
 //                            with a literal integer offset instead of a
 //                            regs:: constant.
-//    reg-misaligned          register offset not 8-byte aligned (all MMIO
-//                            is 64-bit).
-//    reg-dup-offset          two registers in the same bank namespace
-//                            overlap.
-//    reg-out-of-window       absolute offset outside [0, kWindowBytes).
-//    reg-field-overflow      bank-relative field outside its bank stride.
-//    reg-bank-overlap        absolute register falling inside the DMA
-//                            channel-bank or route-table region.
-//    reg-bad-alias           channel-0 alias that is not kDmaBankBase +
-//                            <field>.
-//    reg-table-mismatch      annotated register constant missing from
-//                            kRegMap, or vice versa.
-//    reg-map-parse           registers.h no longer parses (missing base
-//                            constants, unevaluable annotated offset).
 //
 //  protocol lifecycle (flow-sensitive, over the CFGs of cfg.h; driven by
 //  `// tca-protocol:` / `// tca-flags:` annotations — grammar in
@@ -84,6 +71,9 @@
 // line as the finding or the line directly above. The justification is
 // mandatory; a malformed or bare allow is itself a finding
 // (lint-bad-suppression).
+//
+// An explicit file that cannot be read is a finding too
+// (lint-unreadable-file), so a mistyped path fails the run.
 #pragma once
 
 #include <map>
@@ -103,14 +93,11 @@ struct Finding {
 
 struct Options {
   /// Project root: scans src/, tests/, tools/, examples/, bench/ (*.h,
-  /// *.cpp), excluding lint fixtures, and analyzes src/peach2/registers.h.
-  /// Path-scoped rule exemptions apply (bench/ may read the wall clock;
+  /// *.cpp), excluding lint fixtures. Path-scoped rule exemptions apply (bench/ may read the wall clock;
   /// common/rng may touch raw generators).
   std::string root;
   /// Explicit files to lint with *all* rules active (fixtures/tests).
   std::vector<std::string> files;
-  /// Explicit register-map header to analyze (fixtures/tests).
-  std::string registers_path;
 };
 
 /// Runs the configured lint; findings are sorted by (file, line, rule).
@@ -162,8 +149,6 @@ void check_determinism(const std::string& path, const LexedFile& f,
                        std::vector<Finding>& out);
 void check_magic_mmio(const std::string& path, const LexedFile& f,
                       std::vector<Finding>& out);
-void check_register_map(const std::string& path, const LexedFile& f,
-                        std::vector<Finding>& out);
 void check_protocol(const std::string& path, const LexedFile& f,
                     const Context& ctx, std::vector<Finding>& out);
 

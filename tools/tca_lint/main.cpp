@@ -2,7 +2,6 @@
 //
 //   tca_lint --root .                     lint the whole project
 //   tca_lint file.cpp [file2.cpp ...]     lint explicit files (all rules)
-//   tca_lint --registers path/to/regs.h   analyze a register map header
 //   tca_lint --sarif out.sarif            also write SARIF 2.1.0 for code
 //                                         scanning upload
 //   tca_lint --list-rules                 print the rule catalogue
@@ -20,8 +19,8 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: tca_lint [--root DIR] [--registers FILE] "
-               "[--sarif FILE] [--quiet] [--list-rules] [files...]\n");
+               "usage: tca_lint [--root DIR] [--sarif FILE] [--quiet] "
+               "[--list-rules] [files...]\n");
   return 2;
 }
 
@@ -105,9 +104,6 @@ int main(int argc, char** argv) {
     if (arg == "--root") {
       if (++i >= argc) return usage();
       opts.root = argv[i];
-    } else if (arg == "--registers") {
-      if (++i >= argc) return usage();
-      opts.registers_path = argv[i];
     } else if (arg == "--sarif") {
       if (++i >= argc) return usage();
       sarif_path = argv[i];
@@ -127,10 +123,7 @@ int main(int argc, char** argv) {
       opts.files.push_back(arg);
     }
   }
-  if (opts.root.empty() && opts.files.empty() &&
-      opts.registers_path.empty()) {
-    return usage();
-  }
+  if (opts.root.empty() && opts.files.empty()) return usage();
 
   const std::vector<tca::lint::Finding> findings = tca::lint::run_lint(opts);
   if (!quiet) {

@@ -1,410 +1,16 @@
-// Register-map consistency rules.
+// Register-map call-site rule.
 //
 // src/peach2/registers.h is the contract between the driver and the chip
-// (Fig. 5 address-range registers): every offset the driver touches must be
-// a named constant, and the named constants must describe a well-formed
-// BAR0 window. The header is parsed directly — constants are evaluated with
-// a tiny constant-expression evaluator, classification comes from the
-// structured comment annotations:
-//
-//   // RO | RW | WO          absolute BAR0 register (8 bytes unless span:N)
-//   // RW bank:dma           field relative to a DMA channel bank
-//   // RW bank:route         field relative to a route-table entry
-//   // alias                 channel-0 convenience alias (base + field)
-//   span:N                   register occupies N bytes (e.g. per-port array)
-//
-// The same facts are re-stated in the header's constexpr kRegMap table
-// (enforced by static_assert at compile time); the linter cross-checks the
-// two representations so neither can rot alone.
-#include <algorithm>
-#include <cstdint>
-#include <map>
+// (Fig. 5 address-range registers). Its kRegMap table and static_asserts
+// check the map itself on every build; what the compiler cannot see is a
+// call site that bypasses the named constants with a literal offset, so
+// reg-magic-mmio flags those.
 #include <string>
 #include <vector>
 
-#include "tca_lint/eval.h"
 #include "tca_lint/lint.h"
 
 namespace tca::lint::rules {
-
-namespace {
-
-using u64 = std::uint64_t;
-
-enum class RegClass { kPlain, kGlobal, kDmaField, kRouteField, kAlias };
-
-struct ParsedConst {
-  std::string name;
-  u64 value = 0;
-  bool evaluated = false;
-  int line = 0;
-  RegClass cls = RegClass::kPlain;
-  u64 span = 8;
-};
-
-/// True when `word` appears in `text` delimited by non-identifier chars.
-bool has_word(const std::string& text, const std::string& word) {
-  std::size_t at = 0;
-  while ((at = text.find(word, at)) != std::string::npos) {
-    const bool left_ok =
-        at == 0 || (!std::isalnum(static_cast<unsigned char>(text[at - 1])) &&
-                    text[at - 1] != '_' && text[at - 1] != ':');
-    const std::size_t after = at + word.size();
-    const bool right_ok =
-        after >= text.size() ||
-        (!std::isalnum(static_cast<unsigned char>(text[after])) &&
-         text[after] != '_');
-    if (left_ok && right_ok) return true;
-    at = after;
-  }
-  return false;
-}
-
-RegClass classify(const std::string& comment, u64* span) {
-  if (has_word(comment, "alias")) return RegClass::kAlias;
-  const bool access = has_word(comment, "RO") || has_word(comment, "RW") ||
-                      has_word(comment, "WO");
-  if (!access) return RegClass::kPlain;
-  const std::size_t sp = comment.find("span:");
-  if (sp != std::string::npos) {
-    u64 v = 0;
-    if (parse_number(comment.substr(sp + 5,
-                                    comment.find_first_not_of(
-                                        "0123456789", sp + 5) -
-                                        (sp + 5)),
-                     &v) &&
-        v > 0) {
-      *span = v;
-    }
-  }
-  if (comment.find("bank:dma") != std::string::npos) {
-    return RegClass::kDmaField;
-  }
-  if (comment.find("bank:route") != std::string::npos) {
-    return RegClass::kRouteField;
-  }
-  return RegClass::kGlobal;
-}
-
-struct TableEntry {
-  u64 offset = 0;
-  bool evaluated = false;
-  std::string bank;  // kGlobal / kDmaChannel / kRouteEntry
-  u64 span = 8;
-  int line = 0;
-};
-
-struct ParsedHeader {
-  std::vector<ParsedConst> consts;
-  std::map<std::string, u64> env;
-  std::vector<TableEntry> table;
-  bool has_table = false;
-};
-
-ParsedHeader parse_header(const LexedFile& f) {
-  ParsedHeader h;
-  const std::vector<Tok>& toks = f.toks;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != TokKind::kIdent) continue;
-
-    if (toks[i].text == "constexpr") {
-      // Find `name = expr ;` before any `{` (skip function definitions and
-      // brace-initialized tables — kRegMap is parsed separately below).
-      std::size_t j = i + 1;
-      std::size_t eq = 0;
-      while (j < toks.size()) {
-        const std::string& s = toks[j].text;
-        if (s == ";" ) break;
-        if (s == "{") {
-          const std::size_t close = match_forward(toks, j);
-          j = (close >= toks.size()) ? toks.size() : close;
-          break;
-        }
-        if (s == "=" && eq == 0) {
-          eq = j;
-          // Brace-initialized: handled by the table parser.
-          if (j + 1 < toks.size() && toks[j + 1].text == "{") {
-            const std::size_t close = match_forward(toks, j + 1);
-            j = (close >= toks.size()) ? toks.size() : close;
-            eq = 0;
-            break;
-          }
-        }
-        ++j;
-      }
-      if (eq == 0 || eq == i + 1 || j >= toks.size() ||
-          toks[j].text != ";") {
-        continue;
-      }
-      const Tok& name_tok = toks[eq - 1];
-      if (name_tok.kind != TokKind::kIdent) continue;
-
-      ParsedConst pc;
-      pc.name = name_tok.text;
-      pc.line = name_tok.line;
-      Eval ev{toks, eq + 1, j, h.env};
-      const u64 v = ev.or_expr();
-      pc.evaluated = ev.ok && ev.pos == j;
-      pc.value = pc.evaluated ? v : 0;
-      auto c = f.comments.find(pc.line);
-      if (c != f.comments.end()) {
-        pc.cls = classify(c->second, &pc.span);
-      }
-      if (pc.evaluated) h.env[pc.name] = pc.value;
-      h.consts.push_back(std::move(pc));
-      continue;
-    }
-
-    if (toks[i].text == "kRegMap") {
-      // kRegMap[] = { {offset, RegAccess::kX, RegBank::kY, "Name"[, span]},
-      // ... }; — require the `=` so mere *uses* of kRegMap (range-for in
-      // the header's own validators) don't look like the declaration.
-      std::size_t j = i + 1;
-      bool saw_eq = false;
-      while (j < toks.size() && toks[j].text != "{" && toks[j].text != ";") {
-        if (toks[j].text == "=") saw_eq = true;
-        ++j;
-      }
-      if (j >= toks.size() || toks[j].text != "{" || !saw_eq) continue;
-      const std::size_t table_close = match_forward(toks, j);
-      if (table_close >= toks.size()) continue;
-      h.has_table = true;
-      std::size_t k = j + 1;
-      while (k < table_close) {
-        if (toks[k].text != "{") {
-          ++k;
-          continue;
-        }
-        const std::size_t entry_close = match_forward(toks, k);
-        if (entry_close >= toks.size() || entry_close > table_close) break;
-        TableEntry e;
-        e.line = toks[k].line;
-        // Offset: everything up to the first top-level comma.
-        std::size_t first_comma = entry_close;
-        int depth = 0;
-        for (std::size_t m = k + 1; m < entry_close; ++m) {
-          const std::string& s = toks[m].text;
-          if (s == "(" || s == "{" || s == "[") ++depth;
-          else if (s == ")" || s == "}" || s == "]") --depth;
-          else if (s == "," && depth == 0) {
-            first_comma = m;
-            break;
-          }
-        }
-        Eval ev{toks, k + 1, first_comma, h.env};
-        const u64 v = ev.or_expr();
-        e.evaluated = ev.ok && ev.pos == first_comma;
-        e.offset = e.evaluated ? v : 0;
-        for (std::size_t m = first_comma; m < entry_close; ++m) {
-          const Tok& t = toks[m];
-          if (t.kind == TokKind::kIdent &&
-              (t.text == "kGlobal" || t.text == "kDmaChannel" ||
-               t.text == "kRouteEntry")) {
-            e.bank = t.text;
-          }
-          if (t.kind == TokKind::kNumber && m + 1 >= entry_close) {
-            parse_number(t.text, &e.span);
-          }
-          // `{off, acc, bank, "Name", N}` — span is the trailing number.
-          if (t.kind == TokKind::kNumber && m + 1 < entry_close &&
-              toks[m + 1].text == "}") {
-            parse_number(t.text, &e.span);
-          }
-        }
-        h.table.push_back(e);
-        k = entry_close + 1;
-      }
-      i = table_close;
-    }
-  }
-  return h;
-}
-
-struct Interval {
-  u64 begin;
-  u64 end;  // exclusive
-  const ParsedConst* c;
-};
-
-}  // namespace
-
-void check_register_map(const std::string& path, const LexedFile& f,
-                        std::vector<Finding>& out) {
-  const ParsedHeader h = parse_header(f);
-
-  auto require = [&](const char* name, u64* out_v) {
-    auto it = h.env.find(name);
-    if (it == h.env.end()) {
-      out.push_back({path, 1, "reg-map-parse",
-                     std::string("required constant `") + name +
-                         "` missing or unevaluable"});
-      return false;
-    }
-    *out_v = it->second;
-    return true;
-  };
-
-  u64 window = 0, dma_base = 0, dma_stride = 0, dma_banks = 0;
-  u64 route_base = 0, route_stride = 0, route_entries = 0;
-  if (!require("kWindowBytes", &window) ||
-      !require("kDmaBankBase", &dma_base) ||
-      !require("kDmaBankStride", &dma_stride) ||
-      !require("kDmaChannelBanks", &dma_banks) ||
-      !require("kRouteBase", &route_base) ||
-      !require("kRouteStride", &route_stride) ||
-      !require("kRouteEntries", &route_entries)) {
-    return;
-  }
-  const u64 dma_region_end = dma_base + dma_banks * dma_stride;
-  const u64 route_region_end = route_base + route_entries * route_stride;
-
-  std::vector<Interval> globals;
-  std::vector<const ParsedConst*> dma_fields, route_fields;
-
-  for (const ParsedConst& c : h.consts) {
-    if (c.cls == RegClass::kPlain) continue;
-    if (!c.evaluated) {
-      out.push_back({path, c.line, "reg-map-parse",
-                     "annotated register `" + c.name +
-                         "` has an unevaluable offset expression"});
-      continue;
-    }
-    if (c.value % 8 != 0) {
-      out.push_back({path, c.line, "reg-misaligned",
-                     "register `" + c.name +
-                         "` is not 8-byte aligned (all MMIO is 64-bit)"});
-    }
-    switch (c.cls) {
-      case RegClass::kGlobal:
-        if (c.value + c.span > window) {
-          out.push_back({path, c.line, "reg-out-of-window",
-                         "register `" + c.name +
-                             "` lies outside the BAR0 window "
-                             "[0, kWindowBytes)"});
-        }
-        globals.push_back({c.value, c.value + c.span, &c});
-        break;
-      case RegClass::kDmaField:
-        if (c.value + 8 > dma_stride) {
-          out.push_back({path, c.line, "reg-field-overflow",
-                         "DMA bank field `" + c.name +
-                             "` exceeds kDmaBankStride"});
-        }
-        dma_fields.push_back(&c);
-        break;
-      case RegClass::kRouteField:
-        if (c.value + 8 > route_stride) {
-          out.push_back({path, c.line, "reg-field-overflow",
-                         "route-entry field `" + c.name +
-                             "` exceeds kRouteStride"});
-        }
-        route_fields.push_back(&c);
-        break;
-      case RegClass::kAlias: {
-        bool matches = false;
-        for (const ParsedConst* fld : dma_fields) {
-          if (c.value == dma_base + fld->value) {
-            matches = true;
-            break;
-          }
-        }
-        if (!matches) {
-          out.push_back({path, c.line, "reg-bad-alias",
-                         "alias `" + c.name +
-                             "` is not kDmaBankBase + <declared DMA bank "
-                             "field>"});
-        }
-        break;
-      }
-      case RegClass::kPlain:
-        break;
-    }
-  }
-
-  // Overlaps among absolute registers.
-  std::vector<Interval> sorted = globals;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.begin < b.begin;
-            });
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i].begin < sorted[i - 1].end) {
-      out.push_back({path, sorted[i].c->line, "reg-dup-offset",
-                     "register `" + sorted[i].c->name + "` overlaps `" +
-                         sorted[i - 1].c->name + "`"});
-    }
-  }
-  // Absolute registers must not fall inside a decoded bank region.
-  for (const Interval& g : globals) {
-    const bool in_dma = g.begin < dma_region_end && g.end > dma_base;
-    const bool in_route = g.begin < route_region_end && g.end > route_base;
-    if (in_dma || in_route) {
-      out.push_back({path, g.c->line, "reg-bank-overlap",
-                     "register `" + g.c->name + "` falls inside the " +
-                         (in_dma ? "DMA channel-bank" : "route-table") +
-                         " region"});
-    }
-  }
-  // Duplicate bank-relative fields.
-  auto check_dup_fields = [&](const std::vector<const ParsedConst*>& fields,
-                              const char* what) {
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      for (std::size_t j = i + 1; j < fields.size(); ++j) {
-        if (fields[i]->value == fields[j]->value) {
-          out.push_back({path, fields[j]->line, "reg-dup-offset",
-                         std::string(what) + " field `" + fields[j]->name +
-                             "` duplicates `" + fields[i]->name + "`"});
-        }
-      }
-    }
-  };
-  check_dup_fields(dma_fields, "DMA bank");
-  check_dup_fields(route_fields, "route-entry");
-
-  // Cross-check against the kRegMap table.
-  if (!h.has_table) {
-    out.push_back({path, 1, "reg-table-mismatch",
-                   "registers header declares no kRegMap table"});
-    return;
-  }
-  auto key_of = [](const std::string& bank, u64 offset) {
-    return bank + "@" + std::to_string(offset);
-  };
-  std::map<std::string, int> table_keys;  // key -> line
-  for (const TableEntry& e : h.table) {
-    if (!e.evaluated) {
-      out.push_back({path, e.line, "reg-map-parse",
-                     "kRegMap entry offset is unevaluable"});
-      continue;
-    }
-    table_keys.emplace(key_of(e.bank, e.offset), e.line);
-  }
-  std::map<std::string, const ParsedConst*> const_keys;
-  for (const ParsedConst& c : h.consts) {
-    if (!c.evaluated) continue;
-    if (c.cls == RegClass::kGlobal) {
-      const_keys.emplace(key_of("kGlobal", c.value), &c);
-    } else if (c.cls == RegClass::kDmaField) {
-      const_keys.emplace(key_of("kDmaChannel", c.value), &c);
-    } else if (c.cls == RegClass::kRouteField) {
-      const_keys.emplace(key_of("kRouteEntry", c.value), &c);
-    }
-  }
-  for (const auto& [key, c] : const_keys) {
-    if (table_keys.find(key) == table_keys.end()) {
-      out.push_back({path, c->line, "reg-table-mismatch",
-                     "annotated register `" + c->name +
-                         "` has no kRegMap entry"});
-    }
-  }
-  for (const auto& [key, line] : table_keys) {
-    if (const_keys.find(key) == const_keys.end()) {
-      out.push_back({path, line, "reg-table-mismatch",
-                     "kRegMap entry (" + key +
-                         ") matches no annotated register constant"});
-    }
-  }
-}
 
 void check_magic_mmio(const std::string& path, const LexedFile& f,
                       std::vector<Finding>& out) {
