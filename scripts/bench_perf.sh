@@ -2,7 +2,7 @@
 # Simulator-core performance measurement (see docs/ARCHITECTURE.md,
 # "Simulator core performance").
 #
-# Builds Release, then:
+# Builds Release (the `perf` preset's build-perf/ tree), then:
 #   1. bench_sim_core — events/sec of sim::Scheduler vs. the seed queue
 #      (bench/seed_scheduler.h) on synthetic churn (gates the >=3x headline
 #      and timer_fire_small >= 1.0x), plus determinism / seed-equivalence
@@ -55,10 +55,10 @@ require_in_repo() {
   esac
 }
 
-cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release > /dev/null || exit 1
+cmake --preset perf > /dev/null || exit 1
 # E2E_BENCHES is a word list: left unquoted on purpose here and below.
-cmake --build "$BUILD" -j --target bench_sim_core $E2E_BENCHES > /dev/null \
-  || exit 1
+cmake --build --preset perf -j --target bench_sim_core $E2E_BENCHES \
+  > /dev/null || exit 1
 mkdir -p "$OUT"
 
 echo "== bench_sim_core (events/sec: indexed vs. seed queue) =="

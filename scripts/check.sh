@@ -3,7 +3,9 @@
 # register map in src/peach2/registers.h is checked by its static_asserts
 # here), tca_lint over the whole tree (coroutine-lifetime / determinism /
 # protocol-lifecycle invariants and named MMIO offsets), a clang-tidy
-# baseline diff (skipped when clang-tidy is not installed), full test suite
+# baseline diff (skipped when clang-tidy is not installed), the reachability
+# check (scripts/reachability.sh: every function a src/ library defines is
+# kept by some bench, example, tool or tcabench binary), full test suite
 # (soak label excluded — run `ctest -L soak` for the long fault campaigns;
 # the `repro` label diffs every full-simulator bench against tests/golden/),
 # a sanitizer pass over the fault, collective, memory, event-queue, poller
@@ -13,8 +15,9 @@
 # same-seed replay check + committed corpus replay), and tca_explore smoke
 # invocations (--stats, --workload and --trace).
 #
-# The build trees are CMake presets (CMakePresets.json): `check` is the
-# Release gate, `asan` the instrumented suites, `perf` the bench tree. For a full instrumented pass: cmake --preset asan && ctest
+# The build trees are CMake presets (CMakePresets.json, Ninja generator):
+# `check` is the Release gate, `asan` the instrumented suites, `perf` the
+# bench tree. For a full instrumented pass: cmake --preset asan && ctest
 # --preset asan (drop the filter by running ctest --test-dir
 # build-check-asan directly).
 set -eu
@@ -30,6 +33,9 @@ echo "== tca_lint (project invariants) =="
 
 echo "== clang-tidy (baseline diff; skips when not installed) =="
 scripts/clang_tidy.sh "$BUILD"
+
+echo "== reachability (every src/ function kept by some binary) =="
+scripts/reachability.sh
 
 echo "== tests =="
 ctest --preset check -j "$(nproc)"

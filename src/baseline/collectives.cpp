@@ -1,6 +1,5 @@
 #include "baseline/collectives.h"
 
-#include <array>
 #include <cstring>
 
 namespace tca::baseline {
@@ -8,26 +7,8 @@ namespace tca::baseline {
 namespace {
 /// Tag space partitioning: collectives use high tags so they never collide
 /// with application point-to-point traffic.
-constexpr int kBarrierTagBase = 1 << 20;
 constexpr int kAllreduceTagBase = 1 << 21;
 }  // namespace
-
-sim::Task<> Collectives::barrier(std::uint32_t rank) {
-  // Dissemination barrier: in round k, rank r signals r + 2^k and waits for
-  // r - 2^k (mod n). Tags encode the round; each call uses a fresh epoch
-  // window so back-to-back barriers cannot cross-match.
-  const int epoch = barrier_epochs_[rank]++;
-  std::array<std::byte, 1> token{std::byte{1}};
-  int round = 0;
-  for (std::uint32_t dist = 1; dist < ranks_; dist <<= 1, ++round) {
-    const std::uint32_t to = (rank + dist) % ranks_;
-    const std::uint32_t from = (rank + ranks_ - dist) % ranks_;
-    const int tag = kBarrierTagBase + epoch * 64 + round;
-    sim::Task<> tx = mpi_.send(rank, to, tag, token);
-    (void)co_await mpi_.recv(rank, from, tag);
-    co_await std::move(tx);
-  }
-}
 
 sim::Task<> Collectives::allreduce_sum(std::uint32_t rank,
                                        std::span<double> data) {

@@ -1,11 +1,9 @@
-// MPI-style collectives over MpiLite: dissemination barrier and ring
-// allreduce. Used as the conventional-stack comparison for the TCA
-// collective examples (allreduce_ring) and by the halo-exchange workload.
+// MPI-style ring allreduce over MpiLite: the conventional-stack comparison
+// for the TCA collective benches and examples (allreduce_ring).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "baseline/mpi_lite.h"
 
@@ -14,12 +12,9 @@ namespace tca::baseline {
 class Collectives {
  public:
   Collectives(MpiLite& mpi, std::uint32_t ranks)
-      : mpi_(mpi), ranks_(ranks), barrier_epochs_(ranks, 0) {}
+      : mpi_(mpi), ranks_(ranks) {}
 
   [[nodiscard]] std::uint32_t ranks() const { return ranks_; }
-
-  /// Dissemination barrier: ceil(log2(n)) rounds of pairwise messages.
-  sim::Task<> barrier(std::uint32_t rank);
 
   /// Ring allreduce (sum) of doubles, in place. Classic two-phase
   /// reduce-scatter + allgather; every rank ends with the identical global
@@ -29,9 +24,6 @@ class Collectives {
  private:
   MpiLite& mpi_;
   std::uint32_t ranks_;
-  /// Per-rank barrier entry counters (every rank passes the same barrier
-  /// sequence, so counting locally keeps epochs consistent).
-  std::vector<int> barrier_epochs_;
 };
 
 }  // namespace tca::baseline

@@ -108,13 +108,4 @@ sim::Task<std::vector<std::byte>> MpiLite::recv(std::uint32_t rank,
   co_return data;
 }
 
-sim::Task<std::vector<std::byte>> MpiLite::sendrecv(
-    std::uint32_t rank, std::uint32_t peer, int tag,
-    std::span<const std::byte> data) {
-  sim::Task<> tx = send(rank, peer, tag, data);
-  std::vector<std::byte> result = co_await recv(rank, peer, tag);
-  co_await std::move(tx);
-  co_return result;
-}
-
 }  // namespace tca::baseline

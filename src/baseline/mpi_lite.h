@@ -36,12 +36,6 @@ class MpiLite {
   sim::Task<std::vector<std::byte>> recv(std::uint32_t rank,
                                          std::uint32_t src, int tag);
 
-  /// Paired exchange (common halo pattern): sends and receives run
-  /// concurrently on the calling rank.
-  sim::Task<std::vector<std::byte>> sendrecv(std::uint32_t rank,
-                                             std::uint32_t peer, int tag,
-                                             std::span<const std::byte> data);
-
   [[nodiscard]] std::uint64_t eager_sends() const { return eager_sends_; }
   [[nodiscard]] std::uint64_t rendezvous_sends() const { return rndv_sends_; }
 

@@ -20,40 +20,34 @@ namespace {
 //
 //   word 0           ring data      written by the ring predecessor
 //   word 1           ring ack       written by the ring successor
-//   words 2..5       barrier rounds written by rank (self - 2^round)
-//   word 6           halo data      written by prev ("your from-prev slot is full")
-//   word 7           halo data      written by next ("your from-next slot is full")
-//   word 8           halo ack       written by prev ("I consumed your to-prev put")
-//   word 9           halo ack       written by next ("I consumed your to-next put")
-//   word 10+q        eager data     written by rank q (deposits made)
-//   word 10+n+q      eager ack      written by rank q (deposits consumed)
+//   word 2           halo data      written by prev ("your from-prev slot is full")
+//   word 3           halo data      written by next ("your from-next slot is full")
+//   word 4           halo ack       written by prev ("I consumed your to-prev put")
+//   word 5           halo ack       written by next ("I consumed your to-next put")
+//   word 6+q         eager data     written by rank q (deposits made)
+//   word 6+n+q       eager ack      written by rank q (deposits consumed)
 // The partition proof the coll-flag-overlap lint checks: for every world
-// size n in [1, 16], the per-purpose flag-word regions below must be
-// pairwise disjoint and fit in the kEagerWordBase + 2n words each rank maps.
-// tca-flags: param(n, 1, 16)
+// size n up to calib::kMaxFabricNodes, the largest fabric a topology
+// accepts, the per-purpose flag-word regions below must be pairwise
+// disjoint and fit in the kEagerWordBase + 2n words each rank maps.
+// tca-flags: param(n, 1, 1024)
 // tca-flags: region(ring-data, kRingDataWord, 1), region(ring-ack, kRingAckWord, 1)
-// tca-flags: region(barrier-rounds, kBarrierWordBase, 4)
 // tca-flags: region(halo-data-prev, kHaloDataPrevWord, 1), region(halo-data-next, kHaloDataNextWord, 1)
 // tca-flags: region(halo-ack-prev, kHaloAckPrevWord, 1), region(halo-ack-next, kHaloAckNextWord, 1)
 // tca-flags: region(eager-data, kEagerWordBase, n), region(eager-ack, kEagerWordBase + n, n)
 // tca-flags: total(kEagerWordBase + 2 * n)
 constexpr std::uint32_t kRingDataWord = 0;
 constexpr std::uint32_t kRingAckWord = 1;
-constexpr std::uint32_t kBarrierWordBase = 2;  // 4 rounds cover <= 16 ranks
-constexpr std::uint32_t kHaloDataPrevWord = 6;
-constexpr std::uint32_t kHaloDataNextWord = 7;
-constexpr std::uint32_t kHaloAckPrevWord = 8;
-constexpr std::uint32_t kHaloAckNextWord = 9;
-constexpr std::uint32_t kEagerWordBase = 10;
+constexpr std::uint32_t kHaloDataPrevWord = 2;
+constexpr std::uint32_t kHaloDataNextWord = 3;
+constexpr std::uint32_t kHaloAckPrevWord = 4;
+constexpr std::uint32_t kHaloAckNextWord = 5;
+constexpr std::uint32_t kEagerWordBase = 6;
 constexpr std::uint64_t kFlagStride = 8;
 
 // OpSig kinds for cross-rank op-sequence checking.
-constexpr int kOpBarrier = 1;
-constexpr int kOpBroadcast = 2;
-constexpr int kOpReduceScatter = 3;
-constexpr int kOpAllgather = 4;
-constexpr int kOpAllreduce = 5;
-constexpr int kOpHalo = 6;
+constexpr int kOpAllreduce = 1;
+constexpr int kOpHalo = 2;
 
 constexpr std::uint64_t round_up_256(std::uint64_t v) {
   return (v + 255) & ~255ull;
@@ -199,11 +193,10 @@ sim::Task<Status> Communicator::ring_send(
   const std::uint32_t next = ring_next(rank);
   RankState& me = states_[rank];
   // `host_src` carries the previous step's fold result, already
-  // host-resident — forward it straight from the bounce buffer (the same
-  // move ring_broadcast's relay makes). Otherwise large GPU payloads stage
-  // through the bounce via cudaMemcpy D2H: the fabric reads GPU BAR1 at
-  // ~830 MB/s but host memory at wire rate, and the D2H of segment i+1
-  // overlaps the DMA chain of segment i.
+  // host-resident — forward it straight from the bounce buffer. Otherwise
+  // large GPU payloads stage through the bounce via cudaMemcpy D2H: the
+  // fabric reads GPU BAR1 at ~830 MB/s but host memory at wire rate, and
+  // the D2H of segment i+1 overlaps the DMA chain of segment i.
   const bool carried = host_src != nullptr && !buf.is_host();
   const bool staged =
       !carried && !buf.is_host() && bytes >= kGpuStagingMin;
@@ -456,209 +449,6 @@ sim::Task<Status> Communicator::eager_allreduce(std::uint32_t rank,
   co_return Status::ok();
 }
 
-sim::Task<Status> Communicator::ring_broadcast(std::uint32_t rank,
-                                               std::uint32_t root,
-                                               api::Buffer buf,
-                                               std::uint64_t offset,
-                                               std::uint64_t bytes) {
-  const std::uint32_t n = ranks_;
-  const std::uint32_t pos = (ring_pos(rank) + n - ring_pos(root)) % n;
-  if (pos == 0) {
-    co_return co_await ring_send(rank, buf, offset, bytes, nullptr);
-  }
-  if (pos == n - 1) {
-    co_return co_await ring_recv(rank, buf, offset, bytes, RecvMode::kCopy,
-                                 nullptr);
-  }
-  // Store-and-forward relay: consume each segment from the predecessor,
-  // land it in the user buffer, then put it onward from the host bounce
-  // buffer (the staging read already made it host-resident, so the relay
-  // DMA runs at wire rate regardless of where `buf` lives).
-  const std::uint32_t prev = ring_prev(rank);
-  const std::uint32_t next = ring_next(rank);
-  RankState& me = states_[rank];
-  const std::uint64_t seg = cfg_.pipeline_seg_bytes;
-  for (std::uint64_t off = 0; off < bytes; off += seg) {
-    const std::uint64_t len = std::min(seg, bytes - off);
-    const std::uint32_t rx = ++me.ring_rx_seq;
-    if (Status st = co_await wait_word_ge(rank, kRingDataWord, rx);
-        !st.is_ok()) {
-      co_return st;
-    }
-    std::vector<std::byte> data(len);
-    rt_->read(me.staging, ((rx - 1) % cfg_.staging_slots) * slot_stride_,
-              data);
-    rt_->write(buf, offset + off, data);
-    co_await signal(rank, prev, kRingAckWord, rx);
-
-    const std::uint32_t tx = ++me.ring_tx_seq;
-    if (tx > cfg_.staging_slots) {
-      if (Status st = co_await wait_word_ge(rank, kRingAckWord,
-                                            tx - cfg_.staging_slots);
-          !st.is_ok()) {
-        co_return st;
-      }
-    }
-    const std::uint64_t bounce_off = (tx % 2) * slot_stride_;
-    rt_->write(me.bounce, bounce_off, data);
-    if (Status st = co_await put_seg(
-            me.bounce, bounce_off, next,
-            ((tx - 1) % cfg_.staging_slots) * slot_stride_, len);
-        !st.is_ok()) {
-      co_return st;
-    }
-    co_await signal(rank, next, kRingDataWord, tx);
-  }
-  co_return Status::ok();
-}
-
-sim::Task<Status> Communicator::barrier(std::uint32_t rank) {
-  if (rank >= ranks_) {
-    co_return Status{ErrorCode::kInvalidArgument, "no such rank"};
-  }
-  if (Status st = check_op(rank, OpSig{kOpBarrier, 0, 0, false});
-      !st.is_ok()) {
-    co_return st;
-  }
-  RankState& me = states_[rank];
-  const std::uint32_t e = ++me.barrier_epoch;
-  const TimePs t0 = rt_->scheduler().now();
-  TraceSpan span(rt_->scheduler().trace(), me.track, "barrier", t0);
-  std::uint32_t round = 0;
-  for (std::uint32_t dist = 1; dist < ranks_; dist <<= 1, ++round) {
-    co_await signal(rank, (rank + dist) % ranks_, kBarrierWordBase + round, e);
-    if (Status st = co_await wait_word_ge(rank, kBarrierWordBase + round, e);
-        !st.is_ok()) {
-      co_return st;
-    }
-  }
-  ++metrics_.barrier_ops;
-  if (obs::sampling_enabled()) {
-    metrics_.barrier_latency_ps.add_time(rt_->scheduler().now() - t0);
-  }
-  span.end(rt_->scheduler().now());
-  co_return Status::ok();
-}
-
-sim::Task<Status> Communicator::broadcast(std::uint32_t rank,
-                                          std::uint32_t root, api::Buffer buf,
-                                          std::uint64_t offset,
-                                          std::uint64_t bytes) {
-  if (root >= ranks_) {
-    co_return Status{ErrorCode::kInvalidArgument, "no such root rank"};
-  }
-  if (Status st = validate_buffer(rank, buf, offset, bytes); !st.is_ok()) {
-    co_return st;
-  }
-  if (Status st = check_op(rank, OpSig{kOpBroadcast, bytes, root,
-                                       buf.is_host()});
-      !st.is_ok()) {
-    co_return st;
-  }
-  if (bytes == 0) {
-    ++metrics_.broadcast_ops;
-    co_return Status::ok();
-  }
-  const Algorithm algo = select_algorithm(bytes, buf.is_host());
-  const TimePs t0 = rt_->scheduler().now();
-  RankState& me = states_[rank];
-  TraceSpan span(rt_->scheduler().trace(), me.track,
-                 algo == Algorithm::kEager ? "bcast.eager" : "bcast.ring", t0);
-  Status st = Status::ok();
-  if (algo == Algorithm::kEager) {
-    ++metrics_.eager_ops;
-    if (rank == root) {
-      std::vector<std::byte> payload(bytes);
-      rt_->read(buf, offset, payload);
-      for (std::uint32_t q = 0; q < ranks_ && st.is_ok(); ++q) {
-        if (q == root) continue;
-        std::vector<std::byte> copy = payload;
-        st = co_await eager_send(rank, q, std::move(copy));
-      }
-    } else {
-      std::vector<std::byte> data;
-      st = co_await eager_recv(rank, root, bytes, &data);
-      if (st.is_ok()) rt_->write(buf, offset, data);
-    }
-  } else {
-    ++metrics_.ring_ops;
-    st = co_await ring_broadcast(rank, root, buf, offset, bytes);
-  }
-  if (!st.is_ok()) co_return st;
-  ++metrics_.broadcast_ops;
-  if (obs::sampling_enabled()) {
-    metrics_.broadcast_latency_ps.add_time(rt_->scheduler().now() - t0);
-  }
-  span.end(rt_->scheduler().now());
-  co_return Status::ok();
-}
-
-sim::Task<Status> Communicator::reduce_scatter_sum(std::uint32_t rank,
-                                                   api::Buffer buf,
-                                                   std::uint64_t offset,
-                                                   std::uint64_t count) {
-  if (count == 0 || count % ranks_ != 0) {
-    co_return Status{ErrorCode::kInvalidArgument,
-                     "reduce_scatter count must be a positive multiple of "
-                     "the rank count"};
-  }
-  if (Status st = validate_buffer(rank, buf, offset, count * 8);
-      !st.is_ok()) {
-    co_return st;
-  }
-  if (Status st = check_op(rank, OpSig{kOpReduceScatter, count, 0,
-                                       buf.is_host()});
-      !st.is_ok()) {
-    co_return st;
-  }
-  RankState& me = states_[rank];
-  TraceSpan span(rt_->scheduler().trace(), me.track, "reduce_scatter",
-                 rt_->scheduler().now());
-  ++metrics_.ring_ops;
-  // shift -1 makes rank r end the n-1 steps holding fully reduced chunk r.
-  std::vector<std::byte> carry;
-  const Status st = co_await ring_phase(
-      rank, buf, offset, (count / ranks_) * 8, -1, RecvMode::kAccumulate,
-      buf.is_host() ? nullptr : &carry);
-  if (!st.is_ok()) co_return st;
-  ++metrics_.reduce_scatter_ops;
-  span.end(rt_->scheduler().now());
-  co_return Status::ok();
-}
-
-sim::Task<Status> Communicator::allgather(std::uint32_t rank, api::Buffer buf,
-                                          std::uint64_t offset,
-                                          std::uint64_t chunk_bytes) {
-  if (chunk_bytes == 0) {
-    co_return Status{ErrorCode::kInvalidArgument,
-                     "allgather chunk must be non-empty"};
-  }
-  if (Status st =
-          validate_buffer(rank, buf, offset, chunk_bytes * ranks_);
-      !st.is_ok()) {
-    co_return st;
-  }
-  if (Status st = check_op(rank, OpSig{kOpAllgather, chunk_bytes, 0,
-                                       buf.is_host()});
-      !st.is_ok()) {
-    co_return st;
-  }
-  RankState& me = states_[rank];
-  TraceSpan span(rt_->scheduler().trace(), me.track, "allgather",
-                 rt_->scheduler().now());
-  ++metrics_.ring_ops;
-  // shift 0: rank r injects its own chunk r at step 0 and relays from
-  // there; after n-1 steps every rank holds every chunk.
-  std::vector<std::byte> carry;
-  const Status st =
-      co_await ring_phase(rank, buf, offset, chunk_bytes, 0, RecvMode::kCopy,
-                          buf.is_host() ? nullptr : &carry);
-  if (!st.is_ok()) co_return st;
-  ++metrics_.allgather_ops;
-  span.end(rt_->scheduler().now());
-  co_return Status::ok();
-}
-
 sim::Task<Status> Communicator::allreduce_sum(std::uint32_t rank,
                                               api::Buffer buf,
                                               std::uint64_t offset,
@@ -856,10 +646,6 @@ sim::Task<Status> Communicator::neighbor_exchange(std::uint32_t rank,
 }
 
 void Communicator::export_metrics(obs::MetricRegistry& reg) const {
-  reg.counter("coll.barrier_ops").set(metrics_.barrier_ops);
-  reg.counter("coll.broadcast_ops").set(metrics_.broadcast_ops);
-  reg.counter("coll.reduce_scatter_ops").set(metrics_.reduce_scatter_ops);
-  reg.counter("coll.allgather_ops").set(metrics_.allgather_ops);
   reg.counter("coll.allreduce_ops").set(metrics_.allreduce_ops);
   reg.counter("coll.halo_ops").set(metrics_.halo_ops);
   reg.counter("coll.bytes").set(metrics_.bytes);
@@ -868,14 +654,6 @@ void Communicator::export_metrics(obs::MetricRegistry& reg) const {
   reg.counter("coll.staged_d2h_bytes").set(metrics_.staged_d2h_bytes);
   reg.counter("coll.host_carry_bytes").set(metrics_.host_carry_bytes);
   reg.counter("coll.put_retries").set(metrics_.put_retries);
-  if (!metrics_.barrier_latency_ps.empty()) {
-    reg.histogram("coll.barrier.latency_ps")
-        .record_series(metrics_.barrier_latency_ps);
-  }
-  if (!metrics_.broadcast_latency_ps.empty()) {
-    reg.histogram("coll.broadcast.latency_ps")
-        .record_series(metrics_.broadcast_latency_ps);
-  }
   if (!metrics_.allreduce_eager_latency_ps.empty()) {
     reg.histogram("coll.allreduce.eager_latency_ps")
         .record_series(metrics_.allreduce_eager_latency_ps);

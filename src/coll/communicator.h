@@ -5,9 +5,9 @@
 // across a sub-cluster; this layer turns that primitive into a communicator
 // library so applications stop re-implementing ring loops by hand (the
 // examples used to). APEnet+ (Ammendola et al.) judges the same class of
-// FPGA interconnect by its GPU collective performance — barrier, broadcast,
-// reduce-scatter, allgather, allreduce and halo exchange are the workloads
-// that earn an interconnect model its keep.
+// FPGA interconnect by its GPU collective performance. This layer offers
+// the two collectives the benches, examples and tools run: allreduce and
+// halo exchange.
 //
 // What the Communicator does that the ad-hoc example loops could not:
 //
@@ -85,10 +85,6 @@ struct CollConfig {
 /// per-algorithm latency series. Counters count per-rank calls: one
 /// n-rank allreduce adds n to allreduce_ops.
 struct CollMetrics {
-  std::uint64_t barrier_ops = 0;
-  std::uint64_t broadcast_ops = 0;
-  std::uint64_t reduce_scatter_ops = 0;
-  std::uint64_t allgather_ops = 0;
   std::uint64_t allreduce_ops = 0;
   std::uint64_t halo_ops = 0;
   /// Payload bytes this communicator pushed through the fabric (eager
@@ -103,8 +99,6 @@ struct CollMetrics {
   std::uint64_t host_carry_bytes = 0;
   /// Doorbell re-rings across all puts (CollConfig::sync retries).
   std::uint64_t put_retries = 0;
-  SampleSeries barrier_latency_ps;
-  SampleSeries broadcast_latency_ps;
   SampleSeries allreduce_eager_latency_ps;
   SampleSeries allreduce_ring_latency_ps;
   SampleSeries halo_latency_ps;
@@ -171,30 +165,6 @@ class Communicator {
                : Algorithm::kRing;
   }
 
-  /// Dissemination barrier: ceil(log2(n)) rounds of PIO flag stores.
-  sim::Task<Status> barrier(std::uint32_t rank);
-
-  /// Broadcasts [offset, offset+bytes) of root's buffer into the same-shape
-  /// region on every rank. Eager: root deposits into each peer's mailbox.
-  /// Ring: pipelined store-and-forward around the ring.
-  sim::Task<Status> broadcast(std::uint32_t rank, std::uint32_t root,
-                              api::Buffer buf, std::uint64_t offset,
-                              std::uint64_t bytes);
-
-  /// In-place ring reduce-scatter (sum of doubles). `count` doubles at
-  /// `offset`, count % ranks == 0. On return, rank r owns the fully
-  /// reduced chunk r (count/ranks doubles at offset + r*chunk bytes);
-  /// other chunk regions hold partial sums, as usual for in-place rings.
-  sim::Task<Status> reduce_scatter_sum(std::uint32_t rank, api::Buffer buf,
-                                       std::uint64_t offset,
-                                       std::uint64_t count);
-
-  /// Ring allgather: rank r's chunk (chunk_bytes at offset + r*chunk_bytes)
-  /// is replicated to every rank; the buffer holds ranks*chunk_bytes.
-  sim::Task<Status> allgather(std::uint32_t rank, api::Buffer buf,
-                              std::uint64_t offset,
-                              std::uint64_t chunk_bytes);
-
   /// In-place allreduce (sum of doubles): two-phase ring (reduce-scatter +
   /// allgather) or, for small host payloads, eager gather-to-root +
   /// re-broadcast. Both paths apply floating-point additions in the exact
@@ -236,7 +206,6 @@ class Communicator {
     std::string track;    ///< trace track name ("coll.rank<r>")
     std::uint32_t ring_tx_seq = 0;  ///< segments sent to next
     std::uint32_t ring_rx_seq = 0;  ///< segments consumed from prev
-    std::uint32_t barrier_epoch = 0;
     std::uint32_t halo_seq = 0;
     std::uint64_t op_index = 0;  ///< position in the communicator op log
     /// ring_send's GPU-to-host staging copy of one segment.
@@ -304,10 +273,6 @@ class Communicator {
 
   sim::Task<Status> eager_allreduce(std::uint32_t rank, api::Buffer buf,
                                     std::uint64_t offset, std::uint64_t count);
-  /// Pipelined store-and-forward broadcast around the ring.
-  sim::Task<Status> ring_broadcast(std::uint32_t rank, std::uint32_t root,
-                                   api::Buffer buf, std::uint64_t offset,
-                                   std::uint64_t bytes);
 
   [[nodiscard]] std::uint64_t halo_slot_off(bool from_prev) const;
 

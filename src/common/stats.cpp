@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -9,42 +8,16 @@ namespace tca {
 
 void RunningStats::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void SampleSeries::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
-}
-
-double SampleSeries::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double s : samples_) sum += s;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double SampleSeries::min() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.front();
-}
-
-double SampleSeries::max() const {
-  ensure_sorted();
-  return samples_.empty() ? 0.0 : samples_.back();
 }
 
 double SampleSeries::percentile(double p) const {

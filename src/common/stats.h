@@ -10,7 +10,7 @@
 
 namespace tca {
 
-/// Streaming mean/min/max/stddev accumulator (Welford's algorithm).
+/// Streaming count/mean/min/max accumulator.
 class RunningStats {
  public:
   void add(double x);
@@ -19,13 +19,10 @@ class RunningStats {
   [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
 
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -43,9 +40,6 @@ class SampleSeries {
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
   /// Percentile in [0, 100] by nearest-rank on the sorted samples.
   [[nodiscard]] double percentile(double p) const;

@@ -30,11 +30,6 @@ void Trace::instant(StrId track, StrId name, TimePs at) {
   events_.push_back(Event{Kind::kInstant, track, name, at, at, 0});
 }
 
-void Trace::counter(std::string_view track, std::string_view name, TimePs at,
-                    double value) {
-  counter(intern(track), intern(name), at, value);
-}
-
 void Trace::counter(StrId track, StrId name, TimePs at, double value) {
   events_.push_back(Event{Kind::kCounter, track, name, at, at, value});
 }

@@ -47,8 +47,6 @@ class Trace {
   void instant(StrId track, StrId name, TimePs at);
 
   /// A counter sample (rendered as a track graph).
-  void counter(std::string_view track, std::string_view name, TimePs at,
-               double value);
   void counter(StrId track, StrId name, TimePs at, double value);
 
   [[nodiscard]] std::size_t event_count() const { return events_.size(); }

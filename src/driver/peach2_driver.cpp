@@ -33,13 +33,6 @@ Result<std::uint64_t> P2pDriver::pin(int gpu_index, gpu::DevPtr ptr,
   return dev.pin_pages(token.value(), ptr, len);
 }
 
-Status P2pDriver::unpin(int gpu_index, gpu::DevPtr ptr, std::uint64_t len) {
-  if (gpu_index < 0 || gpu_index >= node_.gpu_count()) {
-    return {ErrorCode::kInvalidArgument, "no such GPU"};
-  }
-  return node_.gpu(gpu_index).unpin_pages(ptr, len);
-}
-
 DriverHostLayout DriverHostLayout::for_dram_size(std::uint64_t dram_bytes) {
   constexpr std::uint64_t kTableBytes = 1ull << 20;
   TCA_ASSERT(dram_bytes > 2 * kTableBytes);

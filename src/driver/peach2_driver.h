@@ -43,8 +43,6 @@ class P2pDriver {
   /// address (BAR1). Steps: token lookup (cuPointerGetAttribute) then pin.
   Result<std::uint64_t> pin(int gpu_index, gpu::DevPtr ptr, std::uint64_t len);
 
-  Status unpin(int gpu_index, gpu::DevPtr ptr, std::uint64_t len);
-
  private:
   node::ComputeNode& node_;
 };

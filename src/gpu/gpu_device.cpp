@@ -65,16 +65,6 @@ Result<std::uint64_t> GpuDevice::pin_pages(const P2pToken& token, DevPtr ptr,
   return cfg_.bar1_base + ptr;
 }
 
-Status GpuDevice::unpin_pages(DevPtr ptr, std::uint64_t len) {
-  if (len == 0 || !units::range_fits(ptr, len, gddr_.size())) {
-    return {ErrorCode::kOutOfRange, "unpin range outside device memory"};
-  }
-  const std::uint64_t first = ptr / kGpuPinPageBytes;
-  const std::uint64_t last = (ptr + len - 1) / kGpuPinPageBytes;
-  for (std::uint64_t p = first; p <= last; ++p) pinned_[p] = false;
-  return Status::ok();
-}
-
 bool GpuDevice::is_pinned(DevPtr ptr, std::uint64_t len) const {
   if (len == 0 || !units::range_fits(ptr, len, gddr_.size())) return false;
   const std::uint64_t first = ptr / kGpuPinPageBytes;

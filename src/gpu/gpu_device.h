@@ -73,9 +73,6 @@ class GpuDevice : public pcie::TlpSink {
   Result<std::uint64_t> pin_pages(const P2pToken& token, DevPtr ptr,
                                   std::uint64_t len);
 
-  /// Unpins previously pinned pages.
-  Status unpin_pages(DevPtr ptr, std::uint64_t len);
-
   [[nodiscard]] bool is_pinned(DevPtr ptr, std::uint64_t len) const;
 
   // --- Direct (functional) access, used by tests and kernels --------------

@@ -166,19 +166,6 @@ std::uint64_t MetricRegistry::counter_value(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second.value();
 }
 
-double MetricRegistry::gauge_value(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second.value();
-}
-
-bool MetricRegistry::has_counter(std::string_view name) const {
-  return counters_.find(name) != counters_.end();
-}
-
-bool MetricRegistry::has_histogram(std::string_view name) const {
-  return histograms_.find(name) != histograms_.end();
-}
-
 MetricsSnapshot MetricRegistry::snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, c] : counters_) snap.counters[name] = c.value();

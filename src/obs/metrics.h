@@ -71,9 +71,9 @@ class Gauge {
   double value_ = 0;
 };
 
-/// Latency/size distribution: streaming moments (RunningStats) plus exact
-/// percentiles (SampleSeries keeps every sample — simulator runs record at
-/// most a few hundred thousand).
+/// Latency/size distribution: streaming count/mean/min/max (RunningStats)
+/// plus exact percentiles (SampleSeries keeps every sample — simulator runs
+/// record at most a few hundred thousand).
 class Histogram {
  public:
   void record(double x) {
@@ -131,11 +131,8 @@ class MetricRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Lookup without creation; 0 / empty summary when absent (tests).
+  /// Counter lookup without creation; 0 when absent.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
-  [[nodiscard]] double gauge_value(std::string_view name) const;
-  [[nodiscard]] bool has_counter(std::string_view name) const;
-  [[nodiscard]] bool has_histogram(std::string_view name) const;
 
   [[nodiscard]] std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();

@@ -31,10 +31,6 @@ double LinkConfig::raw_bytes_per_sec() const {
   return per_lane * lanes;
 }
 
-TimePs LinkConfig::serialize_ps(std::uint64_t wire_bytes) const {
-  return serialize_time(wire_bytes, ps_per_byte());
-}
-
 bool LinkPort::can_send(const Tlp& tlp) const {
   return tx_queued_ + tlp.wire_bytes() <= cfg_->tx_queue_bytes;
 }

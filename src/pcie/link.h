@@ -51,9 +51,6 @@ struct LinkConfig {
   [[nodiscard]] double ps_per_byte() const {
     return 1e12 / raw_bytes_per_sec();
   }
-
-  /// Serialization time for a whole TLP.
-  [[nodiscard]] TimePs serialize_ps(std::uint64_t wire_bytes) const;
 };
 
 class LinkPort;

@@ -2,20 +2,6 @@
 
 namespace tca::peach2 {
 
-const char* to_string(PortId port) {
-  switch (port) {
-    case PortId::kNorth: return "N";
-    case PortId::kEast: return "E";
-    case PortId::kWest: return "W";
-    case PortId::kSouth: return "S";
-    case PortId::kYNeg: return "Y-";
-    case PortId::kZPos: return "Z+";
-    case PortId::kZNeg: return "Z-";
-    case PortId::kInternal: return "INT";
-  }
-  return "?";
-}
-
 Status RoutingTable::add(const RouteEntry& entry) {
   if (entries_.size() >= kCapacity) {
     return {ErrorCode::kResourceExhausted, "routing table full"};

@@ -43,8 +43,6 @@ constexpr PortId torus_minus_port(std::uint32_t dim) {
   return dim == 0 ? PortId::kWest : dim == 1 ? PortId::kYNeg : PortId::kZNeg;
 }
 
-const char* to_string(PortId port);
-
 struct RouteEntry {
   std::uint64_t mask = ~0ull;
   std::uint64_t lower = 0;

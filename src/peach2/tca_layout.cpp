@@ -6,16 +6,6 @@
 
 namespace tca::peach2 {
 
-const char* to_string(TcaTarget target) {
-  switch (target) {
-    case TcaTarget::kGpu0: return "GPU0";
-    case TcaTarget::kGpu1: return "GPU1";
-    case TcaTarget::kHost: return "HOST";
-    case TcaTarget::kInternal: return "PEACH2";
-  }
-  return "?";
-}
-
 namespace {
 bool is_power_of_two(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 }  // namespace

@@ -25,8 +25,6 @@ enum class TcaTarget : std::uint32_t {
 };
 inline constexpr std::uint32_t kTcaTargetCount = 4;
 
-const char* to_string(TcaTarget target);
-
 struct TcaLocation {
   std::uint32_t node;
   TcaTarget target;

@@ -746,7 +746,7 @@ TEST(Runtime, ApiMetricsCountOpsAndPolicy) {
   EXPECT_EQ(reg.counter_value("api.memcpy.pio_ops"), 1u);
   EXPECT_EQ(reg.counter_value("api.memcpy.dma_ops"), 1u);
   // The fabric roll-up rides along in the same registry.
-  EXPECT_TRUE(reg.has_counter("fabric.payload_bytes"));
+  EXPECT_TRUE(reg.snapshot().counters.contains("fabric.payload_bytes"));
 }
 
 }  // namespace

@@ -154,16 +154,6 @@ TEST(MpiLite, EagerLatencyIsMicroseconds) {
   EXPECT_LT(rig.sched.now(), us(4));
 }
 
-TEST(MpiLite, SendrecvExchanges) {
-  Rig rig(2);
-  auto a = pattern(512, 9), b = pattern(512, 10);
-  auto t0 = rig.mpi->sendrecv(0, 1, 5, a);
-  auto t1 = rig.mpi->sendrecv(1, 0, 5, b);
-  rig.sched.run();
-  EXPECT_EQ(t0.result(), b);
-  EXPECT_EQ(t1.result(), a);
-}
-
 TEST(Conventional, ThreeCopyPathMovesGpuData) {
   Rig rig(2);
   auto& src_gpu = rig.nodes[0]->gpu(0);
@@ -193,42 +183,6 @@ TEST(Conventional, SmallMessageLatencyIsTensOfMicroseconds) {
   // Two cudaMemcpy overheads (~7 us each) dominate.
   EXPECT_GT(rig.sched.now(), us(14));
   EXPECT_LT(rig.sched.now(), us(30));
-}
-
-TEST(Collectives, BarrierSynchronizesAllRanks) {
-  Rig rig(4);
-  Collectives coll(*rig.mpi, 4);
-  std::vector<TimePs> exit_times(4, -1);
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    sim::spawn([](Rig& rg, Collectives& c, std::uint32_t rank,
-                  std::vector<TimePs>& exits) -> sim::Task<> {
-      // Stagger arrivals; nobody may leave before the last arrival.
-      co_await sim::Delay(rg.sched, us(rank * 10));
-      co_await c.barrier(rank);
-      exits[rank] = rg.sched.now();
-    }(rig, coll, r, exit_times));
-  }
-  rig.sched.run();
-  for (std::uint32_t r = 0; r < 4; ++r) {
-    EXPECT_GE(exit_times[r], us(30)) << "rank " << r << " left early";
-  }
-}
-
-TEST(Collectives, BackToBackBarriersDoNotCrossMatch) {
-  Rig rig(2);
-  Collectives coll(*rig.mpi, 2);
-  int phase_done = 0;
-  for (std::uint32_t r = 0; r < 2; ++r) {
-    sim::spawn([](Collectives& c, std::uint32_t rank, int& done)
-                   -> sim::Task<> {
-      co_await c.barrier(rank);
-      co_await c.barrier(rank);
-      co_await c.barrier(rank);
-      ++done;
-    }(coll, r, phase_done));
-  }
-  rig.sched.run();
-  EXPECT_EQ(phase_done, 2);
 }
 
 TEST(Collectives, AllreduceSumMatchesReference) {

@@ -312,7 +312,6 @@ TEST(Driver, GpuPinningRejectsBadIndexAndRange) {
   EXPECT_FALSE(p2p.pin(5, 0, 4096).is_ok());
   EXPECT_FALSE(p2p.pin(-1, 0, 4096).is_ok());
   EXPECT_FALSE(p2p.pin(0, 1ull << 40, 4096).is_ok());
-  EXPECT_FALSE(p2p.unpin(9, 0, 4096).is_ok());
 }
 
 TEST(Driver, HelperAddressesDecodeCorrectly) {

@@ -18,8 +18,9 @@ TEST(MetricRegistry, CounterFindOrCreateAccumulates) {
   reg.counter("node0.peach2.dmac.ch2.descriptors").add();
   reg.counter("node0.peach2.dmac.ch2.descriptors").add(4);
   EXPECT_EQ(reg.counter_value("node0.peach2.dmac.ch2.descriptors"), 5u);
-  EXPECT_TRUE(reg.has_counter("node0.peach2.dmac.ch2.descriptors"));
-  EXPECT_FALSE(reg.has_counter("node0.peach2.dmac.ch3.descriptors"));
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_TRUE(snap.counters.contains("node0.peach2.dmac.ch2.descriptors"));
+  EXPECT_FALSE(snap.counters.contains("node0.peach2.dmac.ch3.descriptors"));
   EXPECT_EQ(reg.counter_value("absent"), 0u);
   EXPECT_EQ(reg.size(), 1u);
 }
@@ -39,7 +40,7 @@ TEST(MetricRegistry, GaugeKeepsLatestValue) {
   MetricRegistry reg;
   reg.gauge("fabric.node_count").set(4);
   reg.gauge("fabric.node_count").set(8);
-  EXPECT_DOUBLE_EQ(reg.gauge_value("fabric.node_count"), 8.0);
+  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("fabric.node_count"), 8.0);
 }
 
 TEST(MetricRegistry, HistogramMomentsAndPercentiles) {
@@ -53,7 +54,7 @@ TEST(MetricRegistry, HistogramMomentsAndPercentiles) {
   EXPECT_NEAR(h.percentile(50), 50.0, 1.0);
   EXPECT_NEAR(h.percentile(95), 95.0, 1.0);
   EXPECT_NEAR(h.percentile(99), 99.0, 1.0);
-  EXPECT_TRUE(reg.has_histogram("lat"));
+  EXPECT_TRUE(reg.snapshot().histograms.contains("lat"));
 }
 
 TEST(MetricRegistry, JsonRoundTripsThroughSnapshot) {

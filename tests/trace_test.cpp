@@ -48,7 +48,8 @@ TEST(Trace, RecordsAllEventKinds) {
   Trace trace;
   trace.duration("track-a", "span", units::ns(10), units::ns(20));
   trace.instant("track-a", "tick", units::ns(15));
-  trace.counter("track-b", "queue", units::ns(15), 3.0);
+  trace.counter(trace.intern("track-b"), trace.intern("queue"), units::ns(15),
+                3.0);
   EXPECT_EQ(trace.event_count(), 3u);
 
   const std::string json = trace.to_json();
