@@ -16,16 +16,16 @@ using namespace tca;
 
 namespace {
 
-double ntb_write_latency_ns(sim::Scheduler& sched, baseline::NtbBridge& ntb,
-                            node::ComputeNode& src, node::ComputeNode& dst,
-                            std::uint32_t value) {
+double ntb_write_latency_ns(sim::Scheduler& sched, node::ComputeNode& src,
+                            node::ComputeNode& dst, std::uint32_t value) {
   std::uint32_t zero = 0;
   dst.cpu().write_host(0x900, std::as_bytes(std::span(&zero, 1)));
   auto poll = dst.cpu().poll_host_until_change(0x900, 0);
   const TimePs t0 = sched.now();
   std::array<std::byte, 4> data;
   std::memcpy(data.data(), &value, 4);
-  auto store = src.cpu().mmio_store(ntb.config().aperture_base + 0x900, data);
+  auto store =
+      src.cpu().mmio_store(baseline::NtbBridge::kApertureBase + 0x900, data);
   sched.run();
   return units::to_ns(poll.result() - t0);
 }
@@ -42,7 +42,7 @@ int main() {
   node::ComputeNode nb(ntb_sched, 1,
                        {.gpu_count = 0, .host_backing_bytes = 8 << 20});
   baseline::NtbBridge ntb(ntb_sched, na, nb);
-  const double ntb_ns = ntb_write_latency_ns(ntb_sched, ntb, na, nb, 7);
+  const double ntb_ns = ntb_write_latency_ns(ntb_sched, na, nb, 7);
 
   // --- PEACH2 pair ------------------------------------------------------------
   bench::DmaRig rig;
@@ -58,7 +58,7 @@ int main() {
   // --- Robustness under link loss ----------------------------------------------
   ntb.set_link_up(false);
   std::array<std::byte, 4> probe{};
-  auto doomed = na.cpu().mmio_store(ntb.config().aperture_base, probe);
+  auto doomed = na.cpu().mmio_store(baseline::NtbBridge::kApertureBase, probe);
   ntb_sched.run();
   const bool ntb_wedged = ntb.hung(0);
 

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Fast pre-commit gate: Release build with warnings as errors (the
-# register map in src/peach2/registers.h is checked by its static_asserts
-# here), tca_lint over the whole tree (coroutine-lifetime / determinism /
-# protocol-lifecycle invariants and named MMIO offsets), a clang-tidy
-# baseline diff (skipped when clang-tidy is not installed), the reachability
-# check (scripts/reachability.sh: every function a src/ library defines is
-# kept by some bench, example, tool or tcabench binary), full test suite
+# Fast pre-commit gate: Release build with warnings as errors (two layouts
+# are checked by static_asserts here: the PEACH2 register map in
+# src/peach2/registers.h and the collectives' flag-word partition in
+# src/coll/communicator.cpp), tca_lint over the whole tree (coroutine-
+# lifetime / determinism / protocol-lifecycle invariants and named MMIO
+# offsets), a clang-tidy baseline diff (skipped when clang-tidy is not
+# installed), the reachability check (scripts/reachability.sh: every
+# function a src/ library defines is kept by some bench, example, tool or
+# tcabench binary), full test suite
 # (soak label excluded — run `ctest -L soak` for the long fault campaigns;
 # the `repro` label diffs every full-simulator bench against tests/golden/),
 # a sanitizer pass over the fault, collective, memory, event-queue, poller

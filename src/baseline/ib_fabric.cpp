@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "calib/calibration.h"
+
 namespace tca::baseline {
 
 IbFabric::IbFabric(sim::Scheduler& sched,
@@ -33,7 +35,7 @@ sim::Task<> IbFabric::rdma_write_notify(std::uint32_t src_node,
   TCA_ASSERT(src_node != dst_node);
   const int rails = use_rails > 0 ? use_rails : cfg_.rails;
   const double rate =
-      cfg_.bytes_per_sec_per_rail * std::min(rails, cfg_.rails);
+      calib::kIbBytesPerSecPerRail * std::min(rails, cfg_.rails);
 
   // Serialize on the sender NIC.
   sim::Semaphore& engine = *nics_[src_node].engine;
@@ -51,7 +53,7 @@ sim::Task<> IbFabric::rdma_write_notify(std::uint32_t src_node,
     payload.assign(data.begin(), data.end());
   }
   sched_.schedule_after(
-      cfg_.verbs_latency_ps,
+      calib::kIbRawLatencyPs,
       [this, dst_node, dst_offset, p = std::move(payload), delivered] {
         if (dst_offset != kTimingOnly) {
           nodes_[dst_node]->host_dram().write(dst_offset, p);

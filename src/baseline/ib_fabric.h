@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "calib/calibration.h"
 #include "common/error.h"
 #include "node/compute_node.h"
 #include "sim/scheduler.h"
@@ -24,8 +23,6 @@ namespace tca::baseline {
 
 struct IbConfig {
   int rails = 2;  ///< Table I: "Mellanox Connect-X3 Dual-port QDR"
-  double bytes_per_sec_per_rail = calib::kIbBytesPerSecPerRail;
-  TimePs verbs_latency_ps = calib::kIbRawLatencyPs;
 };
 
 /// Verbs-level RDMA fabric between the nodes of a cluster. One NIC per

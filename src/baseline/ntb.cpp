@@ -18,7 +18,7 @@ NtbBridge::NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
     const Status st =
         nodes_[static_cast<std::size_t>(side)]->socket(0).attach_device(
             static_cast<pcie::DeviceId>(200 + side), link.end_a(),
-            {{cfg_.aperture_base, cfg_.aperture_bytes}});
+            {{kApertureBase, kApertureBytes}});
     TCA_ASSERT(st.is_ok());
     link.end_b().set_sink(endpoints_[static_cast<std::size_t>(side)].get());
   }
@@ -45,14 +45,14 @@ void NtbBridge::forward(int from_side, pcie::TlpPtr tlp) {
     return;
   }
   // Address translation: aperture offset -> peer host window.
-  const std::uint64_t offset = tlp->address - cfg_.aperture_base;
+  const std::uint64_t offset = tlp->address - kApertureBase;
   const std::uint64_t peer_addr =
       node::layout::kHostBase + cfg_.peer_window_offset + offset;
   const int to_side = 1 - from_side;
   ++forwarded_;
 
   sched_.schedule_after(
-      cfg_.translation_ps,
+      kTranslationPs,
       [this, to_side, peer_addr, out = std::move(tlp)]() mutable {
         // Inject into the peer's root complex as if from the NTB EP: the
         // same packet, its header rewritten.

@@ -27,17 +27,18 @@
 namespace tca::baseline {
 
 struct NtbConfig {
-  /// Aperture BAR each side exposes (same local bus address on both nodes).
-  std::uint64_t aperture_base = 0x38'0000'0000ull;
-  std::uint64_t aperture_bytes = 16ull << 20;
   /// Peer host-memory offset the aperture translates to.
   std::uint64_t peer_window_offset = 0;
-  /// Translation + switch traversal latency per TLP.
-  TimePs translation_ps = units::ns(150);
 };
 
 class NtbBridge {
  public:
+  /// Aperture BAR each side exposes (same local bus address on both nodes).
+  static constexpr std::uint64_t kApertureBase = 0x38'0000'0000ull;
+  static constexpr std::uint64_t kApertureBytes = 16ull << 20;
+  /// Translation + switch traversal latency per TLP.
+  static constexpr TimePs kTranslationPs = units::ns(150);
+
   NtbBridge(sim::Scheduler& sched, node::ComputeNode& node_a,
             node::ComputeNode& node_b, NtbConfig config = {});
 

@@ -200,6 +200,8 @@ inline constexpr TimePs kQpiExtraLatencyPs = ns(400);
 /// BAR1 write sink: deep request queue, absorbs posted writes at line rate
 /// ("the GPU is assumed to be of sufficient size for the request queue").
 inline constexpr std::uint32_t kGpuWriteQueueDepth = 64;
+/// GDDR write commit: a posted write lands this long after it arrives.
+inline constexpr TimePs kGpuWriteCommitPs = ns(40);
 
 /// BAR1 read service: the address-conversion mechanism serializes read
 /// completions. 256 B per 308 ns => 831 MB/s, the paper's "maximum DMA read

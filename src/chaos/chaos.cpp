@@ -239,6 +239,15 @@ fabric::FaultPlan generate_fault_plan(std::uint64_t seed,
 
 namespace {
 
+// Recovery policy every campaign's workloads run under. It is not part of
+// the campaign spec: the corpus pins behavior through seed, topology,
+// workload and plan alone.
+constexpr TimePs kPutDeadlinePs = us(300);
+constexpr std::uint32_t kPutMaxAttempts = 3;
+constexpr TimePs kFlagTimeoutPs = ms(2);
+/// No-wedge horizon: every workload task must resolve by then.
+constexpr TimePs kHorizonPs = ms(100);
+
 /// Deterministic small-integer payloads: every derived double is an integer
 /// in [0, 1024), so cross-rank sums are exact regardless of fold order.
 double init_value(std::uint64_t seed, std::uint32_t rank, std::uint64_t j) {
@@ -336,15 +345,15 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
     } else {
       api::Runtime rt = std::move(rt_result).value();
       const std::uint32_t n = rt.node_count();
-      const driver::RetryPolicy sync{.max_attempts = spec.max_attempts,
-                                     .timeout_ps = spec.deadline_ps};
+      const driver::RetryPolicy sync{.max_attempts = kPutMaxAttempts,
+                                     .timeout_ps = kPutDeadlinePs};
 
       // Heartbeats: probes spread across the horizon that record the clock;
       // the monotonic-time invariant checks them after the run.
       std::vector<TimePs> heartbeats;
       heartbeats.reserve(16);
       for (int i = 1; i <= 16; ++i) {
-        sched.schedule_at(spec.horizon_ps * i / 16, [&sched, &heartbeats] {
+        sched.schedule_at(kHorizonPs * i / 16, [&sched, &heartbeats] {
           heartbeats.push_back(sched.now());
         });
       }
@@ -361,7 +370,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
         ccfg.pipeline_seg_bytes = 4096;
         ccfg.staging_slots = 2;
         ccfg.sync = sync;
-        ccfg.flag_timeout_ps = spec.flag_timeout_ps;
+        ccfg.flag_timeout_ps = kFlagTimeoutPs;
         auto comm_result = coll::Communicator::create(rt, ccfg);
         if (!comm_result.is_ok()) {
           violate("communicator construction failed: " +
@@ -506,7 +515,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
       }
 
       // --- Run -----------------------------------------------------------
-      sched.run_for(spec.horizon_ps);
+      sched.run_for(kHorizonPs);
 
       bool wedged = false;
       for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -514,7 +523,7 @@ CampaignResult run_campaign(const CampaignSpec& spec) {
           wedged = true;
           violate("no-wedge: workload task " + std::to_string(i) +
                   " still pending at the " +
-                  units::format_time(spec.horizon_ps) + " horizon");
+                  units::format_time(kHorizonPs) + " horizon");
         }
       }
       // Drain fault-plan tails (window closes, retrains) so end-state

@@ -78,14 +78,6 @@ struct CampaignSpec {
   /// corpus always materialize it explicitly.
   fabric::FaultPlan plan;
 
-  /// Recovery policy the workloads run under (not serialized; the corpus
-  /// pins behavior through seed/topology/workload/plan alone).
-  TimePs deadline_ps = units::us(300);
-  std::uint32_t max_attempts = 3;
-  TimePs flag_timeout_ps = units::ms(2);
-  /// No-wedge horizon: every workload task must resolve by then.
-  TimePs horizon_ps = units::ms(100);
-
   /// Line-oriented rendering (the .campaign corpus format):
   ///   seed=42
   ///   topology=torus:4x4

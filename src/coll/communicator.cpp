@@ -26,16 +26,6 @@ namespace {
 //   word 5           halo ack       written by next ("I consumed your to-next put")
 //   word 6+q         eager data     written by rank q (deposits made)
 //   word 6+n+q       eager ack      written by rank q (deposits consumed)
-// The partition proof the coll-flag-overlap lint checks: for every world
-// size n up to calib::kMaxFabricNodes, the largest fabric a topology
-// accepts, the per-purpose flag-word regions below must be pairwise
-// disjoint and fit in the kEagerWordBase + 2n words each rank maps.
-// tca-flags: param(n, 1, 1024)
-// tca-flags: region(ring-data, kRingDataWord, 1), region(ring-ack, kRingAckWord, 1)
-// tca-flags: region(halo-data-prev, kHaloDataPrevWord, 1), region(halo-data-next, kHaloDataNextWord, 1)
-// tca-flags: region(halo-ack-prev, kHaloAckPrevWord, 1), region(halo-ack-next, kHaloAckNextWord, 1)
-// tca-flags: region(eager-data, kEagerWordBase, n), region(eager-ack, kEagerWordBase + n, n)
-// tca-flags: total(kEagerWordBase + 2 * n)
 constexpr std::uint32_t kRingDataWord = 0;
 constexpr std::uint32_t kRingAckWord = 1;
 constexpr std::uint32_t kHaloDataPrevWord = 2;
@@ -44,6 +34,45 @@ constexpr std::uint32_t kHaloAckPrevWord = 4;
 constexpr std::uint32_t kHaloAckNextWord = 5;
 constexpr std::uint32_t kEagerWordBase = 6;
 constexpr std::uint64_t kFlagStride = 8;
+
+/// Eager data word of the row: deposits rank q made into this rank.
+constexpr std::uint32_t eager_data_word(std::uint32_t q) {
+  return kEagerWordBase + q;
+}
+/// Eager ack word of the row, in an n-rank world: this rank's deposits
+/// that rank q consumed.
+constexpr std::uint32_t eager_ack_word(std::uint32_t n, std::uint32_t q) {
+  return kEagerWordBase + n + q;
+}
+/// Words in each rank's row of an n-rank world.
+constexpr std::uint32_t flag_row_words(std::uint32_t n) {
+  return kEagerWordBase + 2 * n;
+}
+
+// The partition proof: for every world size up to calib::kMaxFabricNodes,
+// the largest fabric a topology accepts, each purpose's words are disjoint
+// from every other's and inside the row. An eager region spans the words
+// its function gives ranks 0 to n-1.
+constexpr bool flag_layout_partitions() {
+  for (std::uint32_t n = 1; n <= calib::kMaxFabricNodes; ++n) {
+    const std::uint32_t last = n - 1;
+    const FlagRegion regions[] = {
+        {kRingDataWord, 1},
+        {kRingAckWord, 1},
+        {kHaloDataPrevWord, 1},
+        {kHaloDataNextWord, 1},
+        {kHaloAckPrevWord, 1},
+        {kHaloAckNextWord, 1},
+        {eager_data_word(0), eager_data_word(last) + 1 - eager_data_word(0)},
+        {eager_ack_word(n, 0),
+         eager_ack_word(n, last) + 1 - eager_ack_word(n, 0)},
+    };
+    if (!flag_regions_partition(regions, flag_row_words(n))) return false;
+  }
+  return true;
+}
+static_assert(flag_layout_partitions(),
+              "coll flag-word regions overlap or leave the row");
 
 // OpSig kinds for cross-rank op-sequence checking.
 constexpr int kOpAllreduce = 1;
@@ -97,7 +126,7 @@ Result<Communicator> Communicator::create(api::Runtime& rt, CollConfig config) {
   if (Status st = validate_config(config); !st.is_ok()) return st;
   Communicator comm(rt, config);
   const std::uint32_t n = comm.ranks_;
-  const std::uint32_t flag_words = kEagerWordBase + 2 * n;
+  const std::uint32_t flag_words = flag_row_words(n);
   comm.op_log_.reserve(64);
   comm.states_.reserve(n);
   for (std::uint32_t r = 0; r < n; ++r) {
@@ -359,7 +388,7 @@ sim::Task<Status> Communicator::eager_send(std::uint32_t rank,
   // consumed deposit s-1 before overwriting the mailbox slot.
   if (s > 1) {
     if (Status st =
-            co_await wait_word_ge(rank, kEagerWordBase + ranks_ + dst, s - 1);
+            co_await wait_word_ge(rank, eager_ack_word(ranks_, dst), s - 1);
         !st.is_ok()) {
       co_return st;
     }
@@ -371,7 +400,7 @@ sim::Task<Status> Communicator::eager_send(std::uint32_t rank,
       payload.size());
   if (!st.is_ok()) co_return st;
   metrics_.bytes += payload.size();
-  co_await signal(rank, dst, kEagerWordBase + rank, s);
+  co_await signal(rank, dst, eager_data_word(rank), s);
   co_return Status::ok();
 }
 
@@ -380,13 +409,13 @@ sim::Task<Status> Communicator::eager_recv(std::uint32_t rank,
                                            std::uint64_t bytes,
                                            std::vector<std::byte>* out) {
   const std::uint32_t s = ++eager_rx_seq_[std::size_t{rank} * ranks_ + src];
-  if (Status st = co_await wait_word_ge(rank, kEagerWordBase + src, s);
+  if (Status st = co_await wait_word_ge(rank, eager_data_word(src), s);
       !st.is_ok()) {
     co_return st;
   }
   out->resize(bytes);
   rt_->read(states_[rank].eager, src * kEagerSlot, *out);
-  co_await signal(rank, src, kEagerWordBase + ranks_ + rank, s);
+  co_await signal(rank, src, eager_ack_word(ranks_, rank), s);
   co_return Status::ok();
 }
 

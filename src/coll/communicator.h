@@ -52,7 +52,9 @@
 //    sequence state may be torn; create a fresh communicator to continue.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +62,31 @@
 #include "common/stats.h"
 
 namespace tca::coll {
+
+/// One purpose's words in a rank's row of flag words: [base, base + count).
+struct FlagRegion {
+  std::uint32_t base;
+  std::uint32_t count;
+};
+
+/// True when the regions are pairwise disjoint and each one lies inside a
+/// row of `row_words` words. communicator.cpp static_asserts this over the
+/// flag words every collective uses, for every world size a fabric accepts.
+constexpr bool flag_regions_partition(std::span<const FlagRegion> regions,
+                                      std::uint32_t row_words) {
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    const FlagRegion& a = regions[i];
+    const std::uint64_t a_end = std::uint64_t{a.base} + a.count;
+    if (a_end > row_words) return false;
+    for (std::size_t j = i + 1; j < regions.size(); ++j) {
+      const FlagRegion& b = regions[j];
+      if (a.base < std::uint64_t{b.base} + b.count && b.base < a_end) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 /// Which path a collective takes for a given payload (see
 /// Communicator::select_algorithm).

@@ -6,13 +6,6 @@
 
 namespace tca {
 
-void RunningStats::add(double x) {
-  ++count_;
-  mean_ += (x - mean_) / static_cast<double>(count_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 void SampleSeries::ensure_sorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());

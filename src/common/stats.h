@@ -1,31 +1,13 @@
-// Running statistics and latency histograms for benchmark reporting.
+// Exact-percentile latency samples for benchmark reporting.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
 
 namespace tca {
-
-/// Streaming count/mean/min/max accumulator.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Exact-percentile sample recorder. Benchmarks in this project record at
 /// most a few hundred thousand samples, so keeping them all is cheaper than

@@ -123,7 +123,7 @@ void GpuDevice::on_tlp(pcie::TlpPtr tlp, pcie::LinkPort& port) {
             t->commit_notifier->on_write_commit(t->ack_address, t->tag);
           }
         };
-        sched_.schedule_after(cfg_.write_commit_ps, std::move(commit));
+        sched_.schedule_after(calib::kGpuWriteCommitPs, std::move(commit));
       }
       port.release_rx(wire);
       break;

@@ -45,7 +45,6 @@ struct P2pToken {
 struct GpuConfig {
   std::uint64_t memory_bytes = 5ull << 30;  ///< K20: 5 GB GDDR5
   std::uint64_t bar1_base = 0;              ///< set by the node's address map
-  TimePs write_commit_ps = units::ns(40);   ///< GDDR write commit
   int socket = 0;                           ///< CPU socket the GPU hangs off
 };
 

@@ -1,7 +1,6 @@
 // Address-range to value mapping with overlap rejection.
 //
-// Used for every address decode in the simulator: the per-node PCIe address
-// map (root complex), GPU BAR pin tables, and the global TCA window layout.
+// The root complex decodes each node's PCIe address map with it.
 #pragma once
 
 #include <cstdint>

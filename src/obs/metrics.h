@@ -71,30 +71,33 @@ class Gauge {
   double value_ = 0;
 };
 
-/// Latency/size distribution: streaming count/mean/min/max (RunningStats)
-/// plus exact percentiles (SampleSeries keeps every sample — simulator runs
-/// record at most a few hundred thousand).
+/// Latency/size distribution: exact percentiles over every sample
+/// (SampleSeries keeps them all — simulator runs record at most a few
+/// hundred thousand) plus a running sum for the mean. Every statistic reads
+/// 0 while the histogram is empty.
 class Histogram {
  public:
   void record(double x) {
-    stats_.add(x);
     samples_.add(x);
+    sum_ += x;
   }
   void record_series(const SampleSeries& series) {
     for (double s : series.samples()) record(s);
   }
 
-  [[nodiscard]] std::uint64_t count() const { return stats_.count(); }
-  [[nodiscard]] double mean() const { return stats_.mean(); }
-  [[nodiscard]] double min() const { return stats_.min(); }
-  [[nodiscard]] double max() const { return stats_.max(); }
+  [[nodiscard]] std::uint64_t count() const { return samples_.count(); }
+  [[nodiscard]] double mean() const {
+    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(count());
+  }
+  [[nodiscard]] double min() const { return samples_.percentile(0); }
+  [[nodiscard]] double max() const { return samples_.percentile(100); }
   [[nodiscard]] double percentile(double p) const {
     return samples_.percentile(p);
   }
 
  private:
-  RunningStats stats_;
   SampleSeries samples_;
+  double sum_ = 0;
 };
 
 /// The JSON-visible summary of a histogram (what snapshots round-trip).

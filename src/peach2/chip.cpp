@@ -536,11 +536,26 @@ void Peach2Chip::write_register(std::uint64_t offset, std::uint64_t value) {
       break;
     case r::kErrMask: err_mask_ = value; break;
     case r::kErrAck: err_status_ &= ~value; break;  // write-1-to-clear
-    case r::kConvWindowBase: cfg_.layout.window_base = value; break;
-    case r::kConvWindowSize: cfg_.layout.window_size = value; break;
-    case r::kConvNodeCount:
-      cfg_.layout.node_count = static_cast<std::uint32_t>(value);
+    case r::kConvWindowBase:
+    case r::kConvWindowSize:
+    case r::kConvNodeCount: {
+      // Decode divides by the slice size, so a conversion write applies
+      // only when the window it leaves is one TcaLayout::create accepts;
+      // otherwise it is ignored, as other invalid writes are.
+      TcaLayout next = cfg_.layout;
+      if (offset == r::kConvWindowBase) next.window_base = value;
+      if (offset == r::kConvWindowSize) next.window_size = value;
+      if (offset == r::kConvNodeCount) {
+        if (value > calib::kMaxFabricNodes) break;  // before it is narrowed
+        next.node_count = static_cast<std::uint32_t>(value);
+      }
+      if (auto valid = TcaLayout::create(next.window_base, next.window_size,
+                                         next.node_count);
+          valid.is_ok()) {
+        cfg_.layout = valid.value();
+      }
       break;
+    }
     case r::kConvLocalGpu0: cfg_.local_gpu0_base = value; break;
     case r::kConvLocalGpu1: cfg_.local_gpu1_base = value; break;
     case r::kConvLocalHost: cfg_.local_host_base = value; break;

@@ -278,7 +278,7 @@ TEST(Ntb, WriteTranslatesIntoPeerHostMemory) {
   NtbBridge ntb(rig.sched, *rig.nodes[0], *rig.nodes[1],
                 NtbConfig{.peer_window_offset = 0x10000});
   auto data = pattern(256, 14);
-  auto t = rig.nodes[0]->cpu().mmio_store(ntb.config().aperture_base + 0x40,
+  auto t = rig.nodes[0]->cpu().mmio_store(NtbBridge::kApertureBase + 0x40,
                                           data);
   rig.sched.run();
 
@@ -292,9 +292,9 @@ TEST(Ntb, BothDirectionsWork) {
   Rig rig(2);
   NtbBridge ntb(rig.sched, *rig.nodes[0], *rig.nodes[1]);
   auto a = pattern(64, 15), b = pattern(64, 16);
-  auto t0 = rig.nodes[0]->cpu().mmio_store(ntb.config().aperture_base, a);
+  auto t0 = rig.nodes[0]->cpu().mmio_store(NtbBridge::kApertureBase, a);
   auto t1 =
-      rig.nodes[1]->cpu().mmio_store(ntb.config().aperture_base + 4096, b);
+      rig.nodes[1]->cpu().mmio_store(NtbBridge::kApertureBase + 4096, b);
   rig.sched.run();
 
   std::vector<std::byte> out(64);
@@ -312,7 +312,7 @@ TEST(Ntb, DisconnectWedgesTheAccessingNode) {
   ntb.set_link_up(false);
 
   auto data = pattern(8, 17);
-  auto t = rig.nodes[0]->cpu().mmio_store(ntb.config().aperture_base, data);
+  auto t = rig.nodes[0]->cpu().mmio_store(NtbBridge::kApertureBase, data);
   rig.sched.run();
 
   EXPECT_TRUE(ntb.hung(0));
@@ -328,7 +328,7 @@ TEST(Ntb, DisconnectWedgesTheAccessingNode) {
 TEST(Ntb, ReadsAcrossBridgeUnsupported) {
   Rig rig(2);
   NtbBridge ntb(rig.sched, *rig.nodes[0], *rig.nodes[1]);
-  auto t = rig.nodes[0]->cpu().mmio_load(ntb.config().aperture_base, 8);
+  auto t = rig.nodes[0]->cpu().mmio_load(NtbBridge::kApertureBase, 8);
   rig.sched.run_for(us(50));
   EXPECT_EQ(ntb.dropped_tlps(), 1u);
   EXPECT_FALSE(t.done());  // the load never completes (no Cpl path)

@@ -156,6 +156,39 @@ TEST(Chip, RoutePortWriteNamingNoPortIsIgnored) {
   EXPECT_EQ(rig.chip->dropped_tlps(), 0u);
 }
 
+// A conversion write that would leave an invalid window is ignored: a node
+// count of 0 makes the slice size 0, and decode divides by it. After each
+// such write the register reads back unchanged, and a write into the
+// chip's own slice is still converted and still leaves by the North port.
+TEST(Chip, ConversionWriteLeavingAnInvalidWindowIsIgnored) {
+  sim::Scheduler sched;
+  ChipRig rig(sched, /*node_id=*/1);
+  const struct {
+    std::uint64_t reg;
+    std::uint64_t value;
+  } invalid[] = {
+      {r::kConvNodeCount, 0},
+      {r::kConvNodeCount, 3},
+      {r::kConvWindowSize, 0},
+      {r::kConvWindowBase, rig.layout.window_base + 4096},  // unaligned
+  };
+  auto& north = rig.probe(PortId::kNorth).received;
+  for (const auto& w : invalid) {
+    const std::uint64_t before = rig.chip->read_register(w.reg);
+    rig.chip->write_register(w.reg, w.value);
+    EXPECT_EQ(rig.chip->read_register(w.reg), before) << "register " << w.reg;
+
+    const std::uint64_t offset = 0x80 * (north.size() + 1);
+    rig.far_end(PortId::kEast)
+        .send(pcie::Tlp::mem_write(
+            rig.layout.encode(1, TcaTarget::kHost, offset), bytes8(5)));
+    sched.run();
+    ASSERT_FALSE(north.empty());
+    EXPECT_EQ(north.back()->address, offset);
+  }
+  EXPECT_EQ(north.size(), std::size(invalid));
+}
+
 TEST(Chip, UnroutableForeignSliceDroppedAndCounted) {
   sim::Scheduler sched;
   ChipRig rig(sched, 0);

@@ -166,6 +166,23 @@ TEST(Coll, CreateValidatesConfig) {
   EXPECT_EQ(ok.value().ranks(), 4u);
 }
 
+// communicator.cpp static_asserts flag_regions_partition over the real
+// flag-word layout for every world size. Here the validator meets a data
+// and an ack region of five words each: overlapping ones, disjoint ones in
+// a row that holds them, and the same in a row one word short. Each result
+// is a constant expression, so the same layout in communicator.cpp fails
+// the build.
+TEST(FlagLayout, OverlappingOrOverflowingRegionsAreRejected) {
+  constexpr FlagRegion overlapping[] = {{0, 5}, {4, 5}};
+  constexpr FlagRegion disjoint[] = {{0, 5}, {5, 5}};
+  constexpr bool overlap_ok = flag_regions_partition(overlapping, 10);
+  constexpr bool disjoint_ok = flag_regions_partition(disjoint, 10);
+  constexpr bool short_row_ok = flag_regions_partition(disjoint, 9);
+  EXPECT_FALSE(overlap_ok);
+  EXPECT_TRUE(disjoint_ok);
+  EXPECT_FALSE(short_row_ok);
+}
+
 TEST(Coll, AlgorithmSelectionFollowsSizeAndResidency) {
   sim::Scheduler sched;
   api::Runtime rt(sched, cluster_of(2));

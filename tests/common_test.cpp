@@ -161,23 +161,6 @@ TEST(Rng, FillCoversWholeSpan) {
   EXPECT_GT(nonzero, 20);  // overwhelmingly likely for random bytes
 }
 
-TEST(RunningStats, Basic) {
-  RunningStats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
 TEST(SampleSeries, Percentiles) {
   SampleSeries s;
   for (int i = 1; i <= 100; ++i) s.add(i);

@@ -201,21 +201,11 @@ TEST(LintProtocol, BorrowUsedBeforeSuspendOrRefreshedPasses) {
   EXPECT_TRUE(lint_file("coro_borrow_across_suspend_good.cpp").empty());
 }
 
-TEST(LintProtocol, FlagRegionOverlapFlagged) {
-  const auto fs = lint_file("coll_flag_overlap_bad.cpp");
-  EXPECT_EQ(count_rule(fs, "coll-flag-overlap"), 1u);  // deduped per pair
-  EXPECT_TRUE(only_rules(fs, {"coll-flag-overlap"}));
-}
-
-TEST(LintProtocol, DisjointFlagRegionsPass) {
-  EXPECT_TRUE(lint_file("coll_flag_overlap_good.cpp").empty());
-}
-
 TEST(LintCatalogue, RuleIdsAreUnique) {
   const auto ids = tca::lint::rule_ids();
   const std::set<std::string> unique(ids.begin(), ids.end());
   EXPECT_EQ(ids.size(), unique.size());
-  EXPECT_EQ(ids.size(), 16u);
+  EXPECT_EQ(ids.size(), 15u);
 }
 
 // A mistyped path must fail the run, not lint nothing and pass.

@@ -57,6 +57,16 @@ TEST(MetricRegistry, HistogramMomentsAndPercentiles) {
   EXPECT_TRUE(reg.snapshot().histograms.contains("lat"));
 }
 
+TEST(MetricRegistry, EmptyHistogramReadsZero) {
+  MetricRegistry reg;
+  const Histogram& h = reg.histogram("lat");
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  EXPECT_EQ(h.percentile(50), 0.0);
+}
+
 TEST(MetricRegistry, JsonRoundTripsThroughSnapshot) {
   MetricRegistry reg;
   reg.counter("pcie.cable.0-1.fwd.wire_bytes").set(8960);

@@ -136,7 +136,6 @@ std::vector<std::string> rule_ids() {
       "proto-double-release",
       "proto-ack-before-commit",
       "proto-bad-annotation",
-      "coll-flag-overlap",
       "lint-bad-suppression",
       "lint-unreadable-file",
   };

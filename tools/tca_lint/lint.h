@@ -42,8 +42,9 @@
 //                            regs:: constant.
 //
 //  protocol lifecycle (flow-sensitive, over the CFGs of cfg.h; driven by
-//  `// tca-protocol:` / `// tca-flags:` annotations — grammar in
-//  rules_protocol.cpp and docs/ARCHITECTURE.md)
+//  `// tca-protocol:` annotations — grammar in rules_protocol.cpp and
+//  docs/ARCHITECTURE.md; the collectives' flag-word partition is no rule
+//  here: src/coll/communicator.cpp static_asserts it on every build)
 //    proto-leak              an acquired tag/credit/slot reaches the
 //                            function exit without a release, abandon, or
 //                            transfer on some (or every) path.
@@ -58,12 +59,8 @@
 //    coro-borrow-across-suspend  a value borrowed from a `borrows(k)`
 //                            function (arena frames, ...) used on a path
 //                            that crossed a co_await suspension edge.
-//    coll-flag-overlap       `tca-flags:` region declarations (the per-
-//                            collective doorbell flag-word partitions) that
-//                            overlap or exceed the declared total for some
-//                            parameter assignment.
-//    proto-bad-annotation    a tca-protocol/tca-flags annotation that does
-//                            not parse or attaches to nothing — deleting
+//    proto-bad-annotation    a tca-protocol annotation that does not
+//                            parse or attaches to nothing — deleting
 //                            annotated code without its annotation is
 //                            itself a gate failure.
 //

@@ -19,8 +19,8 @@ namespace {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: tca_lint [--root DIR] [--sarif FILE] [--quiet] "
-               "[--list-rules] [files...]\n");
+               "usage: tca_lint [--root DIR] [--sarif FILE] [--list-rules] "
+               "[files...]\n");
   return 2;
 }
 
@@ -97,7 +97,6 @@ bool write_sarif(const std::string& path,
 
 int main(int argc, char** argv) {
   tca::lint::Options opts;
-  bool quiet = false;
   std::string sarif_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -107,8 +106,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--sarif") {
       if (++i >= argc) return usage();
       sarif_path = argv[i];
-    } else if (arg == "--quiet") {
-      quiet = true;
     } else if (arg == "--list-rules") {
       for (const std::string& r : tca::lint::rule_ids()) {
         std::printf("%s\n", r.c_str());
@@ -126,13 +123,11 @@ int main(int argc, char** argv) {
   if (opts.root.empty() && opts.files.empty()) return usage();
 
   const std::vector<tca::lint::Finding> findings = tca::lint::run_lint(opts);
-  if (!quiet) {
-    for (const auto& f : findings) {
-      std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line,
-                  f.rule.c_str(), f.message.c_str());
-    }
-    std::fprintf(stderr, "tca_lint: %zu finding(s)\n", findings.size());
+  for (const auto& f : findings) {
+    std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
+                f.message.c_str());
   }
+  std::fprintf(stderr, "tca_lint: %zu finding(s)\n", findings.size());
   if (!sarif_path.empty() && !write_sarif(sarif_path, findings)) {
     std::fprintf(stderr, "tca_lint: cannot write SARIF to %s\n",
                  sarif_path.c_str());

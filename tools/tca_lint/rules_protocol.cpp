@@ -1,5 +1,5 @@
 // Flow-sensitive protocol-lifecycle rules (proto-*, coro-borrow-across-
-// suspend, coll-flag-overlap) over the CFGs of cfg.h.
+// suspend) over the CFGs of cfg.h.
 //
 // Annotation grammar (full write-up in docs/ARCHITECTURE.md):
 //
@@ -26,13 +26,6 @@
 //   acquire(kind)  release(kind)  abandon(kind)  transfer(kind)
 //   commit         borrow(kind)
 //
-//   // tca-flags: param(name, min, max) | region(name, base, count)
-//                 | total(expr)
-//
-// Flag-partition clauses are collected file-wide; every `region` interval
-// must stay pairwise disjoint and inside [0, total) for every assignment of
-// the declared params (expressions may use the file's constexpr constants).
-//
 // Known limitation (deliberate): the analysis is path-insensitive, so an
 // acquire and its discharge guarded by the *same* runtime condition (the
 // DMAC want_ack window) would report a false may-leak — such windows stay
@@ -46,7 +39,6 @@
 #include <vector>
 
 #include "tca_lint/cfg.h"
-#include "tca_lint/eval.h"
 #include "tca_lint/lint.h"
 
 namespace tca::lint::rules {
@@ -268,127 +260,6 @@ std::string fn_label(const FunctionCfg& cfg) {
   return cfg.is_lambda ? "lambda" : "'" + cfg.name + "'";
 }
 
-// ---------------------------------------------------------------------------
-// coll-flag-overlap
-
-struct FlagParam {
-  std::string name;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-  int line = 0;
-};
-struct FlagRegion {
-  std::string name;
-  std::string base;
-  std::string count;
-  int line = 0;
-};
-
-bool eval_expr(const std::string& expr,
-               const std::map<std::string, std::uint64_t>& env,
-               std::uint64_t* out) {
-  const LexedFile lf = lex(expr);
-  if (lf.toks.empty()) return false;
-  Eval ev{lf.toks, 0, lf.toks.size(), env};
-  const std::uint64_t v = ev.or_expr();
-  if (!ev.ok || ev.pos != lf.toks.size()) return false;
-  *out = v;
-  return true;
-}
-
-void check_flag_partitions(const std::string& path, const LexedFile& f,
-                           const std::vector<FlagParam>& params,
-                           const std::vector<FlagRegion>& regions,
-                           const std::string& total_expr, int total_line,
-                           std::vector<Finding>& out) {
-  const std::map<std::string, std::uint64_t> consts = collect_constexpr_env(f);
-
-  // Cartesian sweep over the declared parameter ranges.
-  std::uint64_t combos = 1;
-  for (const FlagParam& p : params) {
-    combos *= p.max - p.min + 1;
-    if (combos > 4096) {
-      out.push_back({path, p.line, "proto-bad-annotation",
-                     "tca-flags param sweep exceeds 4096 combinations"});
-      return;
-    }
-  }
-
-  std::set<std::string> reported;
-  std::vector<std::uint64_t> idx(params.size(), 0);
-  for (std::uint64_t combo = 0; combo < combos; ++combo) {
-    std::map<std::string, std::uint64_t> env = consts;
-    std::string assign;
-    std::uint64_t rest = combo;
-    for (std::size_t p = 0; p < params.size(); ++p) {
-      const std::uint64_t span = params[p].max - params[p].min + 1;
-      const std::uint64_t v = params[p].min + rest % span;
-      rest /= span;
-      env[params[p].name] = v;
-      if (!assign.empty()) assign += ", ";
-      assign += params[p].name + "=" + std::to_string(v);
-    }
-
-    struct Iv {
-      const FlagRegion* r;
-      std::uint64_t b, e;
-    };
-    std::vector<Iv> ivs;
-    for (const FlagRegion& r : regions) {
-      std::uint64_t b = 0;
-      std::uint64_t c = 0;
-      if (!eval_expr(r.base, env, &b) || !eval_expr(r.count, env, &c)) {
-        if (reported.insert("eval:" + r.name).second) {
-          out.push_back({path, r.line, "proto-bad-annotation",
-                         "tca-flags region '" + r.name +
-                             "' has an unevaluable base/count expression"});
-        }
-        continue;
-      }
-      ivs.push_back({&r, b, b + c});
-    }
-    for (std::size_t a = 0; a < ivs.size(); ++a) {
-      for (std::size_t b = a + 1; b < ivs.size(); ++b) {
-        if (ivs[a].b < ivs[b].e && ivs[b].b < ivs[a].e) {
-          const std::string key =
-              "ov:" + ivs[a].r->name + ":" + ivs[b].r->name;
-          if (reported.insert(key).second) {
-            out.push_back(
-                {path, ivs[b].r->line, "coll-flag-overlap",
-                 "flag regions '" + ivs[a].r->name + "' [" +
-                     std::to_string(ivs[a].b) + ", " +
-                     std::to_string(ivs[a].e) + ") and '" + ivs[b].r->name +
-                     "' [" + std::to_string(ivs[b].b) + ", " +
-                     std::to_string(ivs[b].e) + ") overlap" +
-                     (assign.empty() ? "" : " at " + assign)});
-          }
-        }
-      }
-    }
-    if (!total_expr.empty()) {
-      std::uint64_t total = 0;
-      if (!eval_expr(total_expr, env, &total)) {
-        if (reported.insert("eval:total").second) {
-          out.push_back({path, total_line, "proto-bad-annotation",
-                         "tca-flags total expression is unevaluable"});
-        }
-      } else {
-        for (const Iv& iv : ivs) {
-          if (iv.e > total && reported.insert("tot:" + iv.r->name).second) {
-            out.push_back(
-                {path, iv.r->line, "coll-flag-overlap",
-                 "flag region '" + iv.r->name + "' [" +
-                     std::to_string(iv.b) + ", " + std::to_string(iv.e) +
-                     ") exceeds the declared total of " +
-                     std::to_string(total) +
-                     (assign.empty() ? "" : " at " + assign)});
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -433,11 +304,6 @@ void check_protocol(const std::string& path, const LexedFile& f,
     std::vector<Clause> clauses;
   };
   std::vector<Anno> protos;
-  std::vector<FlagParam> flag_params;
-  std::vector<FlagRegion> flag_regions;
-  std::string flag_total;
-  int flag_total_line = 0;
-  bool has_flags = false;
 
   for (const auto& [line, text] : f.comments) {
     const std::size_t pat = marker_at(text, "tca-protocol:");
@@ -457,42 +323,6 @@ void check_protocol(const std::string& path, const LexedFile& f,
           }
         }
         if (ok) protos.push_back({line, std::move(clauses)});
-      }
-    }
-    const std::size_t fat = marker_at(text, "tca-flags:");
-    if (fat != std::string::npos) {
-      std::vector<Clause> clauses;
-      if (!parse_clause_list(text, fat + 10, line, &clauses)) {
-        out.push_back({path, line, "proto-bad-annotation",
-                       "unparsable tca-flags annotation"});
-        continue;
-      }
-      for (const Clause& c : clauses) {
-        if (c.name == "param" && c.args.size() == 3) {
-          const std::map<std::string, std::uint64_t> empty;
-          std::uint64_t mn = 0;
-          std::uint64_t mx = 0;
-          if (!eval_expr(c.args[1], empty, &mn) ||
-              !eval_expr(c.args[2], empty, &mx) || mx < mn) {
-            out.push_back({path, line, "proto-bad-annotation",
-                           "tca-flags param '" + c.args[0] +
-                               "' needs literal min <= max bounds"});
-            continue;
-          }
-          flag_params.push_back({c.args[0], mn, mx, line});
-          has_flags = true;
-        } else if (c.name == "region" && c.args.size() == 3) {
-          flag_regions.push_back({c.args[0], c.args[1], c.args[2], line});
-          has_flags = true;
-        } else if (c.name == "total" && c.args.size() == 1) {
-          flag_total = c.args[0];
-          flag_total_line = line;
-          has_flags = true;
-        } else {
-          out.push_back({path, line, "proto-bad-annotation",
-                         "unknown or malformed tca-flags clause '" + c.name +
-                             "'"});
-        }
       }
     }
   }
@@ -818,12 +648,6 @@ void check_protocol(const std::string& path, const LexedFile& f,
         }
       }
     }
-  }
-
-  // ---- coll-flag-overlap.
-  if (has_flags) {
-    check_flag_partitions(path, f, flag_params, flag_regions, flag_total,
-                          flag_total_line, out);
   }
 }
 
