@@ -11,7 +11,10 @@
 #      against the conventional MPI/IB stack.
 #   3. End-to-end host cost of every full-simulator bench: wall, user and
 #      kernel time, minor page faults and peak RSS per bench (median-wall
-#      run of three, interleaved across benches).
+#      run of three, interleaved across benches). The same loop times
+#      tca_explore's 64 KiB allreduce on torus:8x8 and torus:16x16 (64 and
+#      256 ranks spinning on flags); torus:32x32 (1024 nodes, about a
+#      minute) runs once after it.
 #
 # That simulated results stay put is the golden gate's job (`ctest -L
 # repro`, tests/golden/), not this script's.
@@ -57,8 +60,8 @@ require_in_repo() {
 
 cmake --preset perf > /dev/null || exit 1
 # E2E_BENCHES is a word list: left unquoted on purpose here and below.
-cmake --build --preset perf -j --target bench_sim_core $E2E_BENCHES \
-  > /dev/null || exit 1
+cmake --build --preset perf -j --target bench_sim_core tca_explore \
+  $E2E_BENCHES > /dev/null || exit 1
 mkdir -p "$OUT"
 
 echo "== bench_sim_core (events/sec: indexed vs. seed queue) =="
@@ -90,7 +93,7 @@ echo "wrote $COLL_JSON"
 
 echo
 echo "== end-to-end host cost of every full-simulator bench =="
-for bench in $E2E_BENCHES; do
+for bench in $E2E_BENCHES torus_8x8 torus_16x16 torus_32x32; do
   require_in_repo "$OUT/$bench.e2e.txt"
 done
 # Each run's own wall, user and kernel time and minor faults come from
@@ -102,32 +105,46 @@ done
 # child's ru_maxrss starts at the interpreter's own high-water mark, so it
 # never reads below it. ru_maxrss stands in when a bench prints no such
 # line. Repetitions are interleaved across benches, so a slow phase of the
-# box is spread over every bench.
-python3 - "$BUILD/bench" "$OUT" "$E2E_JSON" $E2E_BENCHES <<'EOF' || status=1
+# box is spread over every bench. The torus rows are tca_explore runs, which
+# print no VmHWM line: their RSS is ru_maxrss.
+python3 - "$BUILD/bench" "$BUILD/tools/tca_explore" "$OUT" "$E2E_JSON" \
+  $E2E_BENCHES <<'EOF' || status=1
 import json, os, re, sys, time
-bin_dir, out_dir, json_path, *benches = sys.argv[1:]
+bin_dir, explore, out_dir, json_path, *benches = sys.argv[1:]
 REPS = 3
 HWM = re.compile(r"^VmHWM:\s+(\d+)\s+kB", re.M)
-runs = {name: [] for name in benches}
+TORUS = ("8x8", "16x16", "32x32")  # 64, 256 and 1024 nodes
+commands = {name: [os.path.join(bin_dir, name)] for name in benches}
+for shape in TORUS:
+    commands["torus_" + shape] = [
+        explore, "--topology", "torus:" + shape, "--workload", "allreduce",
+        "--size", "65536"]
+runs = {name: [] for name in commands}
+
+def run(name):
+    argv = commands[name]
+    out_path = os.path.join(out_dir, name + ".e2e.txt")
+    with open(out_path, "w") as out:
+        start = time.monotonic()
+        pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=[
+            (os.POSIX_SPAWN_DUP2, out.fileno(), 1),
+            (os.POSIX_SPAWN_DUP2, out.fileno(), 2)])
+        _, status, ru = os.wait4(pid, 0)
+        wall = time.monotonic() - start
+    with open(out_path) as out:
+        hwm = HWM.search(out.read())
+    rss_kb = int(hwm.group(1)) if hwm else ru.ru_maxrss
+    runs[name].append({
+        "exit": os.waitstatus_to_exitcode(status), "wall_s": wall,
+        "user_s": ru.ru_utime, "sys_s": ru.ru_stime,
+        "minor_faults": ru.ru_minflt, "max_rss_mb": rss_kb / 1024,
+        "rss_source": "VmHWM" if hwm else "ru_maxrss"})
+
 for _ in range(REPS):
-    for name in benches:
-        binary = os.path.join(bin_dir, name)
-        out_path = os.path.join(out_dir, name + ".e2e.txt")
-        with open(out_path, "w") as out:
-            start = time.monotonic()
-            pid = os.posix_spawn(binary, [binary], os.environ, file_actions=[
-                (os.POSIX_SPAWN_DUP2, out.fileno(), 1),
-                (os.POSIX_SPAWN_DUP2, out.fileno(), 2)])
-            _, status, ru = os.wait4(pid, 0)
-            wall = time.monotonic() - start
-        with open(out_path) as out:
-            hwm = HWM.search(out.read())
-        rss_kb = int(hwm.group(1)) if hwm else ru.ru_maxrss
-        runs[name].append({
-            "exit": os.waitstatus_to_exitcode(status), "wall_s": wall,
-            "user_s": ru.ru_utime, "sys_s": ru.ru_stime,
-            "minor_faults": ru.ru_minflt, "max_rss_mb": rss_kb / 1024,
-            "rss_source": "VmHWM" if hwm else "ru_maxrss"})
+    for name in commands:
+        if name != "torus_32x32":
+            run(name)
+run("torus_32x32")
 cpu = "unknown"
 with open("/proc/cpuinfo") as f:
     for line in f:
@@ -135,9 +152,12 @@ with open("/proc/cpuinfo") as f:
             cpu = line.split(":", 1)[1].strip()
             break
 doc = {"host": {"cpu": cpu, "cpus": os.cpu_count()},
-       "pick": f"median-wall run of {REPS}, all its fields from that one run",
+       "pick": f"median-wall run of {REPS} (torus_32x32: its one run), all "
+               "its fields from that one run",
        "rss": "max_rss_mb is the bench's own VmHWM at exit (ru_maxrss "
               "where rss_source says so)",
+       "torus": "torus_<shape>: tca_explore --topology torus:<shape> "
+                "--workload allreduce --size 65536",
        "benches": {}}
 failed = [name for name, reps in runs.items()
           if any(r["exit"] != 0 for r in reps)]

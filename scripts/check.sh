@@ -10,8 +10,8 @@
 # tcabench binary), full test suite
 # (soak label excluded — run `ctest -L soak` for the long fault campaigns;
 # the `repro` label diffs every full-simulator bench against tests/golden/),
-# a sanitizer pass over the fault, collective, memory, event-queue, poller
-# and link suites, a ~1 s bench_sim_core smoke run (scheduler speedup
+# a sanitizer pass over the scheduler core, fault, collective, memory and
+# link suites, a ~1 s bench_sim_core smoke run (scheduler speedup
 # tripwire + determinism and seed-equivalence checks),
 # collective bench smoke runs, a chaos smoke (seeded campaigns with
 # same-seed replay check + committed corpus replay), and tca_explore smoke
@@ -42,14 +42,18 @@ scripts/reachability.sh
 echo "== tests =="
 ctest --preset check -j "$(nproc)"
 
-echo "== fault, collective, memory, event-queue, poller, link and TLP data-path suites under ASan/UBSan =="
+echo "== scheduler core, fault, collective, memory, link and TLP data-path suites under ASan/UBSan =="
 # memory_test runs instrumented so the Dram mapping's ownership code and
 # its bounds-check death tests are covered: the mapping has no redzones.
 # indexed_queue_test runs instrumented because a broken list link in the
 # calendar ring reads a recycled slot long before a fire order goes wrong.
-# sim_test's PollUntil and pcie_test's ZeroFlightLink suites run
-# instrumented because a poller that outlives its coroutine frame, or a
-# zero-flight hop's one event cancelled twice, shows up here first.
+# The scheduler's own suites (sim_test's Scheduler, Task, Trigger, Barrier,
+# Semaphore and PollUntil, scheduler_stress_test's SchedulerStress and
+# EventFn) and pcie_test's ZeroFlightLink run instrumented because a wake
+# or a poller that outlives its coroutine frame, or a zero-flight hop's one
+# event cancelled twice, shows up here first: under ASan FrameArena hands
+# frames to the heap, so resuming a destroyed frame from the wake lane is a
+# heap-use-after-free.
 # The TLP data path runs instrumented too, over every layer a TLP handle
 # crosses (sim_test's Ring, pcie_test's Tlp, TlpPtr, Payload and Link,
 # chip_test's Chip, gpu_test's GpuDevice, node_test's RootComplex,
@@ -65,8 +69,9 @@ echo "== fault, collective, memory, event-queue, poller, link and TLP data-path 
 SAN_BUILD=build-check-asan
 cmake --preset asan > /dev/null
 cmake --build --preset asan -j --target fault_test fault_recovery_test \
-  coll_test memory_test indexed_queue_test sim_test pcie_test chip_test \
-  gpu_test node_test driver_test api_test channel_test baseline_test
+  coll_test memory_test indexed_queue_test sim_test scheduler_stress_test \
+  pcie_test chip_test gpu_test node_test driver_test api_test channel_test \
+  baseline_test
 ctest --preset asan -j "$(nproc)"
 
 echo "== bench_sim_core smoke =="
@@ -117,8 +122,9 @@ TCA_LOG=error "$BUILD"/tools/tca_chaos --corpus tests/chaos
 echo "== tca_explore torus smoke =="
 # 2D torus, dimension-order routed: a cross-dimension DMA plus collectives
 # riding the boustrophedon ring order (allreduce verifies the result, halo
-# each rank's rows from its ring neighbors). The allreduce also writes its
-# --trace, which must parse with events in it.
+# each rank's rows from its ring neighbors). The 4x4 allreduce also writes
+# its --trace, which must parse with events in it; the 8x8 one (64 ranks
+# spinning on flags) is the smallest row of bench_perf.sh's torus scaling.
 TRACE_JSON=$(mktemp)
 trap 'rm -f "$METRICS_JSON" "$TRACE_JSON"' EXIT
 "$BUILD"/tools/tca_explore --topology torus:4x4 --op pipelined \
@@ -126,6 +132,8 @@ trap 'rm -f "$METRICS_JSON" "$TRACE_JSON"' EXIT
 "$BUILD"/tools/tca_explore --topology torus:4x4 --workload halo --size 2048
 "$BUILD"/tools/tca_explore --topology torus:4x4 --workload allreduce \
   --size 65536 --trace "$TRACE_JSON"
+"$BUILD"/tools/tca_explore --topology torus:8x8 --workload allreduce \
+  --size 65536
 if command -v python3 > /dev/null 2>&1; then
   python3 - "$TRACE_JSON" <<'EOF'
 import json, sys

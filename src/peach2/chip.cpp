@@ -532,7 +532,11 @@ void Peach2Chip::write_register(std::uint64_t offset, std::uint64_t value) {
   }
   switch (offset) {
     case r::kNodeId:
-      cfg_.node_id = static_cast<std::uint32_t>(value);
+      // The internal block (every DMA's ack address) is encoded from the
+      // node id, so an id outside the conversion window is ignored.
+      if (value < cfg_.layout.node_count) {
+        cfg_.node_id = static_cast<std::uint32_t>(value);
+      }
       break;
     case r::kErrMask: err_mask_ = value; break;
     case r::kErrAck: err_status_ &= ~value; break;  // write-1-to-clear
@@ -540,8 +544,9 @@ void Peach2Chip::write_register(std::uint64_t offset, std::uint64_t value) {
     case r::kConvWindowSize:
     case r::kConvNodeCount: {
       // Decode divides by the slice size, so a conversion write applies
-      // only when the window it leaves is one TcaLayout::create accepts;
-      // otherwise it is ignored, as other invalid writes are.
+      // only when the window it leaves is one TcaLayout::create accepts
+      // and still holds the chip's node; otherwise it is ignored, as other
+      // invalid writes are.
       TcaLayout next = cfg_.layout;
       if (offset == r::kConvWindowBase) next.window_base = value;
       if (offset == r::kConvWindowSize) next.window_size = value;
@@ -551,7 +556,7 @@ void Peach2Chip::write_register(std::uint64_t offset, std::uint64_t value) {
       }
       if (auto valid = TcaLayout::create(next.window_base, next.window_size,
                                          next.node_count);
-          valid.is_ok()) {
+          valid.is_ok() && cfg_.node_id < valid.value().node_count) {
         cfg_.layout = valid.value();
       }
       break;

@@ -12,9 +12,10 @@
 //    ~4.2 us horizon). An event whose bucket lies within one horizon of
 //    `now` joins that bucket's list, doubly linked through the slots
 //    themselves and kept in (time, seq) order. Nearly all of the
-//    simulator's traffic lands here: zero-delay wakes and the 25-131 ns
-//    cable, link and DMA steps that make up most events. (CPU poll
-//    iterations are not queue events; the Scheduler ticks them itself.)
+//    simulator's traffic lands here: the 25-131 ns cable, link and DMA
+//    steps that make up most events. (Zero-delay coroutine wakes and CPU
+//    poll iterations are not queue events; the Scheduler fires them
+//    itself, from its wake lane and its poller ring.)
 //    That traffic also files in near-FIFO order, so the sorted insert is
 //    an append at the tail, a pop unlinks the head, and a cancel unlinks in
 //    place: the ring never holds a stale entry and never sifts. A cursor

@@ -1,30 +1,44 @@
 // Discrete-event scheduler.
 //
-// Deterministic: events fire in (time, insertion-order) order, so two runs
-// with the same inputs produce identical traces. Coroutine resumptions in
-// the simulator are routed through this queue, which keeps call stacks
-// shallow and event ordering well-defined even when a component fires a
-// trigger from inside another component's callback.
+// Deterministic: everything fires in (time, insertion-order) order, so two
+// runs with the same inputs produce identical traces. Each filing takes the
+// next `seq`, the tiebreak between same-picosecond keys. Coroutine
+// resumptions in the simulator are routed through the scheduler, which
+// keeps call stacks shallow and ordering well-defined even when a component
+// fires a trigger from inside another component's callback.
 //
-// Storage is one IndexedQueue: a calendar ring of (time, seq)-sorted bucket
-// lists threaded through a slot pool of allocation-free sim::EventFn,
-// fronting a 4-ary far heap (see indexed_queue.h for the full design).
-// Event fires run under the scheduler's FrameArena, so coroutine frames
-// spawned inside events recycle through pooled memory instead of the
-// global heap (see arena.h).
+// Events live in one IndexedQueue: a calendar ring of (time, seq)-sorted
+// bucket lists threaded through a slot pool of allocation-free
+// sim::EventFn, fronting a 4-ary far heap (see indexed_queue.h for the full
+// design). Fires run under the scheduler's FrameArena, so coroutine frames
+// spawned inside them recycle through pooled memory instead of the global
+// heap (see arena.h).
 //
-// Poll loops are the exception: they are not queue events. A CPU spinning
-// on a memory word (sim::PollUntil) would otherwise file, pop and resume
-// one event per iteration, most of the events on a latency path. Instead
-// the scheduler keeps each armed poller beside the queue, keyed by the
-// (time, seq) that the loop's next `co_await Delay(period)` event would
-// have had, and fires whichever of the queue head and the earliest poller
-// sorts first. A failing tick re-keys its poller to (time + period, next
-// seq), taking its seq exactly where the loop's rescheduling did; a passing
-// tick disarms it and resumes the waiter inline, at the tick's own key,
-// where that event would have resumed it. So every queue event keeps its
-// place in the fire order, and each tick takes the place of the event it
-// replaces, to the picosecond.
+// Two kinds of work skip the queue, each keyed exactly as the queue event
+// it replaces, so the fire order is the queue's to the picosecond.
+// fire_next() fires whichever of the three heads sorts first: the queue's,
+// the wake lane's and the earliest poller's.
+//
+// Zero-delay wakes (sim::Trigger, sim::Semaphore) go to the wake lane, a
+// FIFO of coroutine handles. wake() takes its seq where filing a zero-delay
+// event that resumes the handle would, at the current picosecond. Nothing
+// fires past the lane's front, so `now` cannot pass a pending wake: the
+// lane only holds keys at `now`, in seq order, and its front is its
+// minimum. A wake counts as the event it replaces in events_processed().
+//
+// Poll loops are not queue events either. A CPU spinning on a memory word
+// (sim::PollUntil) would otherwise file, pop and resume one event per
+// iteration, most of the events on a latency path. Instead each armed
+// poller is keyed by the (time, seq) that the loop's next
+// `co_await Delay(period)` event would have had. A failing tick re-keys its
+// poller to (time + period, next seq), taking its seq exactly where the
+// loop's rescheduling did; a passing tick disarms it and resumes the waiter
+// inline, at the tick's own key, where that event would have resumed it.
+// The armed pollers sit in a ring kept in key order, filed from the back.
+// Every poller in the simulator polls with the same period, so a re-keyed
+// tick sorts after every other armed one: a tick is a pop from the front
+// and an append, however many pollers are armed. A mix of periods makes
+// the filing walk back; disarming a parked poller erases it in place.
 #pragma once
 
 #include <coroutine>
@@ -32,13 +46,13 @@
 #include <cstdint>
 #include <limits>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 #include "common/units.h"
 #include "sim/arena.h"
 #include "sim/event_fn.h"
 #include "sim/indexed_queue.h"
+#include "sim/ring.h"
 
 namespace tca {
 class Trace;
@@ -97,38 +111,42 @@ class Scheduler {
         static_cast<std::uint32_t>(lo - 1), static_cast<std::uint32_t>(id >> 32)});
   }
 
+  /// Resumes `h` at the current picosecond, after everything already due
+  /// now: the key and the fire of a zero-delay event resuming it, through
+  /// the wake lane (see the file comment). Used by sim::Trigger and
+  /// sim::Semaphore.
+  void wake(std::coroutine_handle<> h) { lane_.push_back(Wake{seq_++, h}); }
+
   /// Parks `w` until `w.test` holds, testing it every `period` (> 0) of
   /// simulated time from now; the first tick takes the next seq, as a
   /// `Delay(period)` filed here would. Used by sim::PollUntil.
   void arm_poll(PollWaiter& w, TimePs period) {
     TCA_ASSERT(period > 0 && !w.armed);
     w.armed = true;
-    pollers_.push_back(Poller{now_ + period, seq_++, period, &w});
-    if (detail::earlier(pollers_.back(), pollers_[next_poll_])) {
-      next_poll_ = pollers_.size() - 1;
-    }
+    file_poller(Poller{now_ + period, seq_++, period, &w});
   }
 
   /// Drops `w`'s poller if it is still armed (its frame is going away).
   void disarm_poll(PollWaiter& w) {
     if (!w.armed) return;
-    for (std::size_t i = 0; i < pollers_.size(); ++i) {
-      if (pollers_[i].waiter == &w) {
-        remove_poller(i);
-        return;
-      }
+    w.armed = false;
+    std::size_t i = 0;
+    while (pollers_[i].waiter != &w) {
+      ++i;
+      TCA_ASSERT(i < pollers_.size() && "armed PollWaiter not found");
     }
-    TCA_ASSERT(false && "armed PollWaiter not found");
+    for (; i + 1 < pollers_.size(); ++i) pollers_[i] = pollers_[i + 1];
+    pollers_.pop_back();
   }
 
-  /// Runs the earliest pending event or poll tick. Returns false if there
-  /// is none.
+  /// Runs the earliest pending event, wake or poll tick. Returns false if
+  /// there is none.
   bool step() {
     ArenaScope scope(&arena_);
     return fire_next(kNoLimit);
   }
 
-  /// Runs events and poll ticks until none is pending.
+  /// Runs events, wakes and poll ticks until none is pending.
   void run() {
     // One arena scope spans the whole drain: two thread-local writes total
     // instead of two per event (step() keeps the per-event scope).
@@ -137,19 +155,21 @@ class Scheduler {
     }
   }
 
-  /// Runs all events and poll ticks with time <= `t`, then advances now to
-  /// `t`.
+  /// Runs all events, wakes and poll ticks with time <= `t`, then advances
+  /// now to `t`.
   void run_until(TimePs t);
 
   /// Runs all events within the next `duration` of simulated time.
   void run_for(TimePs duration) { run_until(now_ + duration); }
 
-  /// True when no event is queued and no poller is armed.
+  /// True when no event is queued, no wake is pending and no poller is
+  /// armed.
   [[nodiscard]] bool empty() const {
-    return queue_.empty() && pollers_.empty();
+    return queue_.empty() && lane_.empty() && pollers_.empty();
   }
 
-  /// Queue events fired. Poll ticks are not queue events and do not count.
+  /// Queue events and wakes fired (a wake stands for the zero-delay event
+  /// it replaces). Poll ticks are not queue events and do not count.
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
   /// The frame arena (coroutine frames, TLPs and their payloads allocated
@@ -165,6 +185,12 @@ class Scheduler {
  private:
   static constexpr TimePs kNoLimit = std::numeric_limits<TimePs>::max();
 
+  /// A pending wake; its time is always `now_`.
+  struct Wake {
+    std::uint64_t seq;
+    std::coroutine_handle<> handle;
+  };
+
   /// An armed PollWaiter keyed by its next tick.
   struct Poller {
     TimePs time;
@@ -173,14 +199,26 @@ class Scheduler {
     PollWaiter* waiter;
   };
 
-  /// Fires the earliest live event or poll tick iff its time <= `limit`.
-  /// The caller must hold an ArenaScope on the scheduler's arena.
+  /// Fires the earliest live event, wake or poll tick iff its time <=
+  /// `limit`. The caller must hold an ArenaScope on the scheduler's arena.
   bool fire_next(TimePs limit) {
     IndexedQueue::Key k;
     const bool queued = queue_.peek(now_, &k);
+    if (!lane_.empty()) {
+      // Due now, so never past `limit` (>= now_).
+      const IndexedQueue::Key wake{now_, lane_.front().seq};
+      if ((!queued || detail::earlier(wake, k)) &&
+          (pollers_.empty() || detail::earlier(wake, pollers_.front()))) {
+        const std::coroutine_handle<> h = lane_.front().handle;
+        lane_.pop_front();
+        ++processed_;
+        h.resume();
+        return true;
+      }
+    }
     if (!pollers_.empty() &&
-        (!queued || detail::earlier(pollers_[next_poll_], k))) {
-      if (pollers_[next_poll_].time > limit) return false;
+        (!queued || detail::earlier(pollers_.front(), k))) {
+      if (pollers_.front().time > limit) return false;
       fire_poll();
       return true;
     }
@@ -196,39 +234,33 @@ class Scheduler {
 
   /// Runs the earliest poller's tick (see the file comment).
   void fire_poll() {
-    Poller& p = pollers_[next_poll_];
+    Poller p = pollers_.front();
+    pollers_.pop_front();
     TCA_ASSERT(p.time >= now_);
     now_ = p.time;
     PollWaiter& w = *p.waiter;
     if (!w.test(w)) {
       p.time += p.period;
       p.seq = seq_++;
-      find_next_poll();
+      file_poller(p);
       return;
     }
-    remove_poller(next_poll_);
+    w.armed = false;
     w.waiter.resume();
   }
 
-  void remove_poller(std::size_t i) {
-    pollers_[i].waiter->armed = false;
-    pollers_[i] = pollers_.back();
-    pollers_.pop_back();
-    find_next_poll();
-  }
-
-  /// Points next_poll_ at the earliest armed poller (0 when none is). A
-  /// linear scan: a simulation arms a few dozen pollers at most, one per
-  /// spinning CPU thread.
-  void find_next_poll() {
-    next_poll_ = 0;
-    for (std::size_t i = 1; i < pollers_.size(); ++i) {
-      if (detail::earlier(pollers_[i], pollers_[next_poll_])) next_poll_ = i;
+  /// Files `p` in key order, walking back from the tail: an append unless
+  /// periods differ.
+  void file_poller(const Poller& p) {
+    pollers_.push_back(p);
+    for (std::size_t i = pollers_.size() - 1;
+         i > 0 && detail::earlier(p, pollers_[i - 1]); --i) {
+      std::swap(pollers_[i], pollers_[i - 1]);
     }
   }
 
-  std::vector<Poller> pollers_;
-  std::size_t next_poll_ = 0;
+  Ring<Wake> lane_;
+  Ring<Poller> pollers_;
   TimePs now_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t seq_ = 0;

@@ -1,10 +1,12 @@
 // Synchronization primitives for simulated processes.
 //
 // Trigger, Barrier and Semaphore defer every resumption through the
-// Scheduler queue (never inline), so firing a trigger from inside another
-// component's event keeps deterministic FIFO ordering and bounded stack
-// depth. PollUntil resumes its waiter from a scheduler poll tick, which
-// fires at the key the equivalent Delay event would have had.
+// Scheduler's wake lane (never inline), so firing a trigger from inside
+// another component's event keeps deterministic FIFO ordering and bounded
+// stack depth. A wake is not a queue event: it fires at the key a
+// zero-delay event filed at the same moment would have had. PollUntil
+// resumes its waiter from a scheduler poll tick, which fires at the key the
+// equivalent Delay event would have had.
 #pragma once
 
 #include <coroutine>
@@ -55,12 +57,10 @@ class Trigger {
 
  private:
   void wake_all() {
-    // Filing a wake resumes nothing (every waiter resumes from its own
-    // later event), so no waiter can wait() again during this loop, and
-    // the list is cleared in place: its buffer is kept for the next wait().
-    for (auto h : waiters_) {
-      sched_.schedule_after(0, [h] { h.resume(); });
-    }
+    // Filing a wake resumes nothing (every waiter resumes later, from the
+    // scheduler), so no waiter can wait() again during this loop, and the
+    // list is cleared in place: its buffer is kept for the next wait().
+    for (auto h : waiters_) sched_.wake(h);
     waiters_.clear();
   }
 
@@ -146,7 +146,7 @@ class Semaphore {
       waiters_.pop_front();
       --permits_;
       ++granted_;
-      sched_.schedule_after(0, [h] { h.resume(); });
+      sched_.wake(h);
     }
   }
 

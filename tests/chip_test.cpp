@@ -189,6 +189,31 @@ TEST(Chip, ConversionWriteLeavingAnInvalidWindowIsIgnored) {
   EXPECT_EQ(north.size(), std::size(invalid));
 }
 
+TEST(Chip, WriteLeavingTheOwnNodeOutsideTheWindowIsIgnored) {
+  // Node 1 of a 4-node window: a window of one node, or a node id of 5,
+  // would leave the chip's internal block (every DMA's ack address)
+  // unencodable.
+  sim::Scheduler sched;
+  ChipRig rig(sched, /*node_id=*/1);
+  const std::uint64_t internal = rig.chip->internal_block_base();
+
+  rig.chip->write_register(r::kConvNodeCount, 1);
+  EXPECT_EQ(rig.chip->read_register(r::kConvNodeCount), 4u);
+  rig.chip->write_register(r::kNodeId, 5);
+  EXPECT_EQ(rig.chip->read_register(r::kNodeId), 1u);
+  EXPECT_EQ(rig.chip->internal_block_base(), internal);
+
+  // Writes that keep the node inside the window still apply.
+  rig.chip->write_register(r::kConvNodeCount, 2);
+  EXPECT_EQ(rig.chip->read_register(r::kConvNodeCount), 2u);
+  rig.chip->write_register(r::kNodeId, 0);
+  EXPECT_EQ(rig.chip->read_register(r::kNodeId), 0u);
+  EXPECT_EQ(rig.chip->internal_block_base(),
+            TcaLayout::create(rig.layout.window_base, rig.layout.window_size, 2)
+                .value()
+                .encode(0, TcaTarget::kInternal, 0));
+}
+
 TEST(Chip, UnroutableForeignSliceDroppedAndCounted) {
   sim::Scheduler sched;
   ChipRig rig(sched, 0);
@@ -285,9 +310,9 @@ TEST(Chip, RegisterMlpOverMmioWindow) {
   // A register write TLP through the N port updates the file; a read TLP
   // returns a completion with the value.
   rig.far_end(PortId::kNorth)
-      .send(pcie::Tlp::mem_write(0x30'0000'0000ull + r::kNodeId, bytes8(7)));
+      .send(pcie::Tlp::mem_write(0x30'0000'0000ull + r::kNodeId, bytes8(2)));
   sched.run();
-  EXPECT_EQ(rig.chip->read_register(r::kNodeId), 7u);
+  EXPECT_EQ(rig.chip->read_register(r::kNodeId), 2u);
 
   rig.far_end(PortId::kNorth)
       .send(pcie::Tlp::mem_read(0x30'0000'0000ull + r::kNodeId, 8, 9, 3));
@@ -296,7 +321,7 @@ TEST(Chip, RegisterMlpOverMmioWindow) {
   std::uint64_t value = 0;
   std::memcpy(&value, rig.probe(PortId::kNorth).received[0]->payload.data(),
               8);
-  EXPECT_EQ(value, 7u);
+  EXPECT_EQ(value, 2u);
 }
 
 TEST(Chip, VendorMsgToOwnMailboxCounts) {

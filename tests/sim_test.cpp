@@ -687,6 +687,35 @@ TEST(PollUntil, DestroyingAParkedWaiterDisarmsIt) {
   EXPECT_TRUE(sched.empty());
 }
 
+TEST(PollUntil, DestroyingAWaiterInTheMiddleOfTheRingKeepsTheRestInOrder) {
+  // Five waiters start 10 ns apart, so their ticks interleave. At 95 ns the
+  // armed pollers' next ticks are 100, 110, 120, 130 and 140 ns (waiters 0
+  // to 4), and waiter 2 goes away from the middle, two pollers behind it.
+  constexpr std::size_t kWaiters = 5;
+  Scheduler sched;
+  std::vector<PollRecord> recs(kWaiters);
+  std::vector<std::string> log;
+  std::vector<Task<>> waiters(kWaiters);
+  bool flag = false;
+  for (std::size_t i = 0; i < kWaiters; ++i) {
+    sched.schedule_at(ns(10 * static_cast<std::int64_t>(i)), [&, i] {
+      waiters[i] = wait_for(sched, true, flag, 0, recs[i], log);
+    });
+  }
+  sched.run_until(ns(95));
+  waiters[2] = Task<>();
+  sched.schedule_at(ns(200), [&] { flag = true; });
+  sched.run();
+  // Waiter 2 tested inline at 20 ns and at its 70 ns tick, and no more.
+  const TimePs resumed[] = {ns(200), ns(210), -1, ns(230), ns(240)};
+  for (std::size_t i = 0; i < kWaiters; ++i) {
+    EXPECT_EQ(recs[i].resumed_at, resumed[i]) << "waiter " << i;
+    EXPECT_EQ(recs[i].tests, i == 2 ? 2 : 5) << "waiter " << i;
+  }
+  EXPECT_EQ(log.size(), 4u);
+  EXPECT_TRUE(sched.empty());
+}
+
 /// A waiter for scrambled_waiters(): polls its own flag with its own
 /// period. Each test also files a probe due with the next tick, which the
 /// Delay loop files before that tick's event, so it must run first.
@@ -711,15 +740,14 @@ Task<> wait_and_log(Scheduler& sched, bool use_poller, TimePs period,
 /// Many waiters with clashing periods, flags set by random events, and
 /// random zero-delay chatter: the whole log, every test and resume in
 /// order, must match the Delay loops'.
-std::vector<std::string> scrambled_waiters(bool use_poller,
-                                           std::uint64_t seed) {
-  constexpr std::size_t kWaiters = 12;
+std::vector<std::string> scrambled_waiters(bool use_poller, std::uint64_t seed,
+                                           std::size_t waiter_count) {
   Scheduler sched;
   Rng rng(seed);
   std::vector<std::string> log;
-  std::deque<bool> flags(kWaiters, false);
+  std::deque<bool> flags(waiter_count, false);
   std::vector<Task<>> waiters;
-  for (std::size_t i = 0; i < kWaiters; ++i) {
+  for (std::size_t i = 0; i < waiter_count; ++i) {
     const TimePs at = ns(static_cast<std::int64_t>(rng.next_below(400)));
     const TimePs period = ns(static_cast<std::int64_t>(rng.next_in(1, 3)) * 25);
     sched.schedule_at(at, [&, i, period] {
@@ -742,10 +770,148 @@ std::vector<std::string> scrambled_waiters(bool use_poller,
 }
 
 TEST(PollUntil, ManyWaitersMatchTheDelayLoopsStepForStep) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    EXPECT_EQ(scrambled_waiters(true, seed), scrambled_waiters(false, seed))
-        << "seed " << seed;
+  // 12 waiters, and 300: with periods of 25, 50 and 75 ns, a re-keyed tick
+  // often sorts before armed ones, so filing into the long ring walks back.
+  for (const std::size_t waiters : {std::size_t{12}, std::size_t{300}}) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      EXPECT_EQ(scrambled_waiters(true, seed, waiters),
+                scrambled_waiters(false, seed, waiters))
+          << waiters << " waiters, seed " << seed;
+    }
   }
+}
+
+// --- The wake lane: key for key the zero-delay events it replaces ----------
+
+/// The wake mechanism the lane replaced: every wake files a zero-delay
+/// queue event. Stands in for Trigger (pulse() wakes every waiter) and for a
+/// Semaphore whose releases each find a parked waiter (release() wakes the
+/// oldest).
+class QueueWaker {
+ public:
+  explicit QueueWaker(Scheduler& sched, std::int64_t /*permits*/ = 0)
+      : sched_(sched) {}
+
+  auto wait() {
+    struct Awaiter {
+      QueueWaker& waker;
+      bool await_ready() const { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        waker.waiters_.push_back(h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this};
+  }
+  auto acquire() { return wait(); }
+
+  void pulse() {
+    while (!waiters_.empty()) release();
+  }
+  void release() {
+    ASSERT_FALSE(waiters_.empty());
+    const std::coroutine_handle<> h = waiters_.front();
+    waiters_.pop_front();
+    sched_.schedule_after(0, [h] { h.resume(); });
+  }
+
+ private:
+  Scheduler& sched_;
+  std::deque<std::coroutine_handle<>> waiters_;
+};
+
+struct MergeRun {
+  std::vector<std::string> log;
+  std::uint64_t events = 0;
+};
+
+/// Trigger pulses, Semaphore releases, zero-delay events, calendar events
+/// and a passing poll tick, all at 100 ns, woken either through the lane
+/// (Trigger, Semaphore) or through the queue (QueueWaker for both).
+template <typename Trig, typename Sem>
+MergeRun same_picosecond_merge() {
+  constexpr TimePs kAt = ns(100);
+  Scheduler sched;
+  MergeRun run;
+  auto& log = run.log;
+  Trig trig(sched);
+  Sem sem(sched, 0);
+  std::vector<Task<>> tasks;
+
+  auto trig_waiter = [](Trig& t, std::vector<std::string>& out,
+                        int id) -> Task<> {
+    co_await t.wait();
+    out.push_back("trig " + std::to_string(id));
+    co_await t.wait();
+    out.push_back("trig again " + std::to_string(id));
+  };
+  auto sem_waiter = [](Scheduler& s, Trig& t, Sem& gate,
+                       std::vector<std::string>& out, int id) -> Task<> {
+    co_await gate.acquire();
+    out.push_back("sem " + std::to_string(id));
+    // A woken waiter files a zero-delay event and, as sem 0, wakes the
+    // trigger's waiters behind it.
+    s.schedule_after(0, [&out, id] {
+      out.push_back("zero from sem " + std::to_string(id));
+    });
+    if (id == 0) t.pulse();
+  };
+  auto calendar = [&](const char* name) {
+    return [&, name] {
+      log.push_back(name);
+      trig.pulse();
+      sem.release();
+      sched.schedule_after(0, [&log, name] {
+        log.push_back(std::string("zero ") + name);
+      });
+    };
+  };
+
+  for (int i = 0; i < 2; ++i) tasks.push_back(trig_waiter(trig, log, i));
+  for (int i = 0; i < 3; ++i) {
+    tasks.push_back(sem_waiter(sched, trig, sem, log, i));
+  }
+  // "early" and "plain" are keyed before the 50 ns tick re-keys the
+  // poller, so before its tick at 100 ns.
+  sched.schedule_at(kAt, calendar("early"));
+  tasks.push_back([](Scheduler& s, Trig& t, Sem& gate,
+                     std::vector<std::string>& out) -> Task<> {
+    co_await PollUntil(s, ns(50), [&] {
+      out.push_back("tick @" + std::to_string(s.now()));
+      return s.now() >= ns(100);
+    });
+    out.push_back("poller");
+    gate.release();
+    t.pulse();
+  }(sched, trig, sem, log));
+  sched.schedule_at(kAt, [&] { log.push_back("plain"); });
+  // Filed after the 50 ns tick re-keyed the poller, so after its tick.
+  sched.schedule_at(ns(60), [&] { sched.schedule_at(kAt, calendar("late")); });
+  sched.run();
+  for (const Task<>& t : tasks) EXPECT_TRUE(t.done());
+  EXPECT_EQ(sched.now(), kAt);
+  run.events = sched.events_processed();
+  return run;
+}
+
+TEST(Scheduler, SamePicosecondWakesFireWhereZeroDelayEventsWould) {
+  const MergeRun lane = same_picosecond_merge<Trigger, Semaphore>();
+  const MergeRun queue = same_picosecond_merge<QueueWaker, QueueWaker>();
+  EXPECT_EQ(lane.log, queue.log);
+  // A wake counts as the queue event it replaces.
+  EXPECT_EQ(lane.events, queue.events);
+  // Every wake at 100 ns is filed after the tick was keyed (at 50 ns), so
+  // the tick fires first; wakes and zero-delay events then interleave in
+  // filing order.
+  const std::vector<std::string> want{
+      "tick @0",         "tick @50000",     "early",
+      "plain",           "tick @100000",    "poller",
+      "late",            "trig 0",          "trig 1",
+      "sem 0",           "zero early",      "sem 1",
+      "sem 2",           "zero late",       "zero from sem 0",
+      "trig again 0",    "trig again 1",    "zero from sem 1",
+      "zero from sem 2"};
+  EXPECT_EQ(lane.log, want);
 }
 
 }  // namespace
